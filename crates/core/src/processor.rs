@@ -16,7 +16,7 @@
 //! their exact sum (`docs/simulation.md` § "Toggle accounting").
 
 use hwlib::{ports, HwLibrary};
-use netlist::compiled::{CompiledSim, EvalPolicy, MAX_TOTAL_LANES};
+use netlist::compiled::{CompiledSim, EvalPolicy, PortId, MAX_TOTAL_LANES};
 use netlist::{Builder, NetId, Netlist};
 use riscv_emu::{RvfiRecord, RvfiTrace, SparseMemory};
 use riscv_isa::semantics::Memory as _;
@@ -110,6 +110,55 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// The core ports a cycle drives and reads, resolved once per simulator
+/// so the cycle loop never scans ports by name.
+#[derive(Debug, Clone, Copy)]
+struct CorePorts {
+    insn: PortId,
+    rs1_data: PortId,
+    rs2_data: PortId,
+    dmem_rdata: PortId,
+    pc: PortId,
+    rs1_addr: PortId,
+    rs2_addr: PortId,
+    dmem_re: PortId,
+    dmem_addr: PortId,
+    valid: PortId,
+    dmem_wmask: PortId,
+    dmem_wdata: PortId,
+    rd_we: PortId,
+    rd_addr: PortId,
+    rd_data: PortId,
+    next_pc: PortId,
+}
+
+impl CorePorts {
+    /// # Panics
+    ///
+    /// Panics if the simulator's netlist lacks one of the core's ports.
+    fn resolve(sim: &CompiledSim) -> CorePorts {
+        let (input, output) = (|n| sim.input_port(n), |n| sim.output_port(n));
+        CorePorts {
+            insn: input(ports::INSN),
+            rs1_data: input(ports::RS1_DATA),
+            rs2_data: input(ports::RS2_DATA),
+            dmem_rdata: input(ports::DMEM_RDATA),
+            pc: output(ports::PC),
+            rs1_addr: output(ports::RS1_ADDR),
+            rs2_addr: output(ports::RS2_ADDR),
+            dmem_re: output(ports::DMEM_RE),
+            dmem_addr: output(ports::DMEM_ADDR),
+            valid: output("valid"),
+            dmem_wmask: output(ports::DMEM_WMASK),
+            dmem_wdata: output(ports::DMEM_WDATA),
+            rd_we: output(ports::RD_WE),
+            rd_addr: output(ports::RD_ADDR),
+            rd_data: output(ports::RD_DATA),
+            next_pc: output(ports::NEXT_PC),
+        }
+    }
+}
+
 /// Gate-level single-cycle CPU: the synthesised core netlist driven cycle by
 /// cycle, with behavioural register file and unified memory attached.
 ///
@@ -120,6 +169,7 @@ impl std::error::Error for ExecError {}
 #[derive(Debug, Clone)]
 pub struct GateLevelCpu {
     sim: CompiledSim,
+    ports: CorePorts,
     rf: [u32; riscv_isa::REG_COUNT],
     mem: SparseMemory,
     cycles: u64,
@@ -139,7 +189,7 @@ impl GateLevelCpu {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist does not expose the core's `pc` output port.
+    /// Panics if the netlist does not expose the core's ports.
     pub fn with_core_arc(core: Arc<Netlist>, entry: u32) -> GateLevelCpu {
         let pc_port = core.output("pc").expect("core exposes pc").nets.clone();
         let mut sim = CompiledSim::new_arc(core);
@@ -147,6 +197,7 @@ impl GateLevelCpu {
             sim.set_ff(*net, (entry >> i) & 1 == 1);
         }
         GateLevelCpu {
+            ports: CorePorts::resolve(&sim),
             sim,
             rf: [0; riscv_isa::REG_COUNT],
             mem: SparseMemory::new(),
@@ -220,7 +271,7 @@ impl GateLevelCpu {
     /// The current PC (settles the netlist to read the flops).
     pub fn pc(&mut self) -> u32 {
         self.sim.eval();
-        self.sim.get_bus("pc")
+        self.sim.get_port(self.ports.pc) as u32
     }
 
     /// Executes one cycle through the gates.
@@ -233,50 +284,52 @@ impl GateLevelCpu {
     /// [`ExecError::Unsupported`] when the fetched word is outside the
     /// subset (the core's `valid` output is low).
     pub fn step(&mut self) -> Result<bool, ExecError> {
+        let p = self.ports;
+        let read = |sim: &CompiledSim, port| sim.get_port(port) as u32;
         // Phase 0: settle to read the PC flops.
         self.sim.eval();
-        let pc = self.sim.get_bus("pc");
+        let pc = read(&self.sim, p.pc);
         // Phase 1: instruction fetch (combinational IMEM read).
         let insn = self.mem.load_word(pc);
-        self.sim.set_bus(ports::INSN, insn);
+        self.sim.set_port(p.insn, insn.into());
         self.sim.eval();
         // Phase 2: register file read (combinational RF read).
-        let rs1_addr = self.sim.get_bus(ports::RS1_ADDR) as usize;
-        let rs2_addr = self.sim.get_bus(ports::RS2_ADDR) as usize;
+        let rs1_addr = read(&self.sim, p.rs1_addr) as usize;
+        let rs2_addr = read(&self.sim, p.rs2_addr) as usize;
         let rs1_data = self.rf[rs1_addr];
         let rs2_data = self.rf[rs2_addr];
-        self.sim.set_bus(ports::RS1_DATA, rs1_data);
-        self.sim.set_bus(ports::RS2_DATA, rs2_data);
+        self.sim.set_port(p.rs1_data, rs1_data.into());
+        self.sim.set_port(p.rs2_data, rs2_data.into());
         self.sim.eval();
         // Phase 3: data memory read (combinational DMEM read).
-        let dmem_re = self.sim.get_bus(ports::DMEM_RE) != 0;
-        let dmem_addr = self.sim.get_bus(ports::DMEM_ADDR);
+        let dmem_re = read(&self.sim, p.dmem_re) != 0;
+        let dmem_addr = read(&self.sim, p.dmem_addr);
         let rdata = if dmem_re {
             self.mem.load_word(dmem_addr)
         } else {
             0
         };
-        self.sim.set_bus(ports::DMEM_RDATA, rdata);
+        self.sim.set_port(p.dmem_rdata, rdata.into());
         self.sim.eval();
 
-        if self.sim.get_bus("valid") == 0 {
+        if read(&self.sim, p.valid) == 0 {
             return Err(ExecError::Unsupported { pc, insn });
         }
 
         // Commit: memory write, register write-back, PC update.
-        let wmask = self.sim.get_bus(ports::DMEM_WMASK) as u8;
-        let wdata = self.sim.get_bus(ports::DMEM_WDATA);
-        let addr = self.sim.get_bus(ports::DMEM_ADDR);
+        let wmask = read(&self.sim, p.dmem_wmask) as u8;
+        let wdata = read(&self.sim, p.dmem_wdata);
+        let addr = read(&self.sim, p.dmem_addr);
         if wmask != 0 {
             self.mem.write_word(addr, wdata, wmask);
         }
-        let rd_we = self.sim.get_bus(ports::RD_WE) != 0;
-        let rd_addr = self.sim.get_bus(ports::RD_ADDR) as usize;
-        let rd_data = self.sim.get_bus(ports::RD_DATA);
+        let rd_we = read(&self.sim, p.rd_we) != 0;
+        let rd_addr = read(&self.sim, p.rd_addr) as usize;
+        let rd_data = read(&self.sim, p.rd_data);
         if rd_we {
             self.set_reg(rd_addr, rd_data);
         }
-        let next_pc = self.sim.get_bus(ports::NEXT_PC);
+        let next_pc = read(&self.sim, p.next_pc);
         if let Some(trace) = &mut self.trace {
             trace.push(RvfiRecord {
                 pc,
@@ -360,6 +413,7 @@ enum LaneState {
 #[derive(Debug, Clone)]
 pub struct BatchedGateLevelCpu {
     sim: CompiledSim,
+    ports: CorePorts,
     lanes: usize,
     rf: Vec<[u32; riscv_isa::REG_COUNT]>,
     mem: Vec<SparseMemory>,
@@ -368,12 +422,53 @@ pub struct BatchedGateLevelCpu {
     /// The PC flip-flop nets, kept for per-lane re-pinning after a fault.
     pc_nets: Vec<NetId>,
     // Per-lane phase buffers, preallocated so the cycle loop never
-    // allocates: fetched PCs, the insn/rdata word being driven, and the
-    // two register-file read ports.
-    pcs: Vec<u32>,
+    // allocates: fetched PCs, the insn/rdata word being driven, the two
+    // register-file read ports, and the commit phase's port reads.
+    pcs: Vec<u64>,
     words: Vec<u64>,
     rs1: Vec<u64>,
     rs2: Vec<u64>,
+    commit: CommitReads,
+}
+
+/// Every lane's value of each output port the commit phase reads, one
+/// `get_port_lanes` pass per port.
+#[derive(Debug, Clone)]
+struct CommitReads {
+    valid: Vec<u64>,
+    wmask: Vec<u64>,
+    addr: Vec<u64>,
+    wdata: Vec<u64>,
+    rd_we: Vec<u64>,
+    rd_addr: Vec<u64>,
+    rd_data: Vec<u64>,
+    next_pc: Vec<u64>,
+}
+
+impl CommitReads {
+    fn new(lanes: usize) -> CommitReads {
+        CommitReads {
+            valid: vec![0; lanes],
+            wmask: vec![0; lanes],
+            addr: vec![0; lanes],
+            wdata: vec![0; lanes],
+            rd_we: vec![0; lanes],
+            rd_addr: vec![0; lanes],
+            rd_data: vec![0; lanes],
+            next_pc: vec![0; lanes],
+        }
+    }
+
+    fn read(&mut self, sim: &CompiledSim, p: &CorePorts) {
+        sim.get_port_lanes(p.valid, &mut self.valid);
+        sim.get_port_lanes(p.dmem_wmask, &mut self.wmask);
+        sim.get_port_lanes(p.dmem_addr, &mut self.addr);
+        sim.get_port_lanes(p.dmem_wdata, &mut self.wdata);
+        sim.get_port_lanes(p.rd_we, &mut self.rd_we);
+        sim.get_port_lanes(p.rd_addr, &mut self.rd_addr);
+        sim.get_port_lanes(p.rd_data, &mut self.rd_data);
+        sim.get_port_lanes(p.next_pc, &mut self.next_pc);
+    }
 }
 
 impl BatchedGateLevelCpu {
@@ -394,7 +489,7 @@ impl BatchedGateLevelCpu {
     /// # Panics
     ///
     /// Panics if `entries` is empty, holds more than [`MAX_TOTAL_LANES`]
-    /// lanes, or the netlist does not expose the core's `pc` output port.
+    /// lanes, or the netlist does not expose the core's ports.
     pub fn with_core_arc(core: Arc<Netlist>, entries: &[u32]) -> BatchedGateLevelCpu {
         assert!(
             (1..=MAX_TOTAL_LANES).contains(&entries.len()),
@@ -410,6 +505,7 @@ impl BatchedGateLevelCpu {
             }
         }
         BatchedGateLevelCpu {
+            ports: CorePorts::resolve(&sim),
             sim,
             lanes,
             rf: vec![[0; riscv_isa::REG_COUNT]; lanes],
@@ -421,6 +517,7 @@ impl BatchedGateLevelCpu {
             words: vec![0; lanes],
             rs1: vec![0; lanes],
             rs2: vec![0; lanes],
+            commit: CommitReads::new(lanes),
         }
     }
 
@@ -487,68 +584,67 @@ impl BatchedGateLevelCpu {
 
     /// Executes one cycle on every lane through the shared gates.
     pub fn step(&mut self) {
+        let p = self.ports;
         // Phase 0: settle to read every lane's PC flops.
         self.sim.eval();
-        for l in 0..self.lanes {
-            self.pcs[l] = self.sim.get_bus_lane("pc", l) as u32;
-        }
+        self.sim.get_port_lanes(p.pc, &mut self.pcs);
         // Phase 1: per-lane instruction fetch (combinational IMEM read).
         for l in 0..self.lanes {
-            self.words[l] = self.mem[l].load_word(self.pcs[l]) as u64;
+            self.words[l] = self.mem[l].load_word(self.pcs[l] as u32) as u64;
         }
-        self.sim.set_bus_lanes(ports::INSN, &self.words);
+        self.sim.set_port_lanes(p.insn, &self.words);
         self.sim.eval();
-        // Phase 2: per-lane register file read.
+        // Phase 2: per-lane register file read (addresses in, data out).
+        self.sim.get_port_lanes(p.rs1_addr, &mut self.rs1);
+        self.sim.get_port_lanes(p.rs2_addr, &mut self.rs2);
         for l in 0..self.lanes {
-            let rs1_addr = self.sim.get_bus_lane(ports::RS1_ADDR, l) as usize;
-            let rs2_addr = self.sim.get_bus_lane(ports::RS2_ADDR, l) as usize;
-            self.rs1[l] = self.rf[l][rs1_addr] as u64;
-            self.rs2[l] = self.rf[l][rs2_addr] as u64;
+            self.rs1[l] = self.rf[l][self.rs1[l] as usize] as u64;
+            self.rs2[l] = self.rf[l][self.rs2[l] as usize] as u64;
         }
-        self.sim.set_bus_lanes(ports::RS1_DATA, &self.rs1);
-        self.sim.set_bus_lanes(ports::RS2_DATA, &self.rs2);
+        self.sim.set_port_lanes(p.rs1_data, &self.rs1);
+        self.sim.set_port_lanes(p.rs2_data, &self.rs2);
         self.sim.eval();
-        // Phase 3: per-lane data memory read.
+        // Phase 3: per-lane data memory read (`commit.addr` is scratch
+        // here; the commit phase re-reads it after the final settle).
+        self.sim.get_port_lanes(p.dmem_re, &mut self.words);
+        self.sim.get_port_lanes(p.dmem_addr, &mut self.commit.addr);
         for l in 0..self.lanes {
-            let re = self.sim.get_bus_lane(ports::DMEM_RE, l) != 0;
-            let addr = self.sim.get_bus_lane(ports::DMEM_ADDR, l) as u32;
-            self.words[l] = if re {
-                self.mem[l].load_word(addr) as u64
+            self.words[l] = if self.words[l] != 0 {
+                self.mem[l].load_word(self.commit.addr[l] as u32) as u64
             } else {
                 0
             };
         }
-        self.sim.set_bus_lanes(ports::DMEM_RDATA, &self.words);
+        self.sim.set_port_lanes(p.dmem_rdata, &self.words);
         self.sim.eval();
 
         // Commit per running lane: memory write, write-back, halt detection.
+        self.commit.read(&self.sim, &p);
+        let c = &self.commit;
         for l in 0..self.lanes {
-            let pc = self.pcs[l];
+            let pc = self.pcs[l] as u32;
             if self.state[l] != LaneState::Running {
                 continue;
             }
-            if self.sim.get_bus_lane("valid", l) == 0 {
+            if c.valid[l] == 0 {
                 self.state[l] = LaneState::Faulted(ExecError::Unsupported {
                     pc,
                     insn: self.mem[l].load_word(pc),
                 });
                 continue;
             }
-            let wmask = self.sim.get_bus_lane(ports::DMEM_WMASK, l) as u8;
+            let wmask = c.wmask[l] as u8;
             if wmask != 0 {
-                let addr = self.sim.get_bus_lane(ports::DMEM_ADDR, l) as u32;
-                let wdata = self.sim.get_bus_lane(ports::DMEM_WDATA, l) as u32;
-                self.mem[l].write_word(addr, wdata, wmask);
+                self.mem[l].write_word(c.addr[l] as u32, c.wdata[l] as u32, wmask);
             }
-            if self.sim.get_bus_lane(ports::RD_WE, l) != 0 {
-                let rd_addr = self.sim.get_bus_lane(ports::RD_ADDR, l) as usize;
+            if c.rd_we[l] != 0 {
+                let rd_addr = c.rd_addr[l] as usize;
                 if rd_addr != 0 {
-                    self.rf[l][rd_addr] = self.sim.get_bus_lane(ports::RD_DATA, l) as u32;
+                    self.rf[l][rd_addr] = c.rd_data[l] as u32;
                 }
             }
             self.cycles[l] += 1;
-            let next_pc = self.sim.get_bus_lane(ports::NEXT_PC, l) as u32;
-            if next_pc == pc {
+            if c.next_pc[l] as u32 == pc {
                 self.state[l] = LaneState::Halted;
             }
         }

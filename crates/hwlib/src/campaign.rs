@@ -360,7 +360,7 @@ pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<B
 /// Per-block resume state: how many chunks of the block's mutant
 /// population have been fully evaluated and the verdict counts they
 /// accumulated. A chunk's verdicts depend only on that chunk's own
-/// instrumented simulator (see [`ChunkRunner`]), so replaying the
+/// instrumented simulator (see `ChunkRunner`), so replaying the
 /// remaining chunks after a restart yields the same totals as an
 /// uninterrupted sweep, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -36,17 +36,17 @@
 //! `GATE_SIM_PROGRAM_CACHE=0` (see [`crate::env`]) bypasses the global
 //! cache entirely; results are bit-identical either way.
 //!
-//! # Native code rides the cache
+//! # Native code does not ride the cache
 //!
-//! A cached [`Program`] also carries its lazily-built [`crate::jit`]
-//! code (one W^X mapping per lane-block width, behind the program's
-//! `jit` slots). Code lifetime therefore follows the same rules as the
-//! program itself: a cache hit reuses already-emitted machine code, LRU
-//! eviction drops only the cache's `Arc` (simulators executing the code
-//! keep it mapped), and a structurally new netlist — e.g. an
-//! instrumented mutant — gets a fresh program with empty slots, so
-//! stale code can never run for the wrong netlist. See `docs/jit.md`
-//! § "Code lifetime".
+//! A cached [`Program`] also carries its [`crate::jit`] slots, one per
+//! lane-block width, but they hold only weak references: a cache hit
+//! shares code that some simulator is still running, and otherwise the
+//! next simulator to want native code emits it afresh. An entry held by
+//! the cache alone keeps no code mapped, so a warm cache of many cores
+//! costs their programs, not their machine code. A structurally new
+//! netlist — e.g. an instrumented mutant — gets a fresh program with
+//! empty slots, so stale code can never run for the wrong netlist. See
+//! `docs/jit.md` § "Code lifetime".
 
 use crate::level::Program;
 use crate::Netlist;

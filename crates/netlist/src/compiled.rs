@@ -35,6 +35,12 @@
 //! dense stimuli never pay the gating overhead; see `docs/simulation.md`
 //! § "Event-driven evaluation".
 //!
+//! `Auto` is also tiered: a sequential simulator of at most 64 lanes
+//! (one-word lane blocks) that has run [`AUTO_NATIVE_AFTER_SETTLES`]
+//! settles moves to full sweeps through natively emitted code
+//! ([`crate::jit`]), which beat the gated interpreter at that width once
+//! the emission is repaid. Results do not change.
+//!
 //! # Parallel level evaluation
 //!
 //! [`EvalPolicy`] adds a third, intra-netlist parallel axis on top of the
@@ -112,15 +118,31 @@ fn block_lane_masks(lanes: usize) -> Vec<u64> {
         .collect()
 }
 
+/// A port of a simulator's netlist resolved once by name
+/// ([`CompiledSim::input_port`], [`CompiledSim::output_port`]), so a hot
+/// loop skips the by-name scan. Valid for simulators over the netlist it
+/// was resolved against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortId(usize);
+
 /// How [`CompiledSim::eval`] sweeps the op stream. Every mode produces
 /// bit-identical values and toggle counts; the mode only changes how much
-/// work a settle performs.
+/// work a settle performs, and on which engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Event-driven with a dense-stimulus fallback: settles run
-    /// level-skipping, but when a settle executes nearly every level the
-    /// next [`AUTO_DENSE_BACKOFF`] settles use plain full sweeps before
-    /// probing the event-driven path again.
+    /// Tiered. Settles start on the interpreter, event-driven with a
+    /// dense-stimulus fallback: they skip unchanged levels, but when a
+    /// settle executes nearly every level the next [`AUTO_DENSE_BACKOFF`]
+    /// settles use plain full sweeps before probing the event-driven
+    /// path again. A sequential (`par_threads == 1`) simulator whose lane
+    /// block is one word (≤ 64 lanes) that has run
+    /// [`AUTO_NATIVE_AFTER_SETTLES`] settles since entering `Auto` then
+    /// moves for good to native full sweeps ([`crate::jit`]) — the width
+    /// where they beat the interpreter, after enough settles to repay the
+    /// emission. If codegen refuses (any [`crate::jit::JitError`],
+    /// including `GATE_SIM_JIT=0`), it keeps interpreting. Either way the
+    /// results are bit-identical; [`EvalStats::native_sweeps`] says which
+    /// engine ran.
     #[default]
     Auto,
     /// Always sweep every op (the pre-event-driven behavior).
@@ -140,6 +162,14 @@ pub enum EvalMode {
 /// Full-sweep settles an [`EvalMode::Auto`] simulator runs after a settle
 /// that executed more than ⅞ of the scheduled ops anyway.
 pub const AUTO_DENSE_BACKOFF: u32 = 32;
+
+/// Settles a qualifying [`EvalMode::Auto`] simulator runs on the
+/// interpreter before it moves to native code. Both the emission cost and
+/// the per-settle saving scale with the op count, so emission repays
+/// itself after a fixed number of settles (~100–150 on the RISSP cores)
+/// whatever the netlist's size; a CPU run is thousands of settles, a
+/// verification read or a service update a handful.
+pub const AUTO_NATIVE_AFTER_SETTLES: u32 = 256;
 
 /// Dirty fraction (executed ops / scheduled ops) above which
 /// [`EvalMode::Auto`] falls back to full sweeps, as a numerator over 8.
@@ -292,9 +322,13 @@ pub struct CompiledSim {
     /// pool's workers.
     pool: Option<Arc<WorkerPool>>,
     /// Native code for this program at this lane width, held while the
-    /// mode is [`EvalMode::Jit`] and codegen succeeded; `None` is the
-    /// interpreter-fallback state ([`CompiledSim::jit_active`]).
+    /// mode is [`EvalMode::Jit`] or a promoted [`EvalMode::Auto`] and
+    /// codegen succeeded; `None` is the interpreter state
+    /// ([`CompiledSim::jit_active`]). Holding it keeps it mapped.
     jit: Option<Arc<crate::jit::JitProgram>>,
+    /// Settles run since entering [`EvalMode::Auto`], saturating one past
+    /// [`AUTO_NATIVE_AFTER_SETTLES`] once promotion has been tried.
+    auto_settles: u32,
     /// Codegen options the `Jit` mode compiles under
     /// ([`CompiledSim::set_jit_options`]); defaults consult
     /// `GATE_SIM_JIT` and CPU feature detection.
@@ -791,6 +825,7 @@ impl CompiledSim {
             par_split: Arc::new(Vec::new()),
             pool: None,
             jit: None,
+            auto_settles: 0,
             jit_options: crate::jit::JitOptions::default(),
             stats: EvalStats::default(),
             prog,
@@ -824,13 +859,16 @@ impl CompiledSim {
     /// Selects the evaluation strategy. Purely a performance knob: values
     /// and toggle counts are bit-identical in every mode.
     ///
-    /// Entering [`EvalMode::Jit`] acquires (compiling and caching on
-    /// first use) native code for this program at this lane width;
-    /// when codegen is unavailable the mode still holds but settles run
-    /// the interpreter ([`CompiledSim::jit_active`] reports which).
+    /// Entering [`EvalMode::Jit`] acquires (emitting on first use) native
+    /// code for this program at this lane width; when codegen is
+    /// unavailable the mode still holds but settles run the interpreter
+    /// ([`CompiledSim::jit_active`] reports which). Entering any other
+    /// mode releases the code and restarts [`EvalMode::Auto`]'s count
+    /// towards promotion.
     pub fn set_eval_mode(&mut self, mode: EvalMode) {
         self.mode = mode;
         self.dense_backoff = 0;
+        self.auto_settles = 0;
         self.jit = if mode == EvalMode::Jit {
             self.acquire_jit()
         } else {
@@ -854,20 +892,29 @@ impl CompiledSim {
 
     /// Replaces the codegen options (a test/bench seam — e.g. forcing
     /// the portable non-BMI1 encodings or a tiny code-size cap to
-    /// exercise fallback) and re-acquires code if the current mode is
-    /// [`EvalMode::Jit`].
+    /// exercise fallback) and re-acquires code if the simulator holds
+    /// some or is in [`EvalMode::Jit`]. An [`EvalMode::Auto`] simulator
+    /// not yet promoted uses the new options when it is.
     pub fn set_jit_options(&mut self, options: crate::jit::JitOptions) {
         self.jit_options = options;
-        if self.mode == EvalMode::Jit {
+        if self.mode == EvalMode::Jit || self.jit.is_some() {
             self.jit = self.acquire_jit();
         }
     }
 
-    /// True when settles in [`EvalMode::Jit`] actually execute emitted
-    /// native code; false in every other mode and in the fallback state
-    /// (unsupported host, codegen failure, or `GATE_SIM_JIT=0`).
+    /// True when sequential settles execute emitted native code: in
+    /// [`EvalMode::Jit`], or in [`EvalMode::Auto`] after promotion, when
+    /// codegen succeeded. False in every other mode and in the fallback
+    /// state (unsupported host, codegen refusal, or `GATE_SIM_JIT=0`).
     pub fn jit_active(&self) -> bool {
         self.jit.is_some()
+    }
+
+    /// The native code this simulator runs, if any
+    /// ([`CompiledSim::jit_active`]).
+    #[cfg(test)]
+    pub(crate) fn native_code(&self) -> Option<&Arc<crate::jit::JitProgram>> {
+        self.jit.as_ref()
     }
 
     /// The intra-settle parallelism policy ([`EvalPolicy`]).
@@ -1016,16 +1063,44 @@ impl CompiledSim {
     /// Panics if the port does not exist, a port net is not an input, or
     /// `values.len() > lanes`.
     pub fn set_bus_lanes(&mut self, port: &str, values: &[u64]) {
+        self.set_port_lanes(self.input_port(port), values);
+    }
+
+    /// Resolves the named input port once, for [`CompiledSim::set_port`]
+    /// and [`CompiledSim::set_port_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
+    pub fn input_port(&self, name: &str) -> PortId {
+        let index = self.netlist.inputs().iter().position(|p| p.name == name);
+        PortId(index.unwrap_or_else(|| panic!("no input port `{name}`")))
+    }
+
+    /// Resolves the named output port once, for [`CompiledSim::get_port`]
+    /// and [`CompiledSim::get_port_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
+    pub fn output_port(&self, name: &str) -> PortId {
+        let index = self.netlist.outputs().iter().position(|p| p.name == name);
+        PortId(index.unwrap_or_else(|| panic!("no output port `{name}`")))
+    }
+
+    /// [`CompiledSim::set_bus_lanes`] on a resolved input port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port net is not an input or `values.len() > lanes`.
+    pub fn set_port_lanes(&mut self, port: PortId, values: &[u64]) {
         assert!(
             values.len() <= self.lanes,
             "{} stimuli exceed {} lanes",
             values.len(),
             self.lanes
         );
-        let port = self
-            .netlist
-            .input(port)
-            .unwrap_or_else(|| panic!("no input port `{port}`"));
+        let port = &self.netlist.inputs()[port.0];
         let k = self.lane_words;
         for (i, &net) in port.nets.iter().enumerate() {
             match self.netlist.gates()[net as usize] {
@@ -1054,10 +1129,12 @@ impl CompiledSim {
     ///
     /// Panics if the port does not exist.
     pub fn set_bus_u64(&mut self, port: &str, value: u64) {
-        let port = self
-            .netlist
-            .input(port)
-            .unwrap_or_else(|| panic!("no input port `{port}`"));
+        self.set_port(self.input_port(port), value);
+    }
+
+    /// [`CompiledSim::set_bus_u64`] on a resolved input port.
+    pub fn set_port(&mut self, port: PortId, value: u64) {
+        let port = &self.netlist.inputs()[port.0];
         let k = self.lane_words;
         for (i, &net) in port.nets.iter().enumerate() {
             match self.netlist.gates()[net as usize] {
@@ -1082,17 +1159,20 @@ impl CompiledSim {
     /// Settles all combinational logic for the current inputs and FF state.
     ///
     /// Depending on [`CompiledSim::eval_mode`] this is either one full
-    /// forward sweep of the op stream or an event-driven sweep that skips
-    /// levels whose fan-in did not change; both produce bit-identical
-    /// values and toggle counts. The very first settle is always a full
-    /// sweep (the all-zero reset words must be replaced everywhere).
+    /// forward sweep of the op stream (interpreted or native) or an
+    /// event-driven sweep that skips levels whose fan-in did not change;
+    /// all produce bit-identical values and toggle counts. The very first
+    /// settle is always a full sweep (the all-zero reset words must be
+    /// replaced everywhere).
     pub fn eval(&mut self) {
         let event = self.primed
             && match self.mode {
                 EvalMode::FullSweep | EvalMode::Jit => false,
                 EvalMode::EventDriven => true,
                 EvalMode::Auto => {
-                    if self.dense_backoff > 0 {
+                    if self.jit.is_some() {
+                        false // promoted: native full sweeps from here on
+                    } else if self.dense_backoff > 0 {
                         self.dense_backoff -= 1;
                         false
                     } else {
@@ -1111,6 +1191,9 @@ impl CompiledSim {
             (false, false) => self.eval_full(),
         }
         self.stats.settles += 1;
+        if self.mode == EvalMode::Auto && self.jit.is_none() {
+            self.count_towards_promotion();
+        }
         // The settle consumed all external dirtiness: values now reflect
         // the current input words and stored FF state.
         self.inputs_dirty = false;
@@ -1120,6 +1203,23 @@ impl CompiledSim {
             // transitions of the first settle are not real switching.
             self.toggles.iter_mut().for_each(|t| *t = 0);
             self.primed = true;
+        }
+    }
+
+    /// [`EvalMode::Auto`]'s tiering: counts interpreted settles and, once
+    /// [`AUTO_NATIVE_AFTER_SETTLES`] have run on a sequential one-word
+    /// simulator, acquires native code — a single attempt; a refusal
+    /// leaves the simulator interpreting for good.
+    fn count_towards_promotion(&mut self) {
+        if self.auto_settles < AUTO_NATIVE_AFTER_SETTLES {
+            self.auto_settles += 1;
+        }
+        if self.auto_settles == AUTO_NATIVE_AFTER_SETTLES
+            && self.par_threads == 1
+            && self.lane_words == 1
+        {
+            self.auto_settles += 1;
+            self.jit = self.acquire_jit();
         }
     }
 
@@ -1134,9 +1234,10 @@ impl CompiledSim {
     }
 
     /// One unconditional forward sweep of the whole op stream — through
-    /// the emitted native code when [`EvalMode::Jit`] holds some, else
-    /// the interpreter. Both paths are bit-identical (values, exact
-    /// popcount toggles) and report identical [`EvalStats`].
+    /// the emitted native code when the simulator holds some, else the
+    /// interpreter. Both paths are bit-identical (values, exact popcount
+    /// toggles) and report identical [`EvalStats`] but for
+    /// [`EvalStats::native_sweeps`].
     fn eval_full(&mut self) {
         let n = self.prog.len();
         if let Some(jit) = &self.jit {
@@ -1154,6 +1255,7 @@ impl CompiledSim {
                 );
             }
             self.stats.full_sweeps += 1;
+            self.stats.native_sweeps += 1;
             self.stats.ops_executed += n as u64;
             return;
         }
@@ -1566,9 +1668,63 @@ impl CompiledSim {
             })
     }
 
+    /// Reads up to 64 bits of the named output port on every lane at
+    /// once: `out[lane]` for lanes `0..out.len()`, with one port lookup
+    /// and one pass over the port's nets. The read-side twin of
+    /// [`CompiledSim::set_bus_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist or `out.len() > lanes`.
+    pub fn get_bus_lanes(&self, port: &str, out: &mut [u64]) {
+        self.get_port_lanes(self.output_port(port), out);
+    }
+
+    /// [`CompiledSim::get_bus_lanes`] on a resolved output port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() > lanes`.
+    pub fn get_port_lanes(&self, port: PortId, out: &mut [u64]) {
+        assert!(
+            out.len() <= self.lanes,
+            "{} reads exceed {} lanes",
+            out.len(),
+            self.lanes
+        );
+        out.fill(0);
+        let k = self.lane_words;
+        for (i, &net) in self.netlist.outputs()[port.0]
+            .nets
+            .iter()
+            .take(64)
+            .enumerate()
+        {
+            let block = &self.values[net as usize * k..(net as usize + 1) * k];
+            for (&word, lanes) in block.iter().zip(out.chunks_mut(LANES_PER_WORD)) {
+                for (bit, v) in lanes.iter_mut().enumerate() {
+                    *v |= ((word >> bit) & 1) << i;
+                }
+            }
+        }
+    }
+
     /// Reads the named output port on lane 0.
     pub fn get_bus_u64(&self, port: &str) -> u64 {
         self.get_bus_lane(port, 0)
+    }
+
+    /// Reads up to 64 bits of a resolved output port on lane 0.
+    pub fn get_port(&self, port: PortId) -> u64 {
+        let k = self.lane_words;
+        self.netlist.outputs()[port.0]
+            .nets
+            .iter()
+            .take(64)
+            .enumerate()
+            .fold(0u64, |acc, (i, &n)| {
+                acc | ((self.values[n as usize * k] & 1) << i)
+            })
     }
 
     /// Reads up to 32 bits of the named output port on lane 0.
@@ -2006,6 +2162,42 @@ mod tests {
         sim.eval();
         assert_eq!(sim.get_bus_lane("y", 0), 0x1234);
         assert_eq!(sim.get_bus_lane("y", 1), 0xdead_beef);
+        let mut both = [0u64; 2];
+        sim.get_bus_lanes("ny", &mut both);
+        assert_eq!(both, [!0x1234, !0xdead_beef]);
+    }
+
+    /// The resolved-port readers and writers agree with the by-name,
+    /// per-lane ones at one-word, partial, and multi-word blocks.
+    #[test]
+    fn resolved_ports_match_by_name_access() {
+        let mut b = Builder::new();
+        let x = b.input_bus("x", 12);
+        let y = b.input_bus("y", 12);
+        let (sum, _) = crate::bus::add(&mut b, &x, &y);
+        b.output_bus("sum", &sum);
+        let nl = b.finish();
+        for lanes in [1usize, 25, 100, 512] {
+            let mut sim = CompiledSim::with_lanes(&nl, lanes);
+            let (px, sum) = (sim.input_port("x"), sim.output_port("sum"));
+            let xs: Vec<u64> = (0..lanes as u64).map(|l| l * 37 + 5).collect();
+            sim.set_port_lanes(px, &xs);
+            sim.set_bus_u64("y", 0x123);
+            sim.eval();
+            let mut all = vec![0u64; lanes];
+            sim.get_port_lanes(sum, &mut all);
+            for (lane, &got) in all.iter().enumerate() {
+                assert_eq!(got, sim.get_bus_lane("sum", lane), "lane {lane} of {lanes}");
+                assert_eq!(got, (xs[lane] + 0x123) & 0xfff);
+            }
+            assert_eq!(sim.get_port(sum), all[0]);
+            let mut prefix = [u64::MAX; 1];
+            sim.get_bus_lanes("sum", &mut prefix);
+            assert_eq!(prefix[0], all[0], "a short buffer reads the leading lanes");
+            sim.set_port(px, 7);
+            sim.eval();
+            assert_eq!(sim.get_port(sum), 7 + 0x123);
+        }
     }
 
     #[test]
@@ -2074,8 +2266,9 @@ mod tests {
 
     /// Jit-mode settles (native code where supported, interpreted
     /// fallback elsewhere) are bit-identical to pinned full sweeps —
-    /// outputs, FF state, exact toggle counts, *and* EvalStats — at
-    /// one-word, partial-word, and multi-word lane widths.
+    /// outputs, FF state, exact toggle counts, *and* EvalStats but for
+    /// the engine counter — at one-word, partial-word, and multi-word
+    /// lane widths.
     #[test]
     fn jit_mode_matches_full_sweep_bit_identically() {
         let nl = par_test_circuit();
@@ -2085,13 +2278,16 @@ mod tests {
             let reference = run_schedule(full);
             let mut jit = CompiledSim::with_lanes(&nl, lanes);
             jit.set_eval_mode(EvalMode::Jit);
+            let active = jit.jit_active();
             if crate::jit::host_supported() && crate::env::jit() != Some(false) {
-                assert!(jit.jit_active(), "codegen must engage on a supported host");
+                assert!(active, "codegen must engage on a supported host");
             }
             let native = run_schedule(jit);
             assert_eq!(native.0, reference.0, "outputs, {lanes} lanes");
             assert_eq!(native.1, reference.1, "toggles, {lanes} lanes");
-            assert_eq!(native.2, reference.2, "stats, {lanes} lanes");
+            assert_eq!(native.2.work(), reference.2, "stats, {lanes} lanes");
+            let native_sweeps = if active { native.2.settles } else { 0 };
+            assert_eq!(native.2.native_sweeps, native_sweeps, "{lanes} lanes");
         }
     }
 
@@ -2111,7 +2307,7 @@ mod tests {
         let portable = run_schedule(jit);
         assert_eq!(portable.0, reference.0);
         assert_eq!(portable.1, reference.1);
-        assert_eq!(portable.2, reference.2);
+        assert_eq!(portable.2.work(), reference.2);
     }
 
     /// A code-size cap the program cannot fit under must downgrade to
@@ -2136,6 +2332,124 @@ mod tests {
         assert_eq!(fallback.0, reference.0);
         assert_eq!(fallback.1, reference.1);
         assert_eq!(fallback.2, reference.2);
+    }
+
+    /// True when this host and environment can emit code at all.
+    fn codegen_available() -> bool {
+        crate::jit::host_supported() && crate::env::jit() != Some(false)
+    }
+
+    /// Runs `settles` settles of a toggling stimulus.
+    fn settle_n(sim: &mut CompiledSim, settles: u32) {
+        for t in 0..settles {
+            sim.set_bus_u64("x", u64::from(t % 5));
+            sim.eval();
+            sim.step();
+        }
+    }
+
+    /// An `Auto` simulator over `nl` at `lanes` lanes, whatever
+    /// `GATE_SIM_JIT` makes the default mode.
+    fn auto_sim(nl: &Netlist, lanes: usize) -> CompiledSim {
+        let mut sim = CompiledSim::with_lanes(nl, lanes);
+        sim.set_eval_mode(EvalMode::Auto);
+        sim
+    }
+
+    #[test]
+    fn auto_promotes_one_word_sims_after_the_threshold() {
+        let nl = par_test_circuit();
+        for lanes in [1usize, 25, 64] {
+            let mut sim = auto_sim(&nl, lanes);
+            settle_n(&mut sim, AUTO_NATIVE_AFTER_SETTLES - 1);
+            assert!(!sim.jit_active(), "below the threshold, {lanes} lanes");
+            settle_n(&mut sim, 1);
+            assert_eq!(sim.jit_active(), codegen_available(), "{lanes} lanes");
+            assert_eq!(sim.eval_stats().native_sweeps, 0, "promotion is lazy");
+            settle_n(&mut sim, 10);
+            let stats = sim.eval_stats();
+            let native = if codegen_available() { 10 } else { 0 };
+            assert_eq!(stats.native_sweeps, native, "{lanes} lanes");
+            assert_eq!(stats.settles, u64::from(AUTO_NATIVE_AFTER_SETTLES) + 10);
+        }
+    }
+
+    #[test]
+    fn auto_never_promotes_wide_or_parallel_sims() {
+        let nl = par_test_circuit();
+        let wide = auto_sim(&nl, 65);
+        let mut parallel = auto_sim(&nl, 64);
+        parallel.set_eval_policy(EvalPolicy {
+            threads: 2,
+            min_par_ops: 1,
+            ..EvalPolicy::seq()
+        });
+        assert_eq!(parallel.par_threads(), 2);
+        for mut sim in [wide, parallel] {
+            settle_n(&mut sim, 2 * AUTO_NATIVE_AFTER_SETTLES);
+            assert!(!sim.jit_active());
+            assert_eq!(sim.eval_stats().native_sweeps, 0);
+        }
+    }
+
+    /// A refusal is visible: settles past the threshold, no native ones.
+    #[test]
+    fn auto_refused_promotion_keeps_interpreting() {
+        let nl = par_test_circuit();
+        let mut sim = auto_sim(&nl, 1);
+        sim.set_jit_options(crate::jit::JitOptions {
+            enabled: false,
+            ..crate::jit::JitOptions::default()
+        });
+        settle_n(&mut sim, AUTO_NATIVE_AFTER_SETTLES + 20);
+        assert!(!sim.jit_active());
+        let stats = sim.eval_stats();
+        assert!(stats.settles > u64::from(AUTO_NATIVE_AFTER_SETTLES));
+        assert_eq!(stats.native_sweeps, 0);
+        assert_eq!(
+            sim.auto_settles,
+            AUTO_NATIVE_AFTER_SETTLES + 1,
+            "one attempt, then never again"
+        );
+    }
+
+    #[test]
+    fn set_eval_mode_restarts_the_promotion_count() {
+        let nl = par_test_circuit();
+        let mut sim = auto_sim(&nl, 1);
+        settle_n(&mut sim, AUTO_NATIVE_AFTER_SETTLES - 10);
+        sim.set_eval_mode(EvalMode::Auto);
+        settle_n(&mut sim, 20);
+        assert!(!sim.jit_active(), "the count restarted with the mode");
+        assert_eq!(sim.auto_settles, 20);
+    }
+
+    /// Code lives as long as its users: a program that outlives its
+    /// simulators (as a cache entry does) keeps no code mapped, and the
+    /// next simulator over it emits afresh.
+    #[test]
+    fn code_is_unmapped_with_its_last_simulator() {
+        if !codegen_available() {
+            return;
+        }
+        let nl = Arc::new(par_test_circuit());
+        let mut a = CompiledSim::new_arc(Arc::clone(&nl));
+        a.set_eval_mode(EvalMode::Jit);
+        let prog = Arc::clone(&a.prog);
+        let weak = Arc::downgrade(a.native_code().expect("codegen available"));
+        let mut b = CompiledSim::from_parts(Arc::clone(&nl), Arc::clone(&prog), 1);
+        b.set_eval_mode(EvalMode::Auto);
+        settle_n(&mut b, AUTO_NATIVE_AFTER_SETTLES);
+        let shared = b.native_code().expect("promoted");
+        assert!(
+            std::ptr::eq(Arc::as_ptr(shared), weak.as_ptr()),
+            "a live emission is shared"
+        );
+        drop((a, b));
+        assert!(weak.upgrade().is_none(), "unmapped with its last user");
+        let mut c = CompiledSim::from_parts(nl, prog, 1);
+        c.set_eval_mode(EvalMode::Jit);
+        assert!(c.jit_active(), "the program emits fresh code");
     }
 
     #[test]
@@ -2164,8 +2478,9 @@ mod tests {
                 assert_eq!(parallel.0, reference.0, "outputs {mode:?} x{threads}");
                 assert_eq!(parallel.1, reference.1, "toggles {mode:?} x{threads}");
                 // EvalStats coherence: the aggregated per-thread work
-                // counters equal the sequential evaluator's exactly.
-                assert_eq!(parallel.2, reference.2, "stats {mode:?} x{threads}");
+                // counters equal the sequential evaluator's exactly (the
+                // parallel sweep is always interpreted, whatever the mode).
+                assert_eq!(parallel.2, reference.2.work(), "stats {mode:?} x{threads}");
             }
         }
     }
@@ -2207,8 +2522,8 @@ mod tests {
         );
         for threads in [2, 4] {
             assert_eq!(
-                run_dense(threads),
-                seq,
+                run_dense(threads).work(),
+                seq.work(),
                 "the dense-fallback decision must aggregate ops across threads"
             );
         }

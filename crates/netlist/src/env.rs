@@ -13,7 +13,7 @@
 //! | `GATE_SIM_LANE_WORDS` | `1..=`[`MAX_LANE_WORDS`] | 4 | [`crate::ShardPolicy`] lane-block fusion width |
 //! | `GATE_SIM_POOL` | `0/1/true/false/on/off` | on | pool acquisition ([`crate::pool`]); off forces scoped-thread fallbacks |
 //! | `GATE_SIM_PROGRAM_CACHE` | `0/1/true/false/on/off` | on | the process-wide [`crate::cache::ProgramCache`]; off recompiles every construction |
-//! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: `1` makes [`crate::EvalMode::Jit`] the default eval mode; `0` disables codegen entirely (explicit `Jit` falls back to the interpreter); unset leaves the JIT available but opt-in |
+//! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: unset lets [`crate::EvalMode::Auto`] promote sequential ≤64-lane simulators to native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles; `1` makes [`crate::EvalMode::Jit`] the default eval mode (native from the first settle, every width); `0` disables codegen entirely (no promotion; explicit `Jit` falls back to the interpreter) |
 //! | `GATE_SIM_FAILPOINTS` | `<seed>:<site>=<rule>[@<arg>],...` | unset | [`crate::failpoints`] chaos schedules (parsed there, not here) — **only with the `failpoints` cargo feature**; in default builds the variable is ignored and the sites compile to nothing |
 //!
 //! The same table, with prose semantics, lives in the README's
@@ -90,15 +90,18 @@ pub fn program_cache_enabled() -> bool {
 /// The `GATE_SIM_JIT` tri-state, governing [`crate::jit`] native code
 /// emission:
 ///
-/// * unset (`None`) — the JIT is *available* but opt-in: the default
-///   [`crate::EvalMode`] stays `Auto`, and callers select codegen with
+/// * unset (`None`) — the default [`crate::EvalMode`] stays `Auto`,
+///   which promotes sequential one-word (≤ 64-lane) simulators to
+///   native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles;
+///   callers select codegen from the first settle with
 ///   [`crate::CompiledSim::set_eval_mode`]`(EvalMode::Jit)`.
 /// * `1`/`true`/`on` (`Some(true)`) — `EvalMode::Jit` becomes the
 ///   default eval mode for every newly constructed `CompiledSim` (and
 ///   therefore every `ShardedSim` shard). Hosts without codegen support
 ///   fall back to interpreted full sweeps, bit-identically.
 /// * `0`/`false`/`off` (`Some(false)`) — codegen is disabled outright:
-///   even an explicit `EvalMode::Jit` runs the interpreter.
+///   `Auto` never promotes and even an explicit `EvalMode::Jit` runs
+///   the interpreter.
 ///
 /// # Panics
 ///

@@ -2,7 +2,7 @@
 //!
 //! The runtime has many fallback paths — worker-panic recovery in the
 //! [`crate::pool`], forced misses and evictions in the
-//! [`crate::cache::ProgramCache`], `mmap` refusal and emit overflow in
+//! [`crate::cache::ProgramCache`], `mmap`/`mprotect` refusal and emit overflow in
 //! the [`crate::jit`] — that are only reachable in production when
 //! something actually goes wrong. This module makes them reachable on
 //! purpose: named *failpoints* are compiled into those modules behind
@@ -44,16 +44,17 @@
 //!
 //! # Injection sites
 //!
-//! | site                  | effect when it fires                                        |
-//! |-----------------------|-------------------------------------------------------------|
-//! | `pool::worker_panic`  | worker panics *inside* the job closure (captured payload)   |
-//! | `pool::worker_loss`   | worker thread dies *outside* the catch — exercises respawn  |
-//! | `pool::worker_doze`   | worker sleeps `arg` ms before scanning the job table        |
-//! | `pool::stalled_claim` | worker sleeps `arg` ms between descriptor read and claim CAS|
-//! | `cache::miss`         | program-cache lookup reports a miss even on a hit           |
-//! | `cache::evict`        | program-cache insert immediately evicts the LRU entry       |
-//! | `jit::map`            | `ExecBuf::new` fails with `MapError::Map(arg)` (0 → ENOMEM) |
-//! | `jit::emit`           | `jit::compile` fails with a synthesized `CodeTooLarge`      |
+//! | site                  | effect when it fires                                                 |
+//! |-----------------------|----------------------------------------------------------------------|
+//! | `pool::worker_panic`  | worker panics *inside* the job closure (captured payload)            |
+//! | `pool::worker_loss`   | worker thread dies *outside* the catch — exercises respawn           |
+//! | `pool::worker_doze`   | worker sleeps `arg` ms before scanning the job table                 |
+//! | `pool::stalled_claim` | worker sleeps `arg` ms between descriptor read and claim CAS         |
+//! | `cache::miss`         | program-cache lookup reports a miss even on a hit                    |
+//! | `cache::evict`        | program-cache insert immediately evicts the LRU entry                |
+//! | `jit::map`            | `Reservation::new` fails with `MapError::Map(arg)` (0 → ENOMEM)      |
+//! | `jit::protect`        | `Reservation::seal` fails with `MapError::Protect(arg)` (0 → EACCES) |
+//! | `jit::emit`           | `jit::compile` fails with a synthesized `CodeTooLarge`               |
 //!
 //! All sites are *soft*: every one lands on a path the runtime already
 //! survives (typed error, silent fallback, or recovery), which is
@@ -71,6 +72,7 @@ pub const SITES: &[&str] = &[
     "cache::miss",
     "cache::evict",
     "jit::map",
+    "jit::protect",
     "jit::emit",
 ];
 

@@ -1,14 +1,17 @@
-//! ISA-agnostic machine-code emission state: a growable code buffer,
-//! label offsets, and pending fixups.
+//! ISA-agnostic machine-code emission state: a code buffer, label
+//! offsets, and pending fixups.
 //!
 //! [`EmitState`] knows nothing about x86 — it hands out byte-append
 //! primitives plus label/fixup bookkeeping, and the ISA layer
-//! ([`crate::jit::x86`]) builds instruction encodings on top. Labels
-//! are bound to code offsets as emission reaches them; references to
-//! not-yet-bound labels are recorded as [`PendingFixup`]s and patched
-//! in [`EmitState::finalize`]. The shape (offset vector with an
-//! `UNKNOWN` sentinel, a pending-fixup list drained at the end) follows
-//! the classic single-pass assembler design — see `docs/jit.md` for the
+//! ([`crate::jit::x86`]) builds instruction encodings on top. It writes
+//! into a caller-provided byte buffer — in production the read+write
+//! [`crate::jit::exec::Reservation`] the code will execute from, so
+//! emission never builds a heap copy. Labels are bound to code offsets
+//! as emission reaches them; references to not-yet-bound labels are
+//! recorded as [`PendingFixup`]s and patched in
+//! [`EmitState::finalize`]. The shape (offset vector with an `UNKNOWN`
+//! sentinel, a pending-fixup list drained at the end) follows the
+//! classic single-pass assembler design — see `docs/jit.md` for the
 //! normative contract.
 
 /// Sentinel offset for a label that has been created but not yet bound.
@@ -71,52 +74,61 @@ impl std::fmt::Display for EmitError {
     }
 }
 
-/// The emission state: code bytes plus label/fixup bookkeeping.
-#[derive(Debug, Default)]
-pub struct EmitState {
-    code: Vec<u8>,
+/// The emission state: a code buffer plus label/fixup bookkeeping.
+#[derive(Debug)]
+pub struct EmitState<'a> {
+    code: &'a mut [u8],
+    len: usize,
     label_offsets: Vec<u32>,
     pending_fixups: Vec<PendingFixup>,
-    /// Hard cap on `code.len()`; appends past it report
-    /// [`EmitError::CodeTooLarge`] from [`EmitState::finalize`].
+    /// Hard cap on the code length; appends past it (or past the end of
+    /// the buffer) report [`EmitError::CodeTooLarge`].
     cap: usize,
-    overflowed: bool,
+    /// Length the first rejected append would have reached.
+    overflow: Option<usize>,
 }
 
-impl EmitState {
-    /// Fresh state with a code-size cap (`usize::MAX` for none).
-    pub fn with_cap(cap: usize) -> Self {
+impl<'a> EmitState<'a> {
+    /// Fresh state writing into `code`, capped at `cap` bytes
+    /// (`usize::MAX` for none; the buffer's length bounds it anyway).
+    pub fn new(code: &'a mut [u8], cap: usize) -> Self {
         EmitState {
+            code,
+            len: 0,
+            label_offsets: Vec::new(),
+            pending_fixups: Vec::new(),
             cap,
-            ..Default::default()
+            overflow: None,
         }
     }
 
     /// Current end-of-code offset — where the next byte will land.
     pub fn offset(&self) -> u32 {
-        self.code.len() as u32
+        self.len as u32
     }
 
     /// Number of bytes emitted so far.
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.len
     }
 
     /// True when nothing has been emitted.
     pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+        self.len == 0
     }
 
-    /// Append raw bytes. Overflow past the cap is recorded and
-    /// reported once, at [`EmitState::finalize`] — per-byte `Result`s
-    /// would bloat every encoder helper for an error that terminates
-    /// the whole build anyway.
+    /// Append raw bytes. Overflow past the cap or the buffer is recorded
+    /// and reported by [`EmitState::check`] / [`EmitState::finalize`] —
+    /// per-byte `Result`s would bloat every encoder helper for an error
+    /// that terminates the whole build anyway.
     pub fn emit(&mut self, bytes: &[u8]) {
-        if self.code.len() + bytes.len() > self.cap {
-            self.overflowed = true;
+        let end = self.len + bytes.len();
+        if self.overflow.is_some() || end > self.cap.min(self.code.len()) {
+            self.overflow.get_or_insert(end);
             return;
         }
-        self.code.extend_from_slice(bytes);
+        self.code[self.len..end].copy_from_slice(bytes);
+        self.len = end;
     }
 
     /// Append a single byte.
@@ -127,6 +139,15 @@ impl EmitState {
     /// Append a little-endian 32-bit value.
     pub fn emit_u32(&mut self, v: u32) {
         self.emit(&v.to_le_bytes());
+    }
+
+    /// Fails once an append has been rejected, so a lowering loop can
+    /// stop at the first overflow instead of running to the end.
+    pub fn check(&self) -> Result<(), EmitError> {
+        match self.overflow {
+            Some(len) => Err(EmitError::CodeTooLarge { len, cap: self.cap }),
+            None => Ok(()),
+        }
     }
 
     /// Create a fresh, unbound label.
@@ -159,14 +180,9 @@ impl EmitState {
         self.pending_fixups.push(PendingFixup { at, target, kind });
     }
 
-    /// Patch every pending fixup and return the finished code buffer.
-    pub fn finalize(mut self) -> Result<Vec<u8>, EmitError> {
-        if self.overflowed {
-            return Err(EmitError::CodeTooLarge {
-                len: self.cap + 1,
-                cap: self.cap,
-            });
-        }
+    /// Patch every pending fixup and return the finished code length.
+    pub fn finalize(self) -> Result<usize, EmitError> {
+        self.check()?;
         for fix in &self.pending_fixups {
             let target = self.label_offsets[fix.target.0 as usize];
             if target == UNKNOWN_LABEL_OFFSET {
@@ -184,7 +200,7 @@ impl EmitState {
                 }
             }
         }
-        Ok(self.code)
+        Ok(self.len)
     }
 }
 
@@ -194,7 +210,8 @@ mod tests {
 
     #[test]
     fn forward_rel32_fixup_is_patched() {
-        let mut e = EmitState::with_cap(usize::MAX);
+        let mut buf = [0u8; 16];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
         let l = e.new_label();
         e.emit_u8(0xe8); // call rel32
         let at = e.offset();
@@ -202,27 +219,29 @@ mod tests {
         e.add_fixup(at, l, FixupKind::Rel32);
         e.emit_u8(0xc3); // ret
         e.bind_label(l); // target = offset 6
-        let code = e.finalize().unwrap();
+        let n = e.finalize().unwrap();
         // rel32 = target(6) - (at(1) + 4) = 1
-        assert_eq!(code, vec![0xe8, 1, 0, 0, 0, 0xc3]);
+        assert_eq!(buf[..n], [0xe8, 1, 0, 0, 0, 0xc3]);
     }
 
     #[test]
     fn backward_rel32_fixup_is_negative() {
-        let mut e = EmitState::with_cap(usize::MAX);
+        let mut buf = [0u8; 16];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
         let l = e.new_label();
         e.bind_label(l); // target = 0
         e.emit_u8(0xe8);
         let at = e.offset();
         e.emit_u32(0);
         e.add_fixup(at, l, FixupKind::Rel32);
-        let code = e.finalize().unwrap();
-        assert_eq!(&code[1..5], &(-5i32).to_le_bytes());
+        e.finalize().unwrap();
+        assert_eq!(buf[1..5], (-5i32).to_le_bytes());
     }
 
     #[test]
     fn unbound_label_is_reported() {
-        let mut e = EmitState::with_cap(usize::MAX);
+        let mut buf = [0u8; 16];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
         let l = e.new_label();
         e.emit_u8(0xe8);
         let at = e.offset();
@@ -233,13 +252,28 @@ mod tests {
 
     #[test]
     fn cap_overflow_is_reported_once_at_finalize() {
-        let mut e = EmitState::with_cap(4);
+        let mut buf = [0u8; 16];
+        let mut e = EmitState::new(&mut buf, 4);
         e.emit(&[0; 3]);
+        assert_eq!(e.check(), Ok(()));
         e.emit(&[0; 3]); // crosses the cap — dropped, flagged
+        e.emit(&[0; 1]); // would fit, but emission already failed
         assert_eq!(e.len(), 3);
+        assert_eq!(e.check(), Err(EmitError::CodeTooLarge { len: 6, cap: 4 }));
         assert!(matches!(
             e.finalize(),
             Err(EmitError::CodeTooLarge { cap: 4, .. })
+        ));
+    }
+
+    #[test]
+    fn buffer_end_bounds_emission_like_the_cap() {
+        let mut buf = [0u8; 2];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
+        e.emit(&[1, 2, 3]);
+        assert!(matches!(
+            e.check(),
+            Err(EmitError::CodeTooLarge { len: 3, .. })
         ));
     }
 }

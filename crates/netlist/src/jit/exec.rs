@@ -1,20 +1,24 @@
 //! The W^X executable code buffer.
 //!
-//! [`ExecBuf`] owns one anonymous private mapping whose lifecycle
-//! enforces write-xor-execute: the pages are mapped `PROT_READ |
-//! PROT_WRITE`, the finished code bytes are copied in, and the
-//! protection is then flipped to `PROT_READ | PROT_EXEC` before any
-//! entry pointer is handed out. The mapping is never writable and
-//! executable at the same time, and it is unmapped on drop — the
-//! [`crate::level::Program`] (and through it every
-//! [`crate::cache::ProgramCache`] entry) holds the owning
-//! `Arc<JitProgram>`, so code outlives every simulator borrowing it.
+//! Code is emitted straight into its final pages. A [`Reservation`] is
+//! an anonymous private mapping, `PROT_READ | PROT_WRITE`, sized to an
+//! upper bound on the code; the lowering layer writes instructions into
+//! it, and [`Reservation::seal`] unmaps the untouched tail and flips the
+//! rest to `PROT_READ | PROT_EXEC`, yielding an [`ExecBuf`]. The pages
+//! are never writable and executable at the same time, and no heap copy
+//! of the code ever exists. A reservation that is dropped unsealed — an
+//! emission that failed half way, a refused `mprotect` — unmaps itself,
+//! so every error path releases the memory. An [`ExecBuf`] is unmapped
+//! on drop too, when the last simulator holding its
+//! [`crate::jit::JitProgram`] goes away.
 //!
 //! The workspace builds offline with no `libc` crate, so on
 //! x86-64 Linux the three required syscalls (`mmap`, `mprotect`,
 //! `munmap`) are issued directly via inline assembly. On any other
 //! target the constructor returns [`MapError::Unsupported`] and the
 //! JIT layer falls back to the interpreter.
+
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Mapping-layer failures. All of them downgrade to interpreter
 /// fallback; none abort.
@@ -38,6 +42,102 @@ impl std::fmt::Display for MapError {
     }
 }
 
+/// Page granularity of the mappings.
+const PAGE: usize = 4096;
+
+/// Bytes currently mapped by live [`Reservation`]s and [`ExecBuf`]s.
+static MAPPED: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes of code memory currently mapped process-wide (page-rounded):
+/// every live reservation and executable buffer. Returns to its earlier
+/// value once the code's last user drops, and never moves across a
+/// failed emission.
+pub fn mapped_bytes() -> usize {
+    MAPPED.load(Relaxed)
+}
+
+/// A fresh read+write mapping that machine code is emitted into.
+/// Unmapped on drop unless [`Reservation::seal`] turns it into an
+/// [`ExecBuf`].
+#[derive(Debug)]
+pub struct Reservation {
+    ptr: *mut u8,
+    len: usize,
+}
+
+// SAFETY: the mapping is owned exclusively by this value; writes go
+// through `&mut self` only.
+unsafe impl Send for Reservation {}
+
+impl Reservation {
+    /// Maps at least `len` bytes (page-rounded) read+write. Untouched
+    /// pages cost address space only, so an upper bound is cheap.
+    pub fn new(len: usize) -> Result<Reservation, MapError> {
+        if let Some(errno) = crate::failpoints::fire("jit::map") {
+            // Chaos: refuse the mapping as the kernel would. The `@`
+            // argument is the errno (0 defaults to ENOMEM), so schedules
+            // can simulate memory pressure or a W^X lockdown (EACCES).
+            return Err(MapError::Map(if errno == 0 { 12 } else { errno as i32 }));
+        }
+        let len = len.max(1).div_ceil(PAGE) * PAGE;
+        let ptr = sys::map_rw(len)?;
+        MAPPED.fetch_add(len, Relaxed);
+        Ok(Reservation { ptr, len })
+    }
+
+    /// The writable bytes.
+    pub fn bytes(&mut self) -> &mut [u8] {
+        // SAFETY: ptr..ptr+len is this reservation's own RW mapping,
+        // borrowed exclusively through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+    }
+
+    /// Unmaps every page past the first `used` bytes and makes the rest
+    /// read+execute. On a refused `mprotect` the whole reservation is
+    /// unmapped (by its drop) and the error returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `used` exceeds the reservation.
+    pub fn seal(mut self, used: usize) -> Result<ExecBuf, MapError> {
+        assert!(
+            used <= self.len,
+            "sealing {used} bytes of a {}-byte reservation",
+            self.len
+        );
+        let keep = used.max(1).div_ceil(PAGE) * PAGE;
+        if keep < self.len {
+            // SAFETY: the tail pages belong to this reservation and
+            // nothing references them.
+            sys::unmap(unsafe { self.ptr.add(keep) }, self.len - keep);
+            MAPPED.fetch_sub(self.len - keep, Relaxed);
+            self.len = keep;
+        }
+        if let Some(errno) = crate::failpoints::fire("jit::protect") {
+            // Chaos: a W^X policy refusing the flip (0 defaults to EACCES).
+            return Err(MapError::Protect(if errno == 0 {
+                13
+            } else {
+                errno as i32
+            }));
+        }
+        sys::protect_rx(self.ptr, self.len)?;
+        let buf = ExecBuf {
+            ptr: self.ptr,
+            len: self.len,
+        };
+        std::mem::forget(self);
+        Ok(buf)
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        sys::unmap(self.ptr, self.len);
+        MAPPED.fetch_sub(self.len, Relaxed);
+    }
+}
+
 /// One read+execute mapping holding finalized machine code.
 #[derive(Debug)]
 pub struct ExecBuf {
@@ -51,16 +151,14 @@ unsafe impl Send for ExecBuf {}
 unsafe impl Sync for ExecBuf {}
 
 impl ExecBuf {
-    /// Map `code` into fresh executable pages (W^X: written while RW,
-    /// executed only after the flip to RX).
+    /// Maps a copy of `code` into fresh executable pages (W^X: written
+    /// while RW, executed only after the flip to RX). The JIT emits in
+    /// place through a [`Reservation`] instead; this is for code that
+    /// already exists as bytes.
     pub fn new(code: &[u8]) -> Result<ExecBuf, MapError> {
-        if let Some(errno) = crate::failpoints::fire("jit::map") {
-            // Chaos: refuse the mapping as the kernel would. The `@`
-            // argument is the errno (0 defaults to ENOMEM), so schedules
-            // can simulate memory pressure or a W^X lockdown (EACCES).
-            return Err(MapError::Map(if errno == 0 { 12 } else { errno as i32 }));
-        }
-        sys::map_executable(code)
+        let mut res = Reservation::new(code.len())?;
+        res.bytes()[..code.len()].copy_from_slice(code);
+        res.seal(code.len())
     }
 
     /// Pointer to the code byte at `offset`. The caller is responsible
@@ -90,12 +188,13 @@ impl ExecBuf {
 impl Drop for ExecBuf {
     fn drop(&mut self) {
         sys::unmap(self.ptr, self.len);
+        MAPPED.fetch_sub(self.len, Relaxed);
     }
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod sys {
-    use super::{ExecBuf, MapError};
+    use super::MapError;
 
     const SYS_MMAP: usize = 9;
     const SYS_MPROTECT: usize = 10;
@@ -105,7 +204,6 @@ mod sys {
     const PROT_EXEC: usize = 4;
     const MAP_PRIVATE: usize = 2;
     const MAP_ANONYMOUS: usize = 0x20;
-    const PAGE: usize = 4096;
 
     /// Raw x86-64 Linux syscall. The kernel clobbers `rcx`/`r11`.
     unsafe fn syscall6(
@@ -143,8 +241,9 @@ mod sys {
         }
     }
 
-    pub(super) fn map_executable(code: &[u8]) -> Result<ExecBuf, MapError> {
-        let len = code.len().max(1).div_ceil(PAGE) * PAGE;
+    /// A fresh anonymous private read+write mapping of `len` bytes
+    /// (a page multiple).
+    pub(super) fn map_rw(len: usize) -> Result<*mut u8, MapError> {
         // SAFETY: anonymous private mapping of a fresh region; no
         // existing memory is touched.
         let ret = unsafe {
@@ -158,13 +257,15 @@ mod sys {
                 0,
             )
         };
-        if let Some(e) = errno(ret) {
-            return Err(MapError::Map(e));
+        match errno(ret) {
+            Some(e) => Err(MapError::Map(e)),
+            None => Ok(ret as *mut u8),
         }
-        let ptr = ret as *mut u8;
-        // SAFETY: ptr..ptr+len is the mapping just created, RW.
-        unsafe { core::ptr::copy_nonoverlapping(code.as_ptr(), ptr, code.len()) };
-        // SAFETY: flips our own fresh mapping to R+X.
+    }
+
+    /// Flips `ptr..ptr+len` (one of our own mappings) to read+execute.
+    pub(super) fn protect_rx(ptr: *mut u8, len: usize) -> Result<(), MapError> {
+        // SAFETY: changes the protection of our own mapping only.
         let ret = unsafe {
             syscall6(
                 SYS_MPROTECT,
@@ -176,15 +277,14 @@ mod sys {
                 0,
             )
         };
-        if let Some(e) = errno(ret) {
-            unmap(ptr, len);
-            return Err(MapError::Protect(e));
+        match errno(ret) {
+            Some(e) => Err(MapError::Protect(e)),
+            None => Ok(()),
         }
-        Ok(ExecBuf { ptr, len })
     }
 
     pub(super) fn unmap(ptr: *mut u8, len: usize) {
-        // SAFETY: unmaps exactly the mapping created in map_executable;
+        // SAFETY: unmaps (part of) a mapping created by `map_rw`;
         // failure (impossible for a valid mapping) leaks, which is safe.
         unsafe { syscall6(SYS_MUNMAP, ptr as usize, len, 0, 0, 0, 0) };
     }
@@ -192,9 +292,13 @@ mod sys {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod sys {
-    use super::{ExecBuf, MapError};
+    use super::MapError;
 
-    pub(super) fn map_executable(_code: &[u8]) -> Result<ExecBuf, MapError> {
+    pub(super) fn map_rw(_len: usize) -> Result<*mut u8, MapError> {
+        Err(MapError::Unsupported)
+    }
+
+    pub(super) fn protect_rx(_ptr: *mut u8, _len: usize) -> Result<(), MapError> {
         Err(MapError::Unsupported)
     }
 
@@ -216,5 +320,19 @@ mod tests {
         // SAFETY: valid straight-line sysv64 function.
         assert_eq!(unsafe { f(0xdead_beef) }, 0xdead_beef);
         assert_eq!(unsafe { f(u64::MAX) }, u64::MAX);
+    }
+
+    #[test]
+    fn seal_keeps_only_the_used_pages() {
+        let mut res = Reservation::new(3 * PAGE).expect("mmap");
+        assert_eq!(res.bytes().len(), 3 * PAGE);
+        res.bytes()[0] = 0xc3; // ret
+        let buf = res.seal(1).expect("mprotect");
+        assert_eq!(buf.len(), PAGE, "the two untouched pages are unmapped");
+        let f: unsafe extern "sysv64" fn() =
+            // SAFETY: entry(0) is the `ret` written above.
+            unsafe { std::mem::transmute(buf.entry(0)) };
+        // SAFETY: a bare `ret` is a valid sysv64 function.
+        unsafe { f() };
     }
 }

@@ -1,6 +1,7 @@
 //! Lowering: the levelized [`Program`] op stream → LIR → x86-64 code.
 //!
-//! Two passes, both per scheduled op:
+//! Two steps per scheduled op, done op by op in one pass straight into
+//! the code buffer (no LIR vector is kept):
 //!
 //! 1. **Fold** ([`lower_op`]): resolve operands against the program's
 //!    constant-net set and simplify — `AND` with a constant-false
@@ -272,27 +273,40 @@ pub fn emit_op(
     Ok(())
 }
 
-/// Lower the whole program for `k`-word lane blocks. Returns the
-/// finished code bytes plus the entry offsets of each level function
-/// (the whole-stream entry is offset 0).
+/// Most bytes [`emit_op`] writes per lane word: the portable mux
+/// template (30) plus the toggle tail at K = 1 (36), which also covers
+/// the K > 1 tail (32 per word).
+const MAX_OP_WORD_BYTES: usize = 66;
+
+/// Most bytes [`emit_op`] writes per op on top of its words: the final
+/// toggle add of a K > 1 block.
+const MAX_OP_TAIL_BYTES: usize = 7;
+
+/// Most bytes per level: its `call` in the entry function plus its `ret`.
+const MAX_LEVEL_BYTES: usize = 6;
+
+/// Upper bound on the code [`lower_program`] emits for `prog` at `k`-word
+/// blocks — the size of the mapping reserved before emission.
+pub fn code_bound(prog: &Program, k: usize) -> usize {
+    prog.len() * (MAX_OP_WORD_BYTES * k + MAX_OP_TAIL_BYTES) + prog.levels() * MAX_LEVEL_BYTES + 1
+}
+
+/// Lower the whole program for `k`-word lane blocks into `code`, at most
+/// `max_code_bytes` of it. Returns the code length plus the entry offsets
+/// of each level function (the whole-stream entry is offset 0). Stops at
+/// the first op that fails to fold or overflows the buffer.
 pub fn lower_program(
     prog: &Program,
     k: usize,
+    code: &mut [u8],
     max_code_bytes: usize,
     use_bmi1: bool,
-) -> Result<(Vec<u8>, Vec<u32>), JitError> {
+) -> Result<(usize, Vec<u32>), JitError> {
     let mut is_const = vec![None; prog.net_count];
     for &(net, v) in &prog.consts {
         is_const[net as usize] = Some(v);
     }
-    // Fold first: a whole-program lowering failure must cost nothing
-    // but the scan (no code buffer, no mapping).
-    let mut lirs = Vec::with_capacity(prog.len());
-    for i in 0..prog.len() {
-        lirs.push(lower_op(prog, i, &is_const)?);
-    }
-
-    let mut e = EmitState::with_cap(max_code_bytes);
+    let mut e = EmitState::new(code, max_code_bytes);
     let levels = prog.levels();
     let labels: Vec<Label> = (0..levels).map(|_| e.new_label()).collect();
     // Entry function: call every non-empty level in schedule order.
@@ -308,12 +322,14 @@ pub fn lower_program(
         e.bind_label(label);
         level_entries.push(e.offset());
         for i in prog.level_ops(level) {
-            emit_op(&mut e, lirs[i], prog.dst[i], k, use_bmi1, i)?;
+            let lir = lower_op(prog, i, &is_const)?;
+            emit_op(&mut e, lir, prog.dst[i], k, use_bmi1, i)?;
+            e.check().map_err(JitError::Emit)?;
         }
         x86::ret(&mut e);
     }
-    let code = e.finalize().map_err(JitError::Emit)?;
-    Ok((code, level_entries))
+    let len = e.finalize().map_err(JitError::Emit)?;
+    Ok((len, level_entries))
 }
 
 #[cfg(test)]
@@ -372,5 +388,41 @@ mod tests {
             lirs.iter().any(|l| matches!(l, Lir::AndNot(..))),
             "sel?0:a must fuse to AndNot: {lirs:?}"
         );
+    }
+
+    /// Every lowered shape, at every block width, in both encodings,
+    /// stays within the per-op bound the reservation is sized by.
+    #[test]
+    fn every_op_template_fits_the_code_bound() {
+        let shapes = [
+            Lir::Input(1),
+            Lir::DffOut,
+            Lir::Fill(true),
+            Lir::Copy(1),
+            Lir::Not(1),
+            Lir::And(1, 2),
+            Lir::Or(1, 2),
+            Lir::Xor(1, 2),
+            Lir::Nand(1, 2),
+            Lir::Nor(1, 2),
+            Lir::Xnor(1, 2),
+            Lir::AndNot(1, 2),
+            Lir::OrNot(1, 2),
+            Lir::Mux { sel: 1, a: 2, b: 3 },
+        ];
+        let mut buf = vec![0u8; 4096];
+        for k in 1..=crate::compiled::MAX_LANE_WORDS {
+            for use_bmi1 in [false, true] {
+                for lir in shapes {
+                    let mut e = EmitState::new(&mut buf, usize::MAX);
+                    emit_op(&mut e, lir, 4, k, use_bmi1, 0).unwrap();
+                    let len = e.finalize().unwrap();
+                    assert!(
+                        len <= MAX_OP_WORD_BYTES * k + MAX_OP_TAIL_BYTES,
+                        "{lir:?} at K={k} (bmi1={use_bmi1}) emits {len} bytes"
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,14 +10,17 @@
 //! * [`emit`] — ISA-agnostic [`EmitState`](emit::EmitState): code
 //!   buffer, label offsets, pending fixups.
 //! * [`x86`] — the x86-64 instruction encoders the kernels need.
-//! * [`exec`] — the W^X [`ExecBuf`](exec::ExecBuf) mapping (raw Linux
+//! * [`exec`] — the W^X mappings: a read+write
+//!   [`Reservation`](exec::Reservation) code is emitted into, sealed
+//!   into a read+execute [`ExecBuf`](exec::ExecBuf) (raw Linux
 //!   syscalls; the workspace has no `libc`).
 //! * [`lower`] — op stream → [`Lir`](lower::Lir) (constant folding,
-//!   ANDN fusion) → machine code.
+//!   ANDN fusion) → machine code, op by op, straight into the
+//!   reservation.
 //! * this file — [`JitProgram`] (compiled code + entry metadata),
-//!   [`JitOptions`], [`JitSlots`] (the per-[`Program`] cache, one slot
-//!   per lane-block width, which ties code lifetime to the `Program`
-//!   and therefore to every [`crate::cache::ProgramCache`] entry).
+//!   [`JitOptions`], [`JitSlots`] (the per-[`Program`] memo, one slot
+//!   per lane-block width, holding a weak reference: code lives exactly
+//!   as long as the simulators running it).
 //!
 //! **The contract is bit-identity.** JIT-evaluated settles must produce
 //! exactly the interpreter's values, exact popcount toggle counts, and
@@ -37,7 +40,7 @@ pub mod x86;
 
 use crate::compiled::MAX_LANE_WORDS;
 use crate::level::{OpCode, Program};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Why codegen was not available for a program. Every variant maps to
 /// interpreter fallback.
@@ -137,10 +140,11 @@ impl Default for JitOptions {
 
 /// A program compiled to native code for one lane-block width.
 ///
-/// Owns the W^X mapping; dropped when the last `Arc` goes away — in
-/// practice when its [`Program`] (and any [`crate::cache::ProgramCache`]
-/// entry holding it) is dropped, so simulators borrowing the code via
-/// `Arc` clones can never outlive it.
+/// Owns the W^X mapping; unmapped when the last `Arc` goes away — when
+/// the last simulator running the code drops or leaves the native path.
+/// The [`Program`]'s [`JitSlots`] hold only a weak reference, so neither
+/// the program nor a [`crate::cache::ProgramCache`] entry keeps it
+/// mapped, and simulators holding `Arc` clones can never outlive it.
 #[derive(Debug)]
 pub struct JitProgram {
     buf: exec::ExecBuf,
@@ -235,10 +239,14 @@ pub fn compile(
             cap: opts.max_code_bytes,
         }));
     }
-    let (code, level_entries) =
-        lower::lower_program(prog, lane_words, opts.max_code_bytes, use_bmi1)?;
-    let code_bytes = code.len();
-    let buf = exec::ExecBuf::new(&code).map_err(JitError::Map)?;
+    // Emit in place: reserve an upper bound read+write, lower into it,
+    // then seal the used prefix read+execute. A failure anywhere drops
+    // the reservation, which unmaps it.
+    let bound = lower::code_bound(prog, lane_words).min(opts.max_code_bytes);
+    let mut res = exec::Reservation::new(bound).map_err(JitError::Map)?;
+    let (code_bytes, level_entries) =
+        lower::lower_program(prog, lane_words, res.bytes(), opts.max_code_bytes, use_bmi1)?;
+    let buf = res.seal(code_bytes).map_err(JitError::Map)?;
     Ok(JitProgram {
         buf,
         level_entries,
@@ -248,47 +256,76 @@ pub fn compile(
     })
 }
 
-/// Per-[`Program`] cache of compiled code, one slot per lane-block
-/// width. Lives as a private field on `Program`, so cached code shares
-/// the program's lifetime — including through the process-wide
-/// [`crate::cache::ProgramCache`], whose `Arc<Program>` entries keep
-/// hot programs' native code warm across simulator constructions.
+/// One lane-block width's memo in [`JitSlots`].
+enum Slot {
+    /// Not attempted, or the last code for this width was unmapped.
+    Empty,
+    /// Codegen refused this (program, width); decided once.
+    Refused,
+    /// Code some simulator may still be running.
+    Built(Weak<JitProgram>),
+}
+
+/// Per-[`Program`] memo of compiled code, one slot per lane-block
+/// width. Lives as a private field on `Program`.
 ///
-/// Each slot memoizes one *default-options* compile attempt (`None`
-/// records a failed attempt so fallback is decided once, not per
-/// construction). Custom [`JitOptions`] bypass the cache — they are
-/// test/bench seams, not hot paths. `Clone` yields empty slots: a
-/// cloned `Program` is a new allocation with new base offsets baked
-/// into nothing (code only ever references caller-passed pointers, but
-/// sharing would couple cap/option semantics across clones for no win).
+/// A slot holds a [`Weak`] reference: simulators own their code through
+/// `Arc`s, so it is unmapped as soon as the last one drops, and a
+/// program kept warm by the process-wide [`crate::cache::ProgramCache`]
+/// pins no code. A later request while any user is alive shares the
+/// live code; after the last user, it emits afresh. Refusals are
+/// memoized for good, so fallback is decided once, not per request.
+/// Each slot's lock is held across emission, so concurrent requests
+/// (e.g. shards promoting together on pool workers) share one emission.
+///
+/// Slots memoize *default-options* compiles only. Custom [`JitOptions`]
+/// bypass them — they are test/bench seams, not hot paths. `Clone`
+/// yields empty slots: a cloned `Program` may be mutated, and must never
+/// run code emitted for its source.
 pub struct JitSlots {
-    slots: [OnceLock<Option<Arc<JitProgram>>>; MAX_LANE_WORDS],
+    slots: [Mutex<Slot>; MAX_LANE_WORDS],
 }
 
 impl JitSlots {
-    /// The cached default-options code for `lane_words`-word blocks,
-    /// compiling on first request. `None` means codegen is unavailable
-    /// for this (program, width) — callers fall back to the
-    /// interpreter.
+    /// Code for `lane_words`-word blocks under default options: the live
+    /// code if some simulator still holds it, else a fresh emission.
+    /// `None` means codegen is unavailable for this (program, width) —
+    /// callers fall back to the interpreter.
     pub(crate) fn get_or_build(
         &self,
         prog: &Program,
         lane_words: usize,
     ) -> Option<Arc<JitProgram>> {
-        self.slots[lane_words - 1]
-            .get_or_init(|| {
-                compile(prog, lane_words, &JitOptions::default())
-                    .ok()
-                    .map(Arc::new)
-            })
-            .clone()
+        let mut slot = self.slots[lane_words - 1]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match &*slot {
+            Slot::Refused => return None,
+            Slot::Built(code) => {
+                if let Some(code) = code.upgrade() {
+                    return Some(code);
+                }
+            }
+            Slot::Empty => {}
+        }
+        match compile(prog, lane_words, &JitOptions::default()) {
+            Ok(code) => {
+                let code = Arc::new(code);
+                *slot = Slot::Built(Arc::downgrade(&code));
+                Some(code)
+            }
+            Err(_) => {
+                *slot = Slot::Refused;
+                None
+            }
+        }
     }
 }
 
 impl Default for JitSlots {
     fn default() -> Self {
         JitSlots {
-            slots: std::array::from_fn(|_| OnceLock::new()),
+            slots: std::array::from_fn(|_| Mutex::new(Slot::Empty)),
         }
     }
 }
@@ -301,12 +338,15 @@ impl Clone for JitSlots {
 
 impl std::fmt::Debug for JitSlots {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let built: Vec<usize> = (0..MAX_LANE_WORDS)
-            .filter(|&k| matches!(self.slots[k].get(), Some(Some(_))))
+        let live: Vec<usize> = (0..MAX_LANE_WORDS)
+            .filter(|&k| {
+                let slot = self.slots[k].lock().unwrap_or_else(PoisonError::into_inner);
+                matches!(&*slot, Slot::Built(code) if code.strong_count() > 0)
+            })
             .map(|k| k + 1)
             .collect();
         f.debug_struct("JitSlots")
-            .field("built_lane_words", &built)
+            .field("live_lane_words", &live)
             .finish()
     }
 }
@@ -377,5 +417,33 @@ mod tests {
             (None, None) => {} // unsupported host: memoized failure
             other => panic!("inconsistent memoization: {other:?}"),
         }
+    }
+
+    #[test]
+    fn slots_do_not_pin_code() {
+        let prog = demo_program();
+        let Some(code) = prog.jit(1) else {
+            return; // unsupported host or GATE_SIM_JIT=0: nothing to pin
+        };
+        let weak = Arc::downgrade(&code);
+        drop(code);
+        assert!(
+            weak.upgrade().is_none(),
+            "the program must not keep code mapped"
+        );
+        let again = prog.jit(1).expect("a success is not memoized as a refusal");
+        assert!(weak.upgrade().is_none(), "a fresh emission, not a revival");
+        assert_eq!(again.lane_words(), 1);
+    }
+
+    #[test]
+    fn slots_memoize_refusals() {
+        let mut prog = demo_program();
+        // An `Input` op outside level 0 is a shape the lowerer refuses.
+        let i = prog.level_ops(1).start;
+        prog.opcodes[i] = OpCode::Input;
+        assert!(prog.jit(1).is_none());
+        assert!(matches!(*prog.jit.slots[0].lock().unwrap(), Slot::Refused));
+        assert!(prog.jit(1).is_none(), "the refusal is final");
     }
 }

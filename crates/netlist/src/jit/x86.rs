@@ -177,9 +177,11 @@ mod tests {
     use super::*;
 
     fn enc(f: impl FnOnce(&mut EmitState)) -> Vec<u8> {
-        let mut e = EmitState::with_cap(usize::MAX);
+        let mut buf = [0u8; 32];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
         f(&mut e);
-        e.finalize().unwrap()
+        let n = e.finalize().unwrap();
+        buf[..n].to_vec()
     }
 
     #[test]
@@ -233,13 +235,15 @@ mod tests {
 
     #[test]
     fn call_to_bound_label_resolves() {
-        let mut e = EmitState::with_cap(usize::MAX);
+        let mut buf = [0u8; 16];
+        let mut e = EmitState::new(&mut buf, usize::MAX);
         let l = e.new_label();
         call_label(&mut e, l);
         ret(&mut e);
         e.bind_label(l);
         ret(&mut e);
+        let n = e.finalize().unwrap();
         // call(5 bytes) + ret; target offset 6 → rel32 = 6 - 5 = 1.
-        assert_eq!(e.finalize().unwrap(), vec![0xe8, 1, 0, 0, 0, 0xc3, 0xc3]);
+        assert_eq!(buf[..n], [0xe8, 1, 0, 0, 0, 0xc3, 0xc3]);
     }
 }

@@ -171,10 +171,11 @@ pub struct Program {
     pub net_count: usize,
     /// Number of primary-input bits.
     pub input_count: usize,
-    /// Lazily-compiled native code, one slot per lane-block width
-    /// ([`crate::jit`]). Rides the program's lifetime — including
-    /// through [`crate::cache::ProgramCache`] `Arc`s — and clones
-    /// empty, so hand-mutated program copies never execute stale code.
+    /// Lazily-compiled native code, one weak slot per lane-block width
+    /// ([`crate::jit`]): shared by every simulator running it, unmapped
+    /// when the last one drops (the program itself pins nothing), and
+    /// empty on clone, so hand-mutated program copies never execute
+    /// stale code.
     pub(crate) jit: crate::jit::JitSlots,
 }
 
@@ -248,11 +249,13 @@ impl Program {
         p
     }
 
-    /// Native code for `lane_words`-word lane blocks, compiled with
-    /// default [`crate::jit::JitOptions`] on first request and cached
-    /// on the program (so [`crate::cache::ProgramCache`] hits reuse
-    /// it). `None` when codegen is unavailable for this host, program,
-    /// or width — callers run the interpreter instead.
+    /// Native code for `lane_words`-word lane blocks under default
+    /// [`crate::jit::JitOptions`]: the code another holder is still
+    /// running if there is one (so simulators sharing a program, or a
+    /// [`crate::cache::ProgramCache`] hit, share one emission), else a
+    /// fresh emission. The caller's `Arc` keeps it mapped. `None` when
+    /// codegen is unavailable for this host, program, or width — a
+    /// verdict memoized for good; callers run the interpreter instead.
     pub fn jit(&self, lane_words: usize) -> Option<std::sync::Arc<crate::jit::JitProgram>> {
         self.jit.get_or_build(self, lane_words)
     }

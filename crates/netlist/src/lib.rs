@@ -21,9 +21,9 @@
 //!   skipping on low-activity stimulus ([`compiled::EvalMode`]).
 //! * [`jit`] — native code emission for the compiled op stream: each
 //!   level lowered to straight-line x86-64 in an mmap'd W^X buffer
-//!   (`EvalMode::Jit` / `GATE_SIM_JIT`), falling back to the
-//!   interpreter bit-identically wherever codegen is unavailable
-//!   (contract in `docs/jit.md`).
+//!   (`EvalMode::Jit`, `EvalMode::Auto`'s native tier, `GATE_SIM_JIT`),
+//!   falling back to the interpreter bit-identically wherever codegen is
+//!   unavailable (contract in `docs/jit.md`).
 //! * [`sharded`] — the multi-threaded backend: compiled lane blocks over
 //!   disjoint stimulus lanes, merged bit-identically regardless of
 //!   thread count, schedule, or block width.
@@ -104,8 +104,8 @@ pub mod stats;
 
 pub use cache::{CacheStats, ProgramCache};
 pub use compiled::{
-    word_lane_mask, CompiledSim, EvalMode, EvalPolicy, LANES_PER_WORD, MAX_LANE_WORDS,
-    MAX_TOTAL_LANES,
+    word_lane_mask, CompiledSim, EvalMode, EvalPolicy, PortId, AUTO_NATIVE_AFTER_SETTLES,
+    LANES_PER_WORD, MAX_LANE_WORDS, MAX_TOTAL_LANES,
 };
 pub use jit::{JitOptions, JitProgram};
 pub use pool::{JobError, JobOptions, WorkerPool};

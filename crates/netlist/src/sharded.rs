@@ -996,6 +996,45 @@ mod tests {
         let _ = sim.get_bus_lane("count", 4);
     }
 
+    /// One-word shards promoting together on pool workers share one
+    /// emission, and the merged stats count every shard's native sweeps.
+    #[test]
+    fn concurrently_promoting_shards_share_one_emission() {
+        let nl = counter(6);
+        let mut sim = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy {
+                shards: 4,
+                lanes_per_shard: 64,
+                threads: 4,
+                lane_words: 1,
+                ..ShardPolicy::single()
+            },
+        );
+        sim.set_eval_mode(EvalMode::Auto);
+        let settles = crate::compiled::AUTO_NATIVE_AFTER_SETTLES + 8;
+        for _ in 0..settles {
+            sim.eval();
+            sim.step();
+        }
+        let stats = sim.eval_stats();
+        assert_eq!(stats.settles, 4 * u64::from(settles));
+        if !(crate::jit::host_supported() && crate::env::jit() != Some(false)) {
+            assert_eq!(stats.native_sweeps, 0);
+            return;
+        }
+        assert_eq!(stats.native_sweeps, 4 * 8);
+        let code: Vec<_> = sim
+            .shards()
+            .iter()
+            .map(|s| s.native_code().unwrap())
+            .collect();
+        assert!(
+            code.iter().all(|c| Arc::ptr_eq(c, code[0])),
+            "every shard runs the same emission"
+        );
+    }
+
     #[test]
     fn full_width_shards_fuse_into_lane_blocks() {
         let nl = counter(4);

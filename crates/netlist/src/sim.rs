@@ -44,6 +44,13 @@ pub struct EvalStats {
     /// Whole levels skipped by event-driven evaluation (0 for backends
     /// that always sweep).
     pub levels_skipped: u64,
+    /// Full sweeps run by natively emitted code ([`crate::jit`]) rather
+    /// than the interpreter. The one engine-dependent counter: the other
+    /// four depend only on the eval mode and stimulus, this one says
+    /// which engine ran them (an [`crate::EvalMode::Auto`] simulator
+    /// past its promotion point with `native_sweeps == 0` was refused
+    /// codegen).
+    pub native_sweeps: u64,
 }
 
 impl EvalStats {
@@ -54,6 +61,17 @@ impl EvalStats {
             full_sweeps: self.full_sweeps + other.full_sweeps,
             ops_executed: self.ops_executed + other.ops_executed,
             levels_skipped: self.levels_skipped + other.levels_skipped,
+            native_sweeps: self.native_sweeps + other.native_sweeps,
+        }
+    }
+
+    /// The counters with the engine one ([`EvalStats::native_sweeps`])
+    /// cleared: what a native and an interpreted run of the same
+    /// schedule must agree on.
+    pub fn work(self) -> EvalStats {
+        EvalStats {
+            native_sweeps: 0,
+            ..self
         }
     }
 }

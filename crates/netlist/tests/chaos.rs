@@ -28,14 +28,15 @@
 #![cfg(feature = "failpoints")]
 
 use netlist::failpoints::{self, coin, Plan};
-use netlist::jit::exec::{ExecBuf, MapError};
+use netlist::jit::emit::EmitError;
+use netlist::jit::exec::{self, ExecBuf, MapError};
 use netlist::jit::{self, JitError, JitOptions};
 use netlist::level::Program;
 use netlist::pool;
 use netlist::sim::Sim;
 use netlist::{
     Builder, CompiledSim, EvalMode, JobError, JobOptions, Netlist, ProgramCache, ShardPolicy,
-    ShardedSim, SimBackend, WorkerPool,
+    ShardedSim, SimBackend, WorkerPool, AUTO_NATIVE_AFTER_SETTLES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -109,10 +110,11 @@ fn stimuli(seed: u64, cycles: usize) -> Vec<u8> {
 }
 
 /// The tentpole bit-identity property: under the ambient chaos
-/// schedule, the compiled backends (full-sweep auto, JIT-with-fallback,
-/// and the pool-driven sharded evaluator) replay the interpreted
-/// [`Sim`] bit for bit — outputs, FF state, and exact toggle counts —
-/// no matter which failpoints fire along the way.
+/// schedule, the compiled backends (auto, run past its promotion to
+/// native code so a refused mapping or emission lands mid-run,
+/// JIT-with-fallback, and the pool-driven sharded evaluator) replay the
+/// interpreted [`Sim`] bit for bit — outputs, FF state, and exact toggle
+/// counts — no matter which failpoints fire along the way.
 #[test]
 fn ambient_chaos_is_bit_identical_across_backends() {
     let _guard = failpoints::exclusive();
@@ -122,6 +124,7 @@ fn ambient_chaos_is_bit_identical_across_backends() {
         let nl = chaos_circuit(seed);
         let mut int = Sim::new(&nl);
         let mut comp = CompiledSim::new(&nl);
+        comp.set_eval_mode(EvalMode::Auto);
         let mut jitted = CompiledSim::new(&nl);
         jitted.set_eval_mode(EvalMode::Jit);
         let mut sharded = ShardedSim::with_policy(
@@ -134,7 +137,7 @@ fn ambient_chaos_is_bit_identical_across_backends() {
             },
         );
 
-        for &s in &stimuli(seed, 16) {
+        for &s in &stimuli(seed, AUTO_NATIVE_AFTER_SETTLES as usize + 16) {
             int.set_bus("in", s as u32);
             comp.set_bus("in", s as u32);
             jitted.set_bus("in", s as u32);
@@ -256,8 +259,98 @@ fn jit_chaos_falls_back_bit_identically_with_coherent_stats() {
             0,
             "{spec}: sweeps execute the whole op stream each settle"
         );
+        assert_eq!(stats.native_sweeps, 0, "{spec}: the fallback is visible");
     }
     failpoints::clear();
+}
+
+/// A refused mapping, `mprotect` or emission at `Auto`'s promotion
+/// point: the simulator keeps interpreting bit-identically, the refusal
+/// is visible as settles past the threshold with no native sweeps, and
+/// it is memoized on the program — with the schedule cleared, a later
+/// request still gets no code.
+#[test]
+fn refused_promotion_is_bit_identical_visible_and_memoized() {
+    let _guard = failpoints::exclusive();
+    for (seed, spec) in [
+        (41u64, "5:jit::map=always"),
+        (42, "5:jit::protect=always"),
+        (43, "5:jit::emit=always"),
+    ] {
+        failpoints::configure(Plan::parse(spec));
+        let nl = chaos_circuit(seed); // fresh program: refusals memoize per Program
+        let mut int = Sim::new(&nl);
+        let mut sim = CompiledSim::new(&nl);
+        sim.set_eval_mode(EvalMode::Auto);
+        let cycles = AUTO_NATIVE_AFTER_SETTLES as usize + 16;
+        for &s in &stimuli(seed, cycles) {
+            int.set_bus("in", s as u32);
+            sim.set_bus("in", s as u32);
+            int.eval();
+            sim.eval();
+            assert_eq!(sim.get_bus("out"), int.get_bus("out"), "{spec}");
+            assert_eq!(sim.get_bus("state"), int.get_bus("state"), "{spec}");
+            int.step();
+            sim.step();
+        }
+        assert_eq!(int.toggles(), sim.toggles(), "{spec}: toggles");
+        assert!(
+            !sim.jit_active(),
+            "{spec}: promotion must have been refused"
+        );
+        let stats = sim.eval_stats();
+        assert_eq!(stats.settles, cycles as u64, "{spec}: settles");
+        assert_eq!(
+            stats.native_sweeps, 0,
+            "{spec}: a refusal runs nothing native"
+        );
+        failpoints::clear();
+        assert!(
+            sim.program().jit(1).is_none(),
+            "{spec}: the refusal is memoized on the program"
+        );
+    }
+}
+
+/// In-place emission releases its reservation on every error path: a
+/// code-size cap hit mid-emission and a refused `mprotect` both leave
+/// the process's mapped code bytes where they were; a success maps
+/// code until its last holder drops.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn failed_emission_unmaps_its_reservation() {
+    let _guard = failpoints::exclusive();
+    failpoints::clear();
+    let prog = Program::compile(&chaos_circuit(51));
+    let opts = JitOptions {
+        enabled: true,
+        ..JitOptions::default()
+    };
+    let before = exec::mapped_bytes();
+    let capped = JitOptions {
+        max_code_bytes: 64,
+        ..opts.clone()
+    };
+    assert!(matches!(
+        jit::compile(&prog, 1, &capped),
+        Err(JitError::Emit(EmitError::CodeTooLarge { cap: 64, .. }))
+    ));
+    assert_eq!(exec::mapped_bytes(), before, "cap hit mid-emission");
+    failpoints::configure(Plan::parse("7:jit::protect=always"));
+    assert!(matches!(
+        jit::compile(&prog, 1, &opts),
+        Err(JitError::Map(MapError::Protect(13)))
+    ));
+    assert_eq!(exec::mapped_bytes(), before, "mprotect refusal");
+    failpoints::clear();
+    let code = jit::compile(&prog, 1, &opts).expect("codegen without chaos");
+    assert!(exec::mapped_bytes() > before);
+    drop(code);
+    assert_eq!(
+        exec::mapped_bytes(),
+        before,
+        "unmapped with its last holder"
+    );
 }
 
 /// The mapping layer's typed refusal: the scheduled errno comes back

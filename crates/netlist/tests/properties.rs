@@ -9,8 +9,8 @@
 
 use netlist::sim::Sim;
 use netlist::{
-    bus, Builder, CompiledSim, EvalMode, EvalPolicy, Gate, Netlist, ShardPolicy, ShardSchedule,
-    ShardedSim, SimBackend,
+    bus, Builder, CompiledSim, EvalMode, EvalPolicy, Gate, NetId, Netlist, ShardPolicy,
+    ShardSchedule, ShardedSim, SimBackend, AUTO_NATIVE_AFTER_SETTLES,
 };
 use proptest::prelude::*;
 
@@ -624,8 +624,8 @@ proptest! {
     /// one simulator whose [`EvalPolicy`] shrinks and grows between
     /// settles (1 → n → 2 → n threads, every settle reusing the same
     /// persistent pool) produces bit-identical outputs, FF state, toggle
-    /// counts, and [`netlist::EvalStats`] to a never-parallel run of the
-    /// same schedule.
+    /// counts, and [`netlist::EvalStats`] work counters to a
+    /// never-parallel run of the same schedule.
     #[test]
     fn pool_reuse_and_midrun_resize_is_deterministic(
         recipe in proptest::collection::vec(any::<u8>(), 6..120),
@@ -652,7 +652,7 @@ proptest! {
                 outs.push((sim.get_bus_u64("out"), sim.get_bus_u64("state")));
                 sim.step();
             }
-            (outs, sim.toggles().to_vec(), sim.eval_stats())
+            (outs, sim.toggles().to_vec(), sim.eval_stats().work())
         };
         let reference = run(false);
         prop_assert_eq!(run(true), reference, "mid-run resize diverged");
@@ -1038,7 +1038,8 @@ proptest! {
     /// interpreted fallback everywhere else — are bit-identical to
     /// pinned full sweeps *and* to the interpreted reference backend on
     /// random sequential netlists: per-lane outputs, FF state, exact
-    /// per-net toggle counts, and [`netlist::EvalStats`], across lane
+    /// per-net toggle counts, and [`netlist::EvalStats`] (but for the
+    /// engine counter, `native_sweeps`), across lane
     /// widths (one-word, multi-word, partial-word blocks) × thread
     /// counts (parallel policies run the interpreted parallel sweep —
     /// the documented precedence rule — and must still match) ×
@@ -1098,9 +1099,79 @@ proptest! {
                     "exact toggles, {} lanes x{}", lanes, threads
                 );
                 prop_assert_eq!(
-                    jit.eval_stats(), full.eval_stats(),
+                    jit.eval_stats().work(), full.eval_stats(),
                     "eval stats, {} lanes x{}", lanes, threads
                 );
+            }
+        }
+    }
+
+    /// [`EvalMode::Auto`]'s native tier (`docs/jit.md` § "Fallback
+    /// rules"): a one-word Auto simulator driven across its promotion
+    /// point — [`AUTO_NATIVE_AFTER_SETTLES`] interpreted settles, native
+    /// full sweeps after — matches the pinned full-sweep interpreter
+    /// settle for settle at 1, 25 and 64 lanes: per-lane outputs and FF
+    /// state, then exact toggles. Each case also runs a mutant with a
+    /// few gates replaced by constants (`with_gate_replaced`), whose
+    /// const-operand gates take the lowerer's folding path. Wherever
+    /// codegen is available, `native_sweeps` counts exactly the settles
+    /// past the threshold.
+    #[test]
+    fn auto_promotion_matches_full_sweep_interpreter(
+        recipe in proptest::collection::vec(any::<u8>(), 6..80),
+        stimuli in proptest::collection::vec(any::<u8>(), 1..6),
+        victims in proptest::collection::vec((any::<usize>(), any::<bool>()), 1..6),
+        base in any::<u64>(),
+    ) {
+        let nl = sequential_circuit_from_recipe(&recipe);
+        let logic: Vec<NetId> = (0..nl.len() as NetId)
+            .filter(|&id| !matches!(nl.gates()[id as usize], Gate::Input(_) | Gate::Dff { .. }))
+            .collect();
+        let mut mutant = nl.clone();
+        if !logic.is_empty() {
+            for &(victim, konst) in &victims {
+                mutant = mutant.with_gate_replaced(logic[victim % logic.len()], Gate::Const(konst));
+            }
+        }
+        let settles = AUTO_NATIVE_AFTER_SETTLES as usize + 24;
+        let codegen = netlist::jit::host_supported() && netlist::env::jit() != Some(false);
+        for nl in [&nl, &mutant] {
+            for lanes in [1usize, 25, 64] {
+                let mut full = CompiledSim::with_lanes(nl, lanes);
+                full.set_eval_mode(EvalMode::FullSweep);
+                let mut auto = CompiledSim::with_lanes(nl, lanes);
+                auto.set_eval_mode(EvalMode::Auto);
+                for t in 0..settles {
+                    // A fresh stimulus every 4th settle, so the
+                    // interpreted tier really skips work.
+                    if t % 4 == 0 {
+                        let s = stimuli[(t / 4) % stimuli.len()] as u64;
+                        for g in 0..lanes {
+                            let v = s.wrapping_mul(g as u64 * 2 + 3).wrapping_add(base ^ t as u64) & 0xff;
+                            full.set_bus_lane("in", g, v);
+                            auto.set_bus_lane("in", g, v);
+                        }
+                    }
+                    full.eval();
+                    auto.eval();
+                    for g in (0..lanes).step_by(7) {
+                        for port in ["out", "state"] {
+                            prop_assert_eq!(
+                                auto.get_bus_lane(port, g),
+                                full.get_bus_lane(port, g),
+                                "{} lane {} of {}, settle {}", port, g, lanes, t
+                            );
+                        }
+                    }
+                    full.step();
+                    auto.step();
+                }
+                prop_assert_eq!(auto.toggles(), full.toggles(), "toggles, {} lanes", lanes);
+                let stats = auto.eval_stats();
+                prop_assert_eq!(stats.settles, settles as u64);
+                let past = (settles - AUTO_NATIVE_AFTER_SETTLES as usize) as u64;
+                prop_assert_eq!(stats.native_sweeps, if codegen { past } else { 0 });
+                prop_assert_eq!(auto.jit_active(), codegen);
             }
         }
     }
