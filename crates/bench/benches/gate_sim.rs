@@ -16,7 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hwlib::HwLibrary;
-use netlist::{CompiledSim, EvalMode, ShardPolicy, ShardSchedule, ShardedSim, Sim};
+use netlist::{CompiledSim, EvalMode, ShardPolicy, ShardedSim, Sim};
 use rissp::{processor::GateLevelCpu, profile::InstructionSubset, Rissp};
 use std::sync::Arc;
 use xcc::OptLevel;
@@ -100,38 +100,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Intra-netlist parallel level evaluation: the same 64-lane full-sweep
-    // schedule with each wide level's ops split across worker threads
-    // (`EvalPolicy::par_levels`). The `par{2,4}` rows pin the scoped
-    // predecessor (a fresh thread::scope per settle); the `pool{2,4}`
-    // rows run the identical schedule on the persistent worker pool.
-    // Results are bit-identical to `settle_compiled_64_lanes`; on the
-    // 1-CPU dev container the rows measure the per-settle dispatch
-    // overhead each runtime pays rather than a speedup (see README).
-    for (threads, use_pool) in [(2, false), (4, false), (2, true), (4, true)] {
-        let mut par = CompiledSim::with_lanes_arc(core_arc.clone(), 64);
-        par.set_eval_mode(EvalMode::FullSweep);
-        par.set_eval_policy(netlist::EvalPolicy {
-            use_pool,
-            ..netlist::EvalPolicy::par_levels(threads)
-        });
-        let mut stimuli = [0u64; 64];
-        let kind = if use_pool { "pool" } else { "par" };
-        g.bench_function(format!("settle_compiled_64_lanes_{kind}{threads}"), |b| {
-            b.iter(|| {
-                for i in 0..EVALS {
-                    for (lane, s) in stimuli.iter_mut().enumerate() {
-                        *s = black_box(0x0000_0113u64 ^ ((i * 64 + lane) as u64) << 7);
-                    }
-                    par.set_bus_lanes("insn", &stimuli);
-                    par.eval();
-                    par.step();
-                }
-                par.cycles()
-            })
-        });
-    }
-
     // Event-driven vs full-sweep evaluation. Sparse schedule: the packed
     // stimulus changes only every 8th settle (and there is no clock edge),
     // so 7 of 8 settles are fully quiescent — the low-activity shape of a
@@ -201,7 +169,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Sharded backend: 4 shards x 64 lanes = 256 vectors per settle, the
-    // whole EVALS-settle schedule batched inside one thread scope via
+    // whole EVALS-settle schedule batched inside one pool job via
     // `par_shards` (shard s's lane l carries global vector s*64 + l, so
     // 1-thread and 4-thread runs do bit-identical work). Per-vector
     // throughput here is over 4x the vectors of `settle_compiled_64_lanes`.
@@ -215,7 +183,6 @@ fn bench(c: &mut Criterion) {
                 lanes_per_shard: 64,
                 threads,
                 lane_words: 1,
-                ..ShardPolicy::single()
             },
         );
         g.bench_function(
@@ -242,8 +209,8 @@ fn bench(c: &mut Criterion) {
 
     // Block-sharded: the same 256 vectors per settle as the 4 x 64 rows,
     // fused into one 256-lane (K = 4) lane block — one compile, one state
-    // arena, one settle walk — with the outer thread budget routed into
-    // intra-shard parallel level evaluation.
+    // arena, one settle walk — which leaves one block, so the settle
+    // runs on the caller whatever the thread budget.
     {
         let mut sharded = ShardedSim::with_policy(
             core,
@@ -252,7 +219,6 @@ fn bench(c: &mut Criterion) {
                 lanes_per_shard: 64,
                 threads: 2,
                 lane_words: 4,
-                ..ShardPolicy::single()
             },
         );
         let mut stimuli = vec![0u64; 256];
@@ -271,32 +237,22 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Work-stealing vs the deprecated static scheduler on a deliberately
-    // uneven load: shard s settles (s + 1) * EVALS / 4 times, so static
-    // chunking pins the heavy shards while stealing rebalances. Results
-    // are bit-identical; only wall clock may differ. `lane_words: 1` keeps
-    // the 8 logical shards as 8 physical shards — fused blocks would
-    // change the loads the schedulers race on.
-    #[allow(deprecated)] // the static row is the regression reference
-    for (name, schedule) in [
-        (
-            "settle_uneven_8_shards_stealing",
-            ShardSchedule::WorkStealing,
-        ),
-        ("settle_uneven_8_shards_static", ShardSchedule::Static),
-    ] {
+    // Work stealing on a deliberately uneven load: shard s settles
+    // (s + 1) * EVALS / 4 times, so the claim loop has to rebalance the
+    // heavy shards across threads. `lane_words: 1` keeps the 8 logical
+    // shards as 8 physical shards — fused blocks would change the loads
+    // the threads race on.
+    {
         let mut sharded = ShardedSim::with_policy_arc(
             core_arc.clone(),
             ShardPolicy {
                 shards: 8,
                 lanes_per_shard: 64,
                 threads: 4,
-                schedule,
                 lane_words: 1,
-                ..ShardPolicy::single()
             },
         );
-        g.bench_function(name, |b| {
+        g.bench_function("settle_uneven_8_shards_stealing", |b| {
             b.iter(|| {
                 sharded.par_shards(|shard, sim| {
                     let mut stimuli = [0u64; 64];

@@ -22,7 +22,7 @@
 use bench::service::{run_service, ServiceConfig, ServiceMix};
 use hwlib::campaign::{library_mutation_coverage, CampaignConfig};
 use netlist::sim::SimBackend;
-use netlist::{CompiledSim, EvalMode, EvalPolicy, ShardPolicy, ShardSchedule, ShardedSim, Sim};
+use netlist::{CompiledSim, EvalMode, ShardPolicy, ShardedSim, Sim};
 use rissp::profile::InstructionSubset;
 use rissp::Rissp;
 use std::sync::Arc;
@@ -33,17 +33,6 @@ use xcc::OptLevel;
 /// flagged. Generous on purpose: shared CI runners jitter by 2x and the
 /// gate is advisory (warn, never fail).
 const SOFT_THRESHOLD: f64 = 0.5;
-
-/// Same-run pooled-vs-scoped pairs: each pooled configuration is flagged
-/// if it comes in slower than its scoped predecessor *in the same run*
-/// (so runner speed cancels out). The persistent pool exists precisely
-/// to beat the per-settle `thread::scope` spawn, so pooled < scoped is a
-/// regression signal worth a `::warning::` even on a noisy runner.
-const POOLED_VS_SCOPED: [(&str, &str); 3] = [
-    ("compiled_64_lanes_pool2", "compiled_64_lanes_par2"),
-    ("compiled_64_lanes_pool4", "compiled_64_lanes_par4"),
-    ("sharded_4x64_pool_2t", "sharded_4x64_stealing_2t"),
-];
 
 /// One measured configuration.
 struct Row {
@@ -204,7 +193,6 @@ fn main() {
     }
     eprintln!("bench_smoke: wrote {out}");
 
-    check_pooled_vs_scoped(&rows);
     if let Some(path) = baseline {
         let fresh: Vec<(String, f64)> = rows
             .iter()
@@ -296,37 +284,6 @@ fn measure_service(lib: &hwlib::HwLibrary) -> Vec<ServiceRow> {
     .collect()
 }
 
-/// Same-run soft gate: warn when a pooled configuration is slower than
-/// its scoped predecessor. Comparing within one run cancels runner
-/// speed, so unlike the baseline diff this comparison is meaningful even
-/// on a noisy shared machine — but it stays advisory (warn, exit 0) all
-/// the same.
-fn check_pooled_vs_scoped(rows: &[Row]) {
-    let speed = |name: &str| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map(|r| r.settles_per_sec)
-    };
-    println!(
-        "\n{:<28} {:>14} {:>14} {:>8}",
-        "pooled vs scoped", "scoped s/s", "pooled s/s", "speedup"
-    );
-    for (pooled, scoped) in POOLED_VS_SCOPED {
-        let (Some(p), Some(s)) = (speed(pooled), speed(scoped)) else {
-            continue;
-        };
-        let ratio = p / s.max(1e-9);
-        println!("{pooled:<28} {s:>14.1} {p:>14.1} {ratio:>7.2}x");
-        if ratio < 1.0 {
-            println!(
-                "::warning::bench-smoke: pooled config {pooled} is slower than its \
-                 scoped predecessor {scoped} ({p:.1} vs {s:.1} settles/sec); the \
-                 persistent pool should always win — advisory only"
-            );
-        }
-    }
-}
-
 /// Runs every configuration for `settles` timed settles (after a short
 /// warmup) and returns the measured rows.
 fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
@@ -387,32 +344,6 @@ fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
         rows.push(row(name, "CompiledSim", 1, lanes, &sim, f));
     }
 
-    // Intra-netlist parallel level evaluation (the par_levels axis):
-    // the scoped-thread predecessor rows (a fresh thread::scope per
-    // settle) and the persistent-pool rows, same schedule, so the
-    // pooled-vs-scoped comparison below measures exactly the per-settle
-    // spawn tax the pool exists to kill.
-    let par_rows = [
-        ("compiled_64_lanes_par2", 2usize, false),
-        ("compiled_64_lanes_par4", 4, false),
-        ("compiled_64_lanes_pool2", 2, true),
-        ("compiled_64_lanes_pool4", 4, true),
-    ];
-    for (name, threads, use_pool) in par_rows {
-        let mut sim = CompiledSim::with_lanes_arc(core.clone(), 64);
-        sim.set_eval_mode(EvalMode::FullSweep);
-        sim.set_eval_policy(EvalPolicy {
-            use_pool,
-            ..EvalPolicy::par_levels(threads)
-        });
-        let f = time_settles(settles, |i| {
-            sim.set_bus("insn", 0x0000_0113 ^ (i as u32) << 7);
-            sim.eval();
-            sim.step();
-        });
-        rows.push(row(name, "CompiledSim", threads, 64, &sim, f));
-    }
-
     // Event-driven sparse schedule: stimulus changes every 8th settle.
     {
         let mut sim = CompiledSim::with_lanes_arc(core.clone(), 64);
@@ -426,33 +357,19 @@ fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
         rows.push(row("event_driven_sparse", "CompiledSim", 1, 64, &sim, f));
     }
 
-    // Sharded: pooled work-stealing (default) vs the scoped-thread
-    // stealing fallback vs the deprecated static scheduler, 4 shards x
-    // 64 lanes on 2 threads. `lane_words: 1` pins the historical
-    // one-CompiledSim-per-64-lanes layout so these rows stay comparable
-    // with their pre-lane-block baselines; the `sharded_block_*` row
-    // below measures the same 256 lanes fused into one K = 4 lane block.
-    #[allow(deprecated)] // the static row is the trajectory reference
-    let schedules = [
-        ("sharded_4x64_pool_2t", ShardSchedule::WorkStealing, true),
-        (
-            "sharded_4x64_stealing_2t",
-            ShardSchedule::WorkStealing,
-            false,
-        ),
-        ("sharded_4x64_static_2t", ShardSchedule::Static, false),
-    ];
-    for (name, schedule, use_pool) in schedules {
+    // Sharded: 4 shards x 64 lanes claimed off the worker pool by 2
+    // threads. `lane_words: 1` pins the historical
+    // one-CompiledSim-per-64-lanes layout so this row stays comparable
+    // with its pre-lane-block baseline; the `sharded_block_*` row below
+    // measures the same 256 lanes fused into one K = 4 lane block.
+    {
         let mut sim = ShardedSim::with_policy_arc(
             core.clone(),
             ShardPolicy {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads: 2,
-                schedule,
-                use_pool,
                 lane_words: 1,
-                ..ShardPolicy::single()
             },
         );
         let f = time_settles(settles, |i| {
@@ -460,13 +377,13 @@ fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
             sim.eval();
             sim.step();
         });
-        rows.push(row(name, "ShardedSim", 2, 256, &sim, f));
+        rows.push(row("sharded_4x64_pool_2t", "ShardedSim", 2, 256, &sim, f));
     }
 
     // Block-sharded: the same 4 x 64 = 256 lanes, but fused into a
     // single 256-lane (K = 4) lane block — one compile, one state arena,
-    // one settle walk — with the freed outer threads routed into
-    // intra-shard parallel level evaluation.
+    // one settle walk. One block leaves one thread to use, so the settle
+    // runs on the caller.
     {
         let mut sim = ShardedSim::with_policy_arc(
             core.clone(),
@@ -475,7 +392,6 @@ fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
                 lanes_per_shard: 64,
                 threads: 2,
                 lane_words: 4,
-                ..ShardPolicy::single()
             },
         );
         let f = time_settles(settles, |i| {

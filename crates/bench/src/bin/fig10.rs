@@ -1,8 +1,7 @@
 //! Figure 10: full physical implementation at 300 kHz of the three
 //! extreme-edge RISSPs plus the two baselines — die dimensions, area,
 //! flip-flop fraction and power. Pass `--threads N` to characterise the
-//! edge applications on N threads and settle the RV32E baseline's batched
-//! run with N-way parallel level evaluation (results are thread-count
+//! edge applications on N threads (results are thread-count
 //! independent).
 
 use bench::{
@@ -19,7 +18,7 @@ fn main() {
     let threads = threads_from_args();
 
     let mut layouts = Vec::new();
-    let rv32e = characterise_rv32e(&lib, &t, threads);
+    let rv32e = characterise_rv32e(&lib, &t);
     layouts.push(implement(&rv32e.metrics, &t, None));
     let edge: Vec<_> = ["af_detect", "armpit", "xgboost"]
         .into_iter()

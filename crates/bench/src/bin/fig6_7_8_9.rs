@@ -4,9 +4,8 @@
 //!
 //! One binary regenerates all four figures because they share the expensive
 //! pipeline (RISSP generation + gate-level activity measurement + sweep).
-//! Pass `--threads N` to characterise the 25 workloads on N threads and
-//! settle the RV32E baseline's batched run with N-way parallel level
-//! evaluation (the numbers are identical for every thread count).
+//! Pass `--threads N` to characterise the 25 workloads on N threads (the
+//! numbers are identical for every thread count).
 
 use bench::{
     characterise_rv32e, characterise_serv, characterise_workloads, header, threads_from_args,
@@ -43,7 +42,7 @@ fn main() {
         risp_results.push((d, sweep, epi));
     }
 
-    let rv32e = characterise_rv32e(&lib, &t, threads);
+    let rv32e = characterise_rv32e(&lib, &t);
     let rv32e_sweep = frequency_sweep(&rv32e.metrics);
     let rv32e_epi = energy_per_instruction_nj(&rv32e.metrics, &rv32e_sweep);
     println!(

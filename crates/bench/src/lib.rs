@@ -11,7 +11,8 @@ pub mod service;
 use flexic::tech::Tech;
 use flexic::DesignMetrics;
 use hwlib::HwLibrary;
-use netlist::compiled::{EvalPolicy, MAX_TOTAL_LANES};
+use netlist::compiled::MAX_TOTAL_LANES;
+use netlist::pool::{self, WorkerPool};
 use netlist::stats::GateCounts;
 use rissp::processor::{BatchedGateLevelCpu, GateLevelCpu};
 use rissp::profile::InstructionSubset;
@@ -22,13 +23,6 @@ use xcc::OptLevel;
 
 /// Gate-level simulation window used for switching-activity measurement.
 pub const ACTIVITY_CYCLES: u64 = 1500;
-
-/// Minimum ops a level needs before the characterisation harness lets
-/// `EvalPolicy` split it across worker threads: the per-settle thread
-/// scope plus per-level barriers cost ~0.5–1 ms, so chunking only pays
-/// for levels tens of thousands of ops wide (the compiled sweep runs
-/// ~400 Mops/s single-threaded).
-pub const PAR_LEVEL_BREAK_EVEN_OPS: usize = 50_000;
 
 /// Parses a `--threads N` (or `--threads=N`) knob from the process
 /// arguments; defaults to 1 so the figure binaries stay single-threaded
@@ -102,13 +96,8 @@ pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> Charact
 /// cycles), so it is the cycle-weighted average of the per-workload scalar
 /// α values — methodologically identical to [`characterise_workload`],
 /// just over the whole suite instead of one representative workload.
-///
-/// `threads > 1` settles the shared core with parallel level evaluation
-/// (`EvalPolicy::par_levels`); the measured activity is bit-identical for
-/// every thread count — the batched run cannot be split over workloads the
-/// way [`characterise_workloads`] splits, because all lanes share one
-/// simulation, so intra-netlist parallelism is the axis that applies here.
-pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, threads: usize) -> CharacterisedDesign {
+/// All lanes share one simulation, so the run is single-threaded.
+pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech) -> CharacterisedDesign {
     let rissp = Rissp::generate_full_isa(lib);
     let suite = workloads::all();
     assert!(
@@ -122,21 +111,6 @@ pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, threads: usize) -> Characte
         .collect();
     let entries = vec![0u32; images.len()];
     let mut cpu = BatchedGateLevelCpu::new(&rissp, &entries);
-    if threads > 1 {
-        // Raised split threshold: par-level workers only engage when a
-        // level is wide enough that the chunked sweep can plausibly beat
-        // the per-level barrier handshakes. The RV32E core's levels are
-        // far below this, so today the policy resolves to a sequential
-        // settle — the knob is plumbed through for the large-netlist
-        // regime it targets, without silently slowing the small-core
-        // case. (Settles run on the persistent worker pool, so the old
-        // per-settle thread::scope spawn tax is gone either way.)
-        cpu.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: PAR_LEVEL_BREAK_EVEN_OPS,
-            ..EvalPolicy::seq()
-        });
-    }
     for (lane, image) in images.iter().enumerate() {
         cpu.load_words(lane, 0, &image.words);
         for (base, words) in &image.data_segments {
@@ -157,9 +131,10 @@ pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, threads: usize) -> Characte
     }
 }
 
-/// Characterises several workloads, splitting them over `threads` scoped
-/// threads (each workload's RISSP generation and gate-level activity run
-/// is independent). Results are returned in input order and are identical
+/// Characterises several workloads, claimed one at a time off a shared
+/// counter by `threads` worker-pool participants ([`pool::claim_map`];
+/// each workload's RISSP generation and gate-level activity run is
+/// independent). Results are returned in input order and are identical
 /// for every thread count — the knob only changes wall-clock time.
 pub fn characterise_workloads(
     lib: &HwLibrary,
@@ -168,32 +143,11 @@ pub fn characterise_workloads(
     threads: usize,
 ) -> Vec<CharacterisedDesign> {
     let threads = threads.clamp(1, ws.len().max(1));
-    if threads <= 1 {
-        return ws
-            .iter()
-            .map(|w| characterise_workload(lib, w, t))
-            .collect();
-    }
-    let chunk = ws.len().div_ceil(threads);
-    let mut results = Vec::with_capacity(ws.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ws
-            .chunks(chunk)
-            .map(|group| {
-                scope.spawn(move || {
-                    group
-                        .iter()
-                        .map(|w| characterise_workload(lib, w, t))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // Join in spawn order: output order matches input order.
-        for h in handles {
-            results.extend(h.join().expect("characterisation thread panicked"));
-        }
-    });
-    results
+    let pool = (threads > 1).then(|| WorkerPool::shared(threads - 1));
+    let mut ws: Vec<&Workload> = ws.iter().collect();
+    pool::claim_map(pool.as_deref(), threads, &mut ws, |_, w| {
+        characterise_workload(lib, w, t)
+    })
 }
 
 /// Builds the Serv baseline's metrics; its CPI is measured by running the

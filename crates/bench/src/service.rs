@@ -18,14 +18,14 @@
 //! proportions API: `read_proportion(0.95).update_proportion(0.05)` is
 //! workload B (read-heavy), `0.5/0.5` is workload A (update-heavy), and
 //! so on. [`run_service`] drives the chosen mix from several concurrent
-//! submitter threads — each op submits pool jobs, so independent
+//! submitter threads — each read submits pool jobs, so independent
 //! submissions exercise the job-table admission path — and reports
 //! jobs/sec plus the cache-hit profile.
 
 use hwlib::mutate::{mutants_of, Mutant};
 use hwlib::verify::functional_verify_arc;
 use hwlib::{HwLibrary, InstrBlock};
-use netlist::{CacheStats, CompiledSim, EvalPolicy, ProgramCache, ShardPolicy};
+use netlist::{CacheStats, CompiledSim, ProgramCache, ShardPolicy};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,9 +128,9 @@ pub struct ServiceConfig {
     pub submitters: usize,
     /// Ops issued per submitter.
     pub ops_per_submitter: usize,
-    /// Worker threads per job's shard policy. At >= 2 every op submits a
-    /// real pool job, so concurrent submitters contend on the job table
-    /// rather than on a serializing submit lock.
+    /// Worker threads per read's shard policy. At >= 2 every read
+    /// submits a real pool job, so concurrent submitters contend on the
+    /// job table rather than on a serializing submit lock.
     pub threads: usize,
     /// Seed for the deterministic per-submitter op sequence.
     pub seed: u64,
@@ -177,16 +177,10 @@ fn read_op(block: &InstrBlock, policy: ShardPolicy) {
 
 /// An update op: evaluate a fresh single-gate mutant of a library core.
 /// The mutant's netlist content has never been seen, so the op pays a
-/// full compile (a cache miss) before sweeping a handful of stimuli.
-fn update_op(mutant: &Mutant, threads: usize, rng: &mut u64) {
+/// full compile (a cache miss) before sweeping a handful of stimuli on
+/// the submitting thread.
+fn update_op(mutant: &Mutant, rng: &mut u64) {
     let mut sim = CompiledSim::with_lanes_arc(Arc::new(mutant.netlist.clone()), 64);
-    if threads > 1 {
-        sim.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
-    }
     let mut checksum = 0u64;
     for _ in 0..4 {
         sim.set_bus("insn", splitmix(rng) as u32);
@@ -275,7 +269,7 @@ pub fn run_service(lib: &HwLibrary, cfg: &ServiceConfig) -> ServiceReport {
                 let mut next_update = 0usize;
                 for &is_update in ops {
                     if is_update {
-                        update_op(&mutants[next_update], cfg.threads, &mut rng);
+                        update_op(&mutants[next_update], &mut rng);
                         next_update += 1;
                     } else {
                         read_op(blocks[next_read % blocks.len()], *policy);

@@ -16,7 +16,7 @@
 //! their exact sum (`docs/simulation.md` § "Toggle accounting").
 
 use hwlib::{ports, HwLibrary};
-use netlist::compiled::{CompiledSim, EvalPolicy, PortId, MAX_TOTAL_LANES};
+use netlist::compiled::{CompiledSim, PortId, MAX_TOTAL_LANES};
 use netlist::{Builder, NetId, Netlist};
 use riscv_emu::{RvfiRecord, RvfiTrace, SparseMemory};
 use riscv_isa::semantics::Memory as _;
@@ -254,18 +254,6 @@ impl GateLevelCpu {
     /// The gate-level simulation backend (for activity/power extraction).
     pub fn sim(&self) -> &CompiledSim {
         &self.sim
-    }
-
-    /// Selects the core simulation's intra-settle parallelism
-    /// ([`EvalPolicy`]). Purely a performance knob — architectural state,
-    /// cycle counts, and exact toggle counts are bit-identical for every
-    /// policy; on small cores the widest-level cap usually keeps the
-    /// settle sequential anyway. Parallel settles run on the persistent
-    /// worker pool, whose spin-then-park workers stay hot across the
-    /// back-to-back settles of a cycle loop — the cost of asking for
-    /// threads is a few atomics per settle, not a thread spawn.
-    pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        self.sim.set_eval_policy(policy);
     }
 
     /// The current PC (settles the netlist to read the flops).
@@ -565,16 +553,6 @@ impl BatchedGateLevelCpu {
     /// The shared gate-level simulation (for merged activity extraction).
     pub fn sim(&self) -> &CompiledSim {
         &self.sim
-    }
-
-    /// Selects the batched core simulation's intra-settle parallelism
-    /// ([`EvalPolicy`]): each fetch/decode/execute settle splits its
-    /// wide levels across the policy's worker threads on the persistent
-    /// worker pool (workers stay hot between consecutive settles of the
-    /// run loop). Purely a performance knob — per-lane architectural
-    /// state and exact toggle counts are bit-identical for every policy.
-    pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        self.sim.set_eval_policy(policy);
     }
 
     /// True when no lane is still running.

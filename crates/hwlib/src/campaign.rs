@@ -46,8 +46,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Tuning knobs for a mutation-coverage campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,32 +323,15 @@ pub fn lane_mutation_coverage(
 /// independent of the thread count (each block's campaign is
 /// self-contained).
 pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<BlockCoverage> {
-    let blocks: Vec<&InstrBlock> = lib.iter().collect();
-    let run = |block: &InstrBlock| BlockCoverage {
-        mnemonic: block.mnemonic,
-        report: lane_mutation_coverage(block, cfg.limit, cfg.seed, cfg.lanes),
-    };
+    let mut blocks: Vec<&InstrBlock> = lib.iter().collect();
     let threads = cfg.threads.max(1).min(blocks.len().max(1));
-    if threads == 1 || pool::in_job() {
-        return blocks.into_iter().map(run).collect();
-    }
-    // Worker-pool fan-out: workers claim block indices off one atomic
-    // counter (same claiming scheme as the shard scheduler) and publish
-    // into index-addressed slots, so the output order never depends on
-    // the interleaving.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<BlockCoverage>>> =
-        blocks.iter().map(|_| Mutex::new(None)).collect();
-    let pool = WorkerPool::shared(threads - 1);
-    pool.run(threads, |_tid, _barrier| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(block) = blocks.get(i) else { break };
-        *slots[i].lock().unwrap() = Some(run(block));
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every block was claimed"))
-        .collect()
+    let pool = (threads > 1).then(|| WorkerPool::shared(threads - 1));
+    pool::claim_map(pool.as_deref(), threads, &mut blocks, |_, block| {
+        BlockCoverage {
+            mnemonic: block.mnemonic,
+            report: lane_mutation_coverage(block, cfg.limit, cfg.seed, cfg.lanes),
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -107,10 +107,10 @@ pub(crate) fn read_outputs_lane<S: SimBackend>(sim: &S, lane: usize) -> BlockOut
 /// Evaluates `vectors` through a sharded block simulation: each settle
 /// packs `sim.lanes()` stimuli (up to `lane_words * 64` per fused lane
 /// block) and the *whole sweep* — driving, evaluation, and the per-lane
-/// `check` calls — runs inside one thread scope via
+/// `check` calls — runs inside one pool job via
 /// [`ShardedSim::par_shards`], so both the settles and the golden-model
-/// comparisons parallelise and thread-spawn cost is paid once per sweep,
-/// not once per settle. Physical shard `s` owns the lane range
+/// comparisons parallelise and the job submission is paid once per
+/// sweep, not once per settle. Physical shard `s` owns the lane range
 /// `[s * lanes_per_shard, s * lanes_per_shard + s.lanes())` of every
 /// chunk and stops at its first failing vector; the smallest global index
 /// across shards wins, so the returned error is exactly the one a
@@ -293,7 +293,7 @@ pub fn formal_verify(block: &InstrBlock, samples: usize, seed: u64) -> Result<()
 
 /// [`formal_verify`] under an explicit shard policy: each settle packs
 /// `policy.total_lanes()` random vectors and the shards evaluate on
-/// `policy.threads` scoped threads. The stimulus sequence depends only on
+/// `policy.threads` pool threads. The stimulus sequence depends only on
 /// `seed`, so for a fixed policy shape the verdict is deterministic and
 /// independent of the thread count.
 ///
@@ -423,7 +423,6 @@ pub fn formal_verify_arc(
 mod tests {
     use super::*;
     use crate::blocks::build_block;
-    use netlist::sharded::ShardSchedule;
 
     fn block(m: Mnemonic) -> InstrBlock {
         InstrBlock {
@@ -496,38 +495,30 @@ mod tests {
 
     #[test]
     fn verification_is_schedule_pool_and_par_level_independent() {
-        // The scheduler (work-stealing vs deprecated static), the
-        // persistent worker pool vs its scoped-thread fallback, and the
-        // intra-shard parallel level evaluation are pure performance
-        // knobs: verdicts and first failing vectors cannot move.
-        #[allow(deprecated)] // pins the deprecated scheduler as reference
-        let schedules = [ShardSchedule::WorkStealing, ShardSchedule::Static];
-        for schedule in schedules {
-            for (par_levels, use_pool) in [(1, true), (1, false), (2, true)] {
-                let policy = ShardPolicy {
-                    shards: 3,
-                    lanes_per_shard: 64,
-                    threads: 2,
-                    schedule,
-                    par_levels,
-                    use_pool,
-                    ..ShardPolicy::single()
-                };
-                functional_verify_with(&block(Mnemonic::Xor), policy)
-                    .unwrap_or_else(|e| panic!("{schedule:?}/{par_levels}: {e}"));
-                formal_verify_with(&block(Mnemonic::Sw), 192, 0xf00d, policy)
-                    .unwrap_or_else(|e| panic!("{schedule:?}/{par_levels}: {e}"));
-                let wrong = InstrBlock {
-                    mnemonic: Mnemonic::Add,
-                    netlist: build_block(Mnemonic::Sub),
-                };
-                assert_eq!(
-                    functional_verify_with(&wrong, policy).unwrap_err(),
-                    functional_verify(&wrong).unwrap_err(),
-                    "{schedule:?}/{par_levels}/pool={use_pool} moved the \
-                     first failing vector"
-                );
-            }
+        // The shard-thread count — sequential on the caller, or claimed
+        // off the pool's shared counter in whatever order the threads
+        // race — is a pure performance knob: verdicts and first failing
+        // vectors cannot move.
+        for threads in [1, 2, 3] {
+            let policy = ShardPolicy {
+                shards: 3,
+                lanes_per_shard: 64,
+                threads,
+                ..ShardPolicy::single()
+            };
+            functional_verify_with(&block(Mnemonic::Xor), policy)
+                .unwrap_or_else(|e| panic!("x{threads}: {e}"));
+            formal_verify_with(&block(Mnemonic::Sw), 192, 0xf00d, policy)
+                .unwrap_or_else(|e| panic!("x{threads}: {e}"));
+            let wrong = InstrBlock {
+                mnemonic: Mnemonic::Add,
+                netlist: build_block(Mnemonic::Sub),
+            };
+            assert_eq!(
+                functional_verify_with(&wrong, policy).unwrap_err(),
+                functional_verify(&wrong).unwrap_err(),
+                "x{threads} moved the first failing vector"
+            );
         }
     }
 

@@ -35,50 +35,20 @@
 //! dense stimuli never pay the gating overhead; see `docs/simulation.md`
 //! § "Event-driven evaluation".
 //!
-//! `Auto` is also tiered: a sequential simulator of at most 64 lanes
-//! (one-word lane blocks) that has run [`AUTO_NATIVE_AFTER_SETTLES`]
-//! settles moves to full sweeps through natively emitted code
-//! ([`crate::jit`]), which beat the gated interpreter at that width once
-//! the emission is repaid. Results do not change.
+//! `Auto` is also tiered: a simulator of at most 64 lanes (one-word
+//! lane blocks) that has run [`AUTO_NATIVE_AFTER_SETTLES`] settles moves
+//! to full sweeps through natively emitted code ([`crate::jit`]), which
+//! beat the gated interpreter at that width once the emission is repaid.
+//! Results do not change.
 //!
-//! # Parallel level evaluation
-//!
-//! [`EvalPolicy`] adds a third, intra-netlist parallel axis on top of the
-//! 64 stimulus lanes and the shard threads: with
-//! [`CompiledSim::par_levels`]`(n)` each sufficiently wide level's op
-//! range is split into contiguous chunks evaluated by `n` worker threads,
-//! with barrier edges ordering cross-thread reads. Every op writes a
-//! distinct destination net, so the per-chunk value/toggle/change-stamp
-//! writes are disjoint and the post-barrier merge is exact by
-//! construction — values **and** per-net toggle counts stay bit-identical
-//! to the sequential sweep in every [`EvalMode`] (clean chunks skip
-//! per-thread in the event-driven path, and the dense-fallback heuristic
-//! aggregates ops-executed across threads). See `docs/simulation.md`
-//! § "Parallel level evaluation".
-//!
-//! Parallel settles run on the process-wide persistent
-//! [`crate::pool::WorkerPool`] by default (acquired lazily by
-//! [`CompiledSim::set_eval_policy`], shared with every other simulator,
-//! released when the policy goes sequential or the simulator drops), so
-//! consecutive settles reuse hot parked workers instead of paying a
-//! `std::thread::scope` spawn each. Scoped threads remain as the fallback
-//! ([`EvalPolicy::use_pool`] `= false`, `GATE_SIM_POOL=0`, or a settle
-//! issued from inside another pool job) and produce bit-identical
-//! results.
+//! A settle always runs on the calling thread. Parallelism lives one
+//! level up, across independent simulators: [`crate::ShardedSim`] spreads
+//! its lane blocks over the shared [`crate::pool::WorkerPool`].
 
-use crate::level::{par_chunk, OpCode, Program};
-use crate::pool::{self, SpinBarrier, WorkerPool};
+use crate::level::{OpCode, Program};
 use crate::sim::{port_bit, EvalStats, SimBackend};
 use crate::{Gate, NetId, Netlist};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Stimulus lanes per value word (bits of one `u64`). Historically also
-/// the per-simulator lane ceiling, which K-word lane blocks removed.
-#[deprecated(note = "64 is the per-word lane count, not a ceiling any more: \
-            `CompiledSim` packs up to `MAX_TOTAL_LANES` lanes into K-word \
-            lane blocks (`LANES_PER_WORD * MAX_LANE_WORDS`)")]
-pub const MAX_LANES: usize = 64;
 
 /// Stimulus lanes per `u64` value word (bit `l % 64` of word `l / 64`).
 pub const LANES_PER_WORD: usize = 64;
@@ -134,8 +104,8 @@ pub enum EvalMode {
     /// dense-stimulus fallback: they skip unchanged levels, but when a
     /// settle executes nearly every level the next [`AUTO_DENSE_BACKOFF`]
     /// settles use plain full sweeps before probing the event-driven
-    /// path again. A sequential (`par_threads == 1`) simulator whose lane
-    /// block is one word (≤ 64 lanes) that has run
+    /// path again. A simulator whose lane block is one word (≤ 64 lanes)
+    /// that has run
     /// [`AUTO_NATIVE_AFTER_SETTLES`] settles since entering `Auto` then
     /// moves for good to native full sweeps ([`crate::jit`]) — the width
     /// where they beat the interpreter, after enough settles to repay the
@@ -153,9 +123,8 @@ pub enum EvalMode {
     /// codegen is available for this host, program, and lane width —
     /// otherwise interpreted full sweeps, bit-identically. Selected by
     /// default when `GATE_SIM_JIT=1`; `GATE_SIM_JIT=0` disables the
-    /// native path even under an explicit `Jit` mode. Sequential only:
-    /// an [`EvalPolicy`] with `threads > 1` takes precedence and runs
-    /// the interpreted parallel sweep (see `docs/jit.md`).
+    /// native path even under an explicit `Jit` mode (see
+    /// `docs/jit.md`).
     Jit,
 }
 
@@ -174,83 +143,6 @@ pub const AUTO_NATIVE_AFTER_SETTLES: u32 = 256;
 /// Dirty fraction (executed ops / scheduled ops) above which
 /// [`EvalMode::Auto`] falls back to full sweeps, as a numerator over 8.
 const AUTO_DENSE_THRESHOLD_EIGHTHS: usize = 7;
-
-/// Default minimum scheduled ops a level needs before [`EvalPolicy`]
-/// splits it across worker threads: below this the per-level barrier
-/// handshake dominates and the level runs whole on worker 0.
-pub const PAR_LEVEL_MIN_OPS: usize = 256;
-
-/// Intra-settle parallelism policy for [`CompiledSim::eval`]: how many
-/// scoped worker threads split each level's op range into contiguous
-/// chunks, and how wide a level must be to be worth splitting.
-///
-/// Purely a performance knob — settled values, FF state, and exact
-/// per-net toggle counts are bit-identical for every `threads` value in
-/// every [`EvalMode`] (the property tests in
-/// `crates/netlist/tests/properties.rs` enforce this; the mechanism is
-/// described in `docs/simulation.md` § "Parallel level evaluation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalPolicy {
-    /// Worker threads per settle (the calling thread is worker 0;
-    /// `1` means fully sequential evaluation with zero threading cost).
-    pub threads: usize,
-    /// Minimum scheduled ops a level needs before it is split; smaller
-    /// levels execute whole on worker 0 while the other workers wait at
-    /// the level barrier.
-    pub min_par_ops: usize,
-    /// Run parallel settles on the persistent shared
-    /// [`crate::pool::WorkerPool`] (the default) instead of spawning a
-    /// fresh `std::thread::scope` per settle. Purely a performance knob —
-    /// both paths are bit-identical — kept switchable so benches can
-    /// measure the pool against its scoped predecessor and as an escape
-    /// hatch (`GATE_SIM_POOL=0` forces it off globally).
-    pub use_pool: bool,
-}
-
-impl EvalPolicy {
-    /// Sequential evaluation on the calling thread (the default).
-    pub fn seq() -> EvalPolicy {
-        EvalPolicy {
-            threads: 1,
-            min_par_ops: PAR_LEVEL_MIN_OPS,
-            use_pool: true,
-        }
-    }
-
-    /// Splits each sufficiently wide level across `threads` workers on
-    /// the persistent shared worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels(threads: usize) -> EvalPolicy {
-        assert!(threads >= 1, "eval policy needs at least one thread");
-        EvalPolicy {
-            threads,
-            ..EvalPolicy::seq()
-        }
-    }
-
-    /// Like [`EvalPolicy::par_levels`] but on per-settle scoped threads —
-    /// the pre-pool execution model, kept reachable so benches and the
-    /// determinism property tests can pin the pool against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels_scoped(threads: usize) -> EvalPolicy {
-        EvalPolicy {
-            use_pool: false,
-            ..EvalPolicy::par_levels(threads)
-        }
-    }
-}
-
-impl Default for EvalPolicy {
-    fn default() -> EvalPolicy {
-        EvalPolicy::seq()
-    }
-}
 
 /// Compiled bit-parallel simulator for one netlist.
 ///
@@ -304,23 +196,6 @@ pub struct CompiledSim {
     /// Remaining full-sweep settles before [`EvalMode::Auto`] re-probes
     /// the event-driven path.
     dense_backoff: u32,
-    /// Intra-settle parallelism knob ([`CompiledSim::set_eval_policy`]).
-    policy: EvalPolicy,
-    /// `policy.threads` capped by how many useful chunks the widest level
-    /// can yield (spawning workers that could never receive a chunk is
-    /// pure cost); cached by `set_eval_policy` — a pure function of the
-    /// immutable program and the policy, so never computed per settle.
-    par_threads: usize,
-    /// Per-level split decisions under the current policy (`true` when a
-    /// full sweep chunks the level across workers, `false` when worker 0
-    /// runs it whole). Cached by `set_eval_policy` so the full-sweep
-    /// worker can elide barriers around runs of unsplit levels instead of
-    /// paying one per level; empty when `par_threads == 1`.
-    par_split: Arc<Vec<bool>>,
-    /// Handle on the persistent worker pool, held while the policy wants
-    /// pooled threads. Dropping the last handle process-wide joins the
-    /// pool's workers.
-    pool: Option<Arc<WorkerPool>>,
     /// Native code for this program at this lane width, held while the
     /// mode is [`EvalMode::Jit`] or a promoted [`EvalMode::Auto`] and
     /// codegen succeeded; `None` is the interpreter state
@@ -336,35 +211,22 @@ pub struct CompiledSim {
     stats: EvalStats,
 }
 
-/// Raw, `Sync` view of one simulator's per-net arrays, handed to the
-/// per-level worker chunks of a parallel settle.
+/// Raw view of one simulator's per-net arrays, handed to the op-range
+/// executors so their hot loops index without bounds checks.
 ///
 /// # Safety contract
 ///
-/// Sharing these pointers across worker threads is sound because of three
-/// structural facts, which every caller of the `exec_chunk_*` functions
-/// must preserve:
-///
-/// 1. **Disjoint writes.** Each scheduled op writes exactly one
-///    destination net (`values[dst]`, `toggles[dst]`, `stamp[dst]`), each
-///    net is computed by exactly one op, and the chunks handed to the
-///    workers partition a level's op range — so no two threads ever write
-///    the same index during one level.
-/// 2. **Reads see only earlier levels.** An op's operand nets live in
-///    strictly earlier levels (ASAP levelization), so within a level no
-///    chunk reads an index any chunk writes.
-/// 3. **Barrier edges order levels.** A `Barrier::wait` separates
-///    consecutive levels, so writes of level `l` happen-before reads of
-///    level `l + 1`.
+/// The pointers alias the simulator's own arrays and are used only while
+/// the simulator is exclusively borrowed (`&mut self`). Each scheduled op
+/// writes exactly one destination net (`values[dst]`, `toggles[dst]`,
+/// `stamp[dst]`) and reads only nets of strictly earlier levels (ASAP
+/// levelization), and [`Program::compile`] guarantees every index is in
+/// bounds of arrays sized by [`Program::net_count`].
 struct NetArrays {
     values: *mut u64,
     toggles: *mut u64,
     stamp: *mut u32,
 }
-
-// SAFETY: see the struct-level contract — all concurrent access through
-// these pointers is index-disjoint or ordered by a barrier edge.
-unsafe impl Sync for NetArrays {}
 
 /// Expands to a `match` on the runtime lane-block word count that calls
 /// `$body::<K>($args...)` with the matching const generic. Every legal
@@ -394,9 +256,8 @@ macro_rules! dispatch_lane_words {
 ///
 /// # Safety
 ///
-/// `range` must lie within the op stream, and the caller must uphold the
-/// [`NetArrays`] contract: no other thread may concurrently touch any net
-/// index this chunk writes, and all operand nets must already hold their
+/// `range` must lie within the op stream, the caller must uphold the
+/// [`NetArrays`] contract, and all operand nets must already hold their
 /// settled values for this settle.
 unsafe fn exec_chunk_full(
     prog: &Program,
@@ -603,7 +464,7 @@ unsafe fn exec_chunk_level0_impl<const K: usize>(
 ///
 /// Same contract as [`exec_chunk_full`]; additionally every operand net's
 /// change stamp for this settle must already be final (they are — operand
-/// nets live in earlier levels, sealed by the level barrier).
+/// nets live in earlier levels, which executed first).
 unsafe fn exec_chunk_gated(
     prog: &Program,
     arrays: &NetArrays,
@@ -767,14 +628,13 @@ impl CompiledSim {
     /// A fresh simulator (reset state, zero counters) over the same
     /// compiled program and netlist, with a possibly different lane
     /// count. No recompilation: both [`Arc`]s are shared. The eval mode
-    /// and policy are copied over. `ShardedSim` uses this to shape a
+    /// is copied over. `ShardedSim` uses this to shape a
     /// partial trailing lane block without paying a second levelization.
     pub(crate) fn reshaped(&self, lanes: usize) -> CompiledSim {
         let mut sim =
             CompiledSim::from_parts(Arc::clone(&self.netlist), Arc::clone(&self.prog), lanes);
         sim.jit_options = self.jit_options.clone();
         sim.set_eval_mode(self.mode);
-        sim.set_eval_policy(self.policy);
         sim
     }
 
@@ -820,10 +680,6 @@ impl CompiledSim {
             changed_stamp: vec![0u32; prog.net_count],
             settle_id: 0,
             dense_backoff: 0,
-            policy: EvalPolicy::seq(),
-            par_threads: 1,
-            par_split: Arc::new(Vec::new()),
-            pool: None,
             jit: None,
             auto_settles: 0,
             jit_options: crate::jit::JitOptions::default(),
@@ -915,69 +771,6 @@ impl CompiledSim {
     #[cfg(test)]
     pub(crate) fn native_code(&self) -> Option<&Arc<crate::jit::JitProgram>> {
         self.jit.as_ref()
-    }
-
-    /// The intra-settle parallelism policy ([`EvalPolicy`]).
-    pub fn eval_policy(&self) -> EvalPolicy {
-        self.policy
-    }
-
-    /// Selects the intra-settle parallelism policy. Purely a performance
-    /// knob: values and exact per-net toggle counts are bit-identical for
-    /// every thread count in every [`EvalMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.threads == 0`.
-    pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        assert!(policy.threads >= 1, "eval policy needs at least one thread");
-        self.policy = policy;
-        // The capped worker count is a pure function of the (immutable)
-        // program and the policy: compute it once here, not per settle.
-        self.par_threads = if policy.threads <= 1 {
-            1
-        } else {
-            let useful = self
-                .prog
-                .max_level_ops()
-                .div_ceil(policy.min_par_ops.max(1));
-            policy.threads.min(useful.max(1))
-        };
-        // So are the per-level split decisions the full-sweep worker uses
-        // to place its barrier edges.
-        self.par_split = if self.par_threads > 1 {
-            let min_ops = policy.min_par_ops.max(1);
-            Arc::new(
-                (0..self.prog.levels())
-                    .map(|l| self.prog.level_ops(l).len() >= min_ops)
-                    .collect(),
-            )
-        } else {
-            Arc::new(Vec::new())
-        };
-        // Hold the shared pool for as long as the policy wants pooled
-        // workers; releasing the last handle process-wide joins them.
-        self.pool = if self.par_threads > 1 && policy.use_pool && pool::env_pool_enabled() {
-            Some(WorkerPool::shared(self.par_threads - 1))
-        } else {
-            None
-        };
-    }
-
-    /// Convenience for [`CompiledSim::set_eval_policy`]: split each
-    /// sufficiently wide level across `threads` scoped worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels(&mut self, threads: usize) {
-        self.set_eval_policy(EvalPolicy::par_levels(threads));
-    }
-
-    /// Worker threads a settle will actually use (cached by
-    /// [`CompiledSim::set_eval_policy`]).
-    fn par_threads(&self) -> usize {
-        self.par_threads
     }
 
     /// Work counters for this simulator's settles (diagnostic only).
@@ -1183,12 +976,10 @@ impl CompiledSim {
         // A fresh stamp per settle: "changed this settle" comparisons never
         // need an O(nets) clear.
         self.settle_id = self.settle_id.wrapping_add(1);
-        let threads = self.par_threads();
-        match (event, threads > 1) {
-            (true, true) => self.eval_event_par(threads),
-            (true, false) => self.eval_event(),
-            (false, true) => self.eval_full_par(threads),
-            (false, false) => self.eval_full(),
+        if event {
+            self.eval_event();
+        } else {
+            self.eval_full();
         }
         self.stats.settles += 1;
         if self.mode == EvalMode::Auto && self.jit.is_none() {
@@ -1207,23 +998,20 @@ impl CompiledSim {
     }
 
     /// [`EvalMode::Auto`]'s tiering: counts interpreted settles and, once
-    /// [`AUTO_NATIVE_AFTER_SETTLES`] have run on a sequential one-word
-    /// simulator, acquires native code — a single attempt; a refusal
+    /// [`AUTO_NATIVE_AFTER_SETTLES`] have run on a one-word simulator,
+    /// acquires native code — a single attempt; a refusal
     /// leaves the simulator interpreting for good.
     fn count_towards_promotion(&mut self) {
         if self.auto_settles < AUTO_NATIVE_AFTER_SETTLES {
             self.auto_settles += 1;
         }
-        if self.auto_settles == AUTO_NATIVE_AFTER_SETTLES
-            && self.par_threads == 1
-            && self.lane_words == 1
-        {
+        if self.auto_settles == AUTO_NATIVE_AFTER_SETTLES && self.lane_words == 1 {
             self.auto_settles += 1;
             self.jit = self.acquire_jit();
         }
     }
 
-    /// The raw array view the chunk executors operate on. The returned
+    /// The raw array view the op-range executors operate on. The returned
     /// pointers alias `self`'s arrays; see [`NetArrays`] for the rules.
     fn net_arrays(&mut self) -> NetArrays {
         NetArrays {
@@ -1354,252 +1142,13 @@ impl CompiledSim {
     }
 
     /// Applies [`EvalMode::Auto`]'s dense-stimulus fallback decision for a
-    /// settle that executed `ops_run` ops (aggregated across all worker
-    /// threads in a parallel settle, so the heuristic sees the same number
-    /// the sequential evaluator would).
+    /// settle that executed `ops_run` ops.
     fn auto_dense_check(&mut self, ops_run: u64) {
         if self.mode == EvalMode::Auto
             && ops_run * 8 > self.prog.len() as u64 * AUTO_DENSE_THRESHOLD_EIGHTHS as u64
         {
             self.dense_backoff = AUTO_DENSE_BACKOFF;
         }
-    }
-
-    /// Parallel full sweep: every level wide enough to split
-    /// (`par_split`, cached by [`CompiledSim::set_eval_policy`]) is
-    /// chunked contiguously across `threads` workers; narrower levels run
-    /// whole on worker 0. Barrier edges are placed only where values
-    /// actually cross threads — before a split level whenever anything
-    /// was written since the last edge, and before worker 0 reads chunk
-    /// results — so a schedule dominated by narrow levels pays a handful
-    /// of barriers per settle instead of one per level. Bit-identical to
-    /// [`CompiledSim::eval_full`]: chunks partition the same op stream
-    /// and every op writes its own destination net.
-    fn eval_full_par(&mut self, threads: usize) {
-        let arrays = self.net_arrays();
-        let prog = &*self.prog;
-        let (inputs, ffs) = (&self.input_values[..], &self.ff_state[..]);
-        let masks = &self.lane_masks[..];
-        let split = Arc::clone(&self.par_split);
-        let worker = move |tid: usize, barrier: &SpinBarrier| {
-            // The barrier bookkeeping is a pure function of the (shared)
-            // split table, so every worker schedules the same edges.
-            let mut pending_seq = false; // unsplit writes since last edge
-            let mut pending_chunks = false; // chunk writes since last edge
-            for level in 0..prog.levels() {
-                let range = prog.level_ops(level);
-                if range.is_empty() {
-                    continue; // constants-only level: nothing scheduled
-                }
-                if split[level] {
-                    if pending_seq || pending_chunks {
-                        barrier.wait(threads); // seal writes chunks will read
-                        pending_seq = false;
-                    }
-                    let chunk = par_chunk(range, tid, threads, 1);
-                    if !chunk.is_empty() {
-                        // SAFETY: chunks partition the level (disjoint dst
-                        // writes), operands live in earlier levels, and
-                        // the barrier edges order cross-thread access.
-                        unsafe { exec_chunk_full(prog, &arrays, inputs, ffs, masks, chunk) };
-                    }
-                    pending_chunks = true;
-                } else {
-                    if pending_chunks {
-                        barrier.wait(threads); // seal chunks worker 0 reads
-                        pending_chunks = false;
-                    }
-                    if tid == 0 {
-                        // SAFETY: only worker 0 touches unsplit levels,
-                        // and the edge above sealed any chunk operands.
-                        unsafe { exec_chunk_full(prog, &arrays, inputs, ffs, masks, range) };
-                    }
-                    pending_seq = true;
-                }
-            }
-            // Trailing writes are sealed by the job completion latch (or
-            // the scope join): the caller reads only after every worker
-            // has finished, so no closing barrier is needed.
-        };
-        pool::dispatch(self.pool.as_deref(), threads, worker);
-        self.stats.full_sweeps += 1;
-        self.stats.ops_executed += self.prog.len() as u64;
-    }
-
-    /// Parallel event-driven settle. Same two exact skipping tiers as
-    /// [`CompiledSim::eval_event`], composed with the per-level chunk
-    /// parallelism of [`CompiledSim::eval_full_par`] — but with worker 0
-    /// as the *sole* owner of the dirt-source bitset and of every skip
-    /// decision, so the narrow levels that dominate sparse schedules run
-    /// barrier-free:
-    ///
-    /// * Unsplit levels (`par_split[level]` false: fewer scheduled ops
-    ///   than `min_par_ops`) are executed whole by worker 0 with no
-    ///   synchronisation at all, exactly like the sequential gated sweep.
-    ///   The other workers never even look at them.
-    /// * A split level costs one *decision* barrier: worker 0 publishes
-    ///   whether the level is dirty into that level's `go` slot (only it
-    ///   can know), and the barrier doubles as the seal for every value
-    ///   and stamp written since the previous edge. A dirty split level
-    ///   adds one *execute* barrier after the chunks run; worker 0 then
-    ///   folds the per-thread `(ops executed, changed)` slots into its
-    ///   dirt set. The slots are not rewritten until after the *next*
-    ///   decision barrier — which worker 0 enters only after reading them
-    ///   — so no merge barrier is needed. (`go` is per level, not one
-    ///   reused flag: a worker that sees "skip" continues without further
-    ///   synchronisation, so worker 0 may publish a *later* level's
-    ///   decision before a slow worker has read the earlier one.)
-    /// * Gating depends only on sealed stamps and worker 0 replays the
-    ///   sequential decision stream exactly, so [`EvalStats`] and the
-    ///   [`EvalMode::Auto`] dense fallback are thread-count independent.
-    fn eval_event_par(&mut self, threads: usize) {
-        let arrays = self.net_arrays();
-        let prog = &*self.prog;
-        let (inputs, ffs) = (&self.input_values[..], &self.ff_state[..]);
-        let masks = &self.lane_masks[..];
-        let cur = self.settle_id;
-        let min_ops = self.policy.min_par_ops;
-        let (inputs_dirty, ffs_dirty) = (self.inputs_dirty, self.ffs_dirty);
-        let levels = prog.levels();
-        let stride = prog.dep_stride;
-        let split = Arc::clone(&self.par_split);
-        // Per-thread result slots for the split level being executed. Each
-        // worker stores its own slot *before* the execute barrier; worker
-        // 0 reads them after it; the next store happens only after a later
-        // decision barrier — so stores and loads are never concurrent.
-        let execd: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let flag_a: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-        let flag_b: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-        // Worker 0's published skip decision, one slot per split level.
-        let go: Vec<AtomicBool> = (0..levels).map(|_| AtomicBool::new(false)).collect();
-        let run = |tid: usize, barrier: &SpinBarrier| -> (u64, u64) {
-            // The dirt-source set lives on worker 0 alone; other workers
-            // never make (or need) a skip decision of their own.
-            let mut changed_levels = vec![0u64; stride];
-            let mut ops_run = 0u64;
-            let mut skipped = 0u64;
-            for level in 0..levels {
-                let range = prog.level_ops(level);
-                if range.is_empty() {
-                    continue;
-                }
-                if level == 0 {
-                    // Level 0's skip decision reads pre-captured dirt
-                    // flags, so every worker can make it locally.
-                    if !inputs_dirty && !ffs_dirty {
-                        skipped += 1;
-                        continue;
-                    }
-                    ops_run += range.len() as u64;
-                    if split[0] {
-                        let chunk = par_chunk(range, tid, threads, min_ops);
-                        let (in_c, ff_c) = if chunk.is_empty() {
-                            (false, false)
-                        } else {
-                            // SAFETY: chunks partition level 0; see NetArrays.
-                            unsafe {
-                                exec_chunk_level0(prog, &arrays, inputs, ffs, masks, cur, chunk)
-                            }
-                        };
-                        flag_a[tid].store(in_c, Relaxed);
-                        flag_b[tid].store(ff_c, Relaxed);
-                        barrier.wait(threads); // execute done: slots + stamps sealed
-                        if tid == 0 {
-                            for (bit, flags) in [(levels, &flag_a), (levels + 1, &flag_b)] {
-                                if flags.iter().any(|f| f.load(Relaxed)) {
-                                    changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                                }
-                            }
-                        }
-                    } else if tid == 0 {
-                        // SAFETY: worker 0 alone runs unsplit levels.
-                        let (in_c, ff_c) = unsafe {
-                            exec_chunk_level0(prog, &arrays, inputs, ffs, masks, cur, range)
-                        };
-                        for (bit, c) in [(levels, in_c), (levels + 1, ff_c)] {
-                            if c {
-                                changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                if split[level] {
-                    if tid == 0 {
-                        let dirty = prog
-                            .level_dep_set(level)
-                            .iter()
-                            .zip(changed_levels.iter())
-                            .any(|(d, c)| d & c != 0);
-                        go[level].store(dirty, Relaxed);
-                    }
-                    // Decision barrier: publishes `go[level]` and seals
-                    // every value and stamp written since the last edge.
-                    barrier.wait(threads);
-                    if !go[level].load(Relaxed) {
-                        skipped += 1;
-                        continue;
-                    }
-                    let chunk = par_chunk(range, tid, threads, min_ops);
-                    let (executed, changed) = if chunk.is_empty() {
-                        (0, false)
-                    } else {
-                        // SAFETY: chunks partition the level; operand
-                        // values and stamps were sealed by the decision
-                        // barrier.
-                        unsafe { exec_chunk_gated(prog, &arrays, masks, cur, chunk) }
-                    };
-                    execd[tid].store(executed, Relaxed);
-                    flag_a[tid].store(changed, Relaxed);
-                    barrier.wait(threads); // execute done
-                    if tid == 0 {
-                        let mut any = false;
-                        for t in 0..threads {
-                            ops_run += execd[t].load(Relaxed);
-                            any |= flag_a[t].load(Relaxed);
-                        }
-                        if any {
-                            changed_levels[level / 64] |= 1u64 << (level % 64);
-                        }
-                    }
-                } else if tid == 0 {
-                    let dirty = prog
-                        .level_dep_set(level)
-                        .iter()
-                        .zip(changed_levels.iter())
-                        .any(|(d, c)| d & c != 0);
-                    if !dirty {
-                        skipped += 1;
-                        continue;
-                    }
-                    // SAFETY: worker 0 alone runs unsplit levels; chunk
-                    // writes from earlier split levels were sealed by
-                    // their execute barriers.
-                    let (executed, changed) =
-                        unsafe { exec_chunk_gated(prog, &arrays, masks, cur, range) };
-                    ops_run += executed;
-                    if changed {
-                        changed_levels[level / 64] |= 1u64 << (level % 64);
-                    }
-                }
-            }
-            (ops_run, skipped)
-        };
-        // Only worker 0 owns the dirt set and the slot folds, so only its
-        // (ops_run, skipped) pair is meaningful — and it equals the
-        // sequential gated sweep's totals exactly.
-        let (out_ops, out_skipped) = (AtomicU64::new(0), AtomicU64::new(0));
-        pool::dispatch(self.pool.as_deref(), threads, |tid, barrier| {
-            let (ops_run, skipped) = run(tid, barrier);
-            if tid == 0 {
-                out_ops.store(ops_run, Relaxed);
-                out_skipped.store(skipped, Relaxed);
-            }
-        });
-        let (ops_run, skipped) = (out_ops.load(Relaxed), out_skipped.load(Relaxed));
-        self.stats.ops_executed += ops_run;
-        self.stats.levels_skipped += skipped;
-        self.auto_dense_check(ops_run);
     }
 
     /// Clock edge: latches every DFF's `d` lane block into its state.
@@ -1848,10 +1397,6 @@ impl SimBackend for CompiledSim {
     fn eval_stats(&self) -> EvalStats {
         CompiledSim::eval_stats(self)
     }
-
-    fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        CompiledSim::set_eval_policy(self, policy);
-    }
 }
 
 #[cfg(test)]
@@ -1945,8 +1490,8 @@ mod tests {
     fn wide_block_matches_chunked_64_lane_runs() {
         // A 256-lane sequential run must be bit-identical — values and
         // exact per-net toggle counts — to the same stimuli run as four
-        // chunked 64-lane sims. (The property tests sweep this across the
-        // full mode x threads x pool matrix; this is the fast pin.)
+        // chunked 64-lane sims. (The property tests sweep this across
+        // every eval mode; this is the fast pin.)
         let nl = {
             let mut b = Builder::new();
             let ffs: Vec<NetId> = (0..6).map(|_| b.dff(false)).collect();
@@ -2227,9 +1772,9 @@ mod tests {
         }
     }
 
-    /// A mixed sequential/combinational circuit wide enough that several
-    /// levels hold multiple ops, so par-level chunking genuinely splits.
-    fn par_test_circuit() -> Netlist {
+    /// A mixed sequential/combinational circuit whose levels hold
+    /// several ops each, with a quiescent-capable adder cone.
+    fn mixed_test_circuit() -> Netlist {
         let mut b = Builder::new();
         let ffs: Vec<NetId> = (0..6).map(|i| b.dff(i % 2 == 0)).collect();
         let one = crate::bus::constant(&mut b, 1, 6);
@@ -2271,7 +1816,7 @@ mod tests {
     /// lane widths.
     #[test]
     fn jit_mode_matches_full_sweep_bit_identically() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         for lanes in [1usize, 2, 64, 100, 256] {
             let mut full = CompiledSim::with_lanes(&nl, lanes);
             full.set_eval_mode(EvalMode::FullSweep);
@@ -2294,7 +1839,7 @@ mod tests {
     /// Forcing the portable (non-BMI1) encodings must not change a bit.
     #[test]
     fn jit_without_bmi1_matches() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         let mut full = CompiledSim::with_lanes(&nl, 64);
         full.set_eval_mode(EvalMode::FullSweep);
         let reference = run_schedule(full);
@@ -2314,7 +1859,7 @@ mod tests {
     /// the interpreter — same results, `jit_active()` reporting false.
     #[test]
     fn jit_code_cap_falls_back_to_interpreter() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         let mut full = CompiledSim::with_lanes(&nl, 64);
         full.set_eval_mode(EvalMode::FullSweep);
         let reference = run_schedule(full);
@@ -2358,7 +1903,7 @@ mod tests {
 
     #[test]
     fn auto_promotes_one_word_sims_after_the_threshold() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         for lanes in [1usize, 25, 64] {
             let mut sim = auto_sim(&nl, lanes);
             settle_n(&mut sim, AUTO_NATIVE_AFTER_SETTLES - 1);
@@ -2376,26 +1921,21 @@ mod tests {
 
     #[test]
     fn auto_never_promotes_wide_or_parallel_sims() {
-        let nl = par_test_circuit();
-        let wide = auto_sim(&nl, 65);
-        let mut parallel = auto_sim(&nl, 64);
-        parallel.set_eval_policy(EvalPolicy {
-            threads: 2,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
-        assert_eq!(parallel.par_threads(), 2);
-        for mut sim in [wide, parallel] {
+        // Multi-word lane blocks stay on the interpreter, which beats
+        // native code there: lane width is the only promotion gate.
+        let nl = mixed_test_circuit();
+        for lanes in [65usize, 256] {
+            let mut sim = auto_sim(&nl, lanes);
             settle_n(&mut sim, 2 * AUTO_NATIVE_AFTER_SETTLES);
-            assert!(!sim.jit_active());
-            assert_eq!(sim.eval_stats().native_sweeps, 0);
+            assert!(!sim.jit_active(), "{lanes} lanes");
+            assert_eq!(sim.eval_stats().native_sweeps, 0, "{lanes} lanes");
         }
     }
 
     /// A refusal is visible: settles past the threshold, no native ones.
     #[test]
     fn auto_refused_promotion_keeps_interpreting() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         let mut sim = auto_sim(&nl, 1);
         sim.set_jit_options(crate::jit::JitOptions {
             enabled: false,
@@ -2415,7 +1955,7 @@ mod tests {
 
     #[test]
     fn set_eval_mode_restarts_the_promotion_count() {
-        let nl = par_test_circuit();
+        let nl = mixed_test_circuit();
         let mut sim = auto_sim(&nl, 1);
         settle_n(&mut sim, AUTO_NATIVE_AFTER_SETTLES - 10);
         sim.set_eval_mode(EvalMode::Auto);
@@ -2432,10 +1972,13 @@ mod tests {
         if !codegen_available() {
             return;
         }
-        let nl = Arc::new(par_test_circuit());
-        let mut a = CompiledSim::new_arc(Arc::clone(&nl));
+        let nl = Arc::new(mixed_test_circuit());
+        // A private program, not the process-wide cache's: concurrently
+        // running tests over the same circuit would otherwise share (and
+        // keep alive) its emission.
+        let prog = Arc::new(Program::compile(&nl));
+        let mut a = CompiledSim::from_parts(Arc::clone(&nl), Arc::clone(&prog), 1);
         a.set_eval_mode(EvalMode::Jit);
-        let prog = Arc::clone(&a.prog);
         let weak = Arc::downgrade(a.native_code().expect("codegen available"));
         let mut b = CompiledSim::from_parts(Arc::clone(&nl), Arc::clone(&prog), 1);
         b.set_eval_mode(EvalMode::Auto);
@@ -2450,108 +1993,6 @@ mod tests {
         let mut c = CompiledSim::from_parts(nl, prog, 1);
         c.set_eval_mode(EvalMode::Jit);
         assert!(c.jit_active(), "the program emits fresh code");
-    }
-
-    #[test]
-    fn parallel_levels_are_bit_identical_in_every_mode() {
-        let nl = par_test_circuit();
-        for mode in [
-            EvalMode::FullSweep,
-            EvalMode::EventDriven,
-            EvalMode::Auto,
-            EvalMode::Jit,
-        ] {
-            let mut seq = CompiledSim::with_lanes(&nl, 64);
-            seq.set_eval_mode(mode);
-            let reference = run_schedule(seq);
-            for threads in [2usize, 3, 4] {
-                let mut par = CompiledSim::with_lanes(&nl, 64);
-                par.set_eval_mode(mode);
-                // min_par_ops: 1 forces real chunk splits on this small
-                // netlist (the default threshold would run it sequentially).
-                par.set_eval_policy(EvalPolicy {
-                    threads,
-                    min_par_ops: 1,
-                    ..EvalPolicy::seq()
-                });
-                let parallel = run_schedule(par);
-                assert_eq!(parallel.0, reference.0, "outputs {mode:?} x{threads}");
-                assert_eq!(parallel.1, reference.1, "toggles {mode:?} x{threads}");
-                // EvalStats coherence: the aggregated per-thread work
-                // counters equal the sequential evaluator's exactly (the
-                // parallel sweep is always interpreted, whatever the mode).
-                assert_eq!(parallel.2, reference.2.work(), "stats {mode:?} x{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_auto_dense_fallback_aggregates_across_threads() {
-        // Adder-only circuit (no quiescent FF cone): fresh per-lane values
-        // every settle keep nearly every op dirty, as in
-        // `auto_mode_falls_back_to_full_sweeps_on_dense_stimulus`.
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 8);
-        let y = b.input_bus("y", 8);
-        let (sum, _) = crate::bus::add(&mut b, &x, &y);
-        b.output_bus("sum", &sum);
-        let nl = b.finish();
-        let run_dense = |threads: usize| {
-            let mut sim = CompiledSim::with_lanes(&nl, 64);
-            if threads > 1 {
-                sim.set_eval_policy(EvalPolicy {
-                    threads,
-                    min_par_ops: 1,
-                    ..EvalPolicy::seq()
-                });
-            }
-            for i in 0..8u64 {
-                for lane in 0..64 {
-                    sim.set_bus_lane("x", lane, i * 67 + lane as u64);
-                    sim.set_bus_lane("y", lane, i * 31 + lane as u64 * 3);
-                }
-                sim.eval();
-                sim.step();
-            }
-            sim.eval_stats()
-        };
-        let seq = run_dense(1);
-        assert!(
-            seq.full_sweeps >= 7,
-            "dense stimulus must fall back: {seq:?}"
-        );
-        for threads in [2, 4] {
-            assert_eq!(
-                run_dense(threads).work(),
-                seq.work(),
-                "the dense-fallback decision must aggregate ops across threads"
-            );
-        }
-    }
-
-    #[test]
-    fn par_threads_cap_spawns_no_useless_workers() {
-        let mut b = Builder::new();
-        let x = b.input("x");
-        let nx = b.not(x);
-        b.output("y", nx);
-        let nl = b.finish();
-        let mut sim = CompiledSim::new(&nl);
-        // 64 requested threads on a 2-op netlist: the widest level bounds
-        // the useful worker count, so the settle runs sequentially.
-        sim.par_levels(64);
-        assert_eq!(sim.par_threads(), 1);
-        sim.set_bus("x", 1);
-        sim.eval();
-        assert_eq!(sim.get_bus("y"), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_thread_eval_policy_rejected() {
-        let nl = par_test_circuit();
-        let mut sim = CompiledSim::new(&nl);
-        sim.par_levels(0);
     }
 
     #[test]

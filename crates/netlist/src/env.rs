@@ -5,24 +5,22 @@
 //! malformed value panics — a typo'd CI matrix or shell export must
 //! never silently test the wrong configuration. (The empty string
 //! counts as unset because CI matrix legs that omit a key would
-//! otherwise export `FOO=""` and panic.) The five knobs:
+//! otherwise export `FOO=""` and panic.) The knobs:
 //!
 //! | variable | values | default | consumers |
 //! | --- | --- | --- | --- |
 //! | `GATE_SIM_THREADS` | positive integer | auto | [`crate::ShardPolicy::auto`], CI property sweeps, [`crate::pool::WorkerPool::shared`] seeding |
 //! | `GATE_SIM_LANE_WORDS` | `1..=`[`MAX_LANE_WORDS`] | 4 | [`crate::ShardPolicy`] lane-block fusion width |
-//! | `GATE_SIM_POOL` | `0/1/true/false/on/off` | on | pool acquisition ([`crate::pool`]); off forces scoped-thread fallbacks |
 //! | `GATE_SIM_PROGRAM_CACHE` | `0/1/true/false/on/off` | on | the process-wide [`crate::cache::ProgramCache`]; off recompiles every construction |
-//! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: unset lets [`crate::EvalMode::Auto`] promote sequential ≤64-lane simulators to native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles; `1` makes [`crate::EvalMode::Jit`] the default eval mode (native from the first settle, every width); `0` disables codegen entirely (no promotion; explicit `Jit` falls back to the interpreter) |
+//! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: unset lets [`crate::EvalMode::Auto`] promote ≤64-lane simulators to native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles; `1` makes [`crate::EvalMode::Jit`] the default eval mode (native from the first settle, every width); `0` disables codegen entirely (no promotion; explicit `Jit` falls back to the interpreter) |
 //! | `GATE_SIM_FAILPOINTS` | `<seed>:<site>=<rule>[@<arg>],...` | unset | [`crate::failpoints`] chaos schedules (parsed there, not here) — **only with the `failpoints` cargo feature**; in default builds the variable is ignored and the sites compile to nothing |
 //!
 //! The same table, with prose semantics, lives in the README's
 //! "Environment knobs" section — keep the two in sync.
 //!
 //! The historical entry points (`netlist::env_threads`,
-//! `netlist::env_lane_words`, `netlist::pool::env_pool_enabled`) remain
-//! as re-exports, so existing callers and the CI matrix scripts keep
-//! working unchanged.
+//! `netlist::env_lane_words`) remain as re-exports, so existing callers
+//! and the CI matrix scripts keep working unchanged.
 
 use crate::compiled::MAX_LANE_WORDS;
 
@@ -60,19 +58,6 @@ pub fn lane_words() -> Option<usize> {
     }
 }
 
-/// Whether simulators may acquire the shared worker pool, from the
-/// `GATE_SIM_POOL` environment variable. Unset or `1`/`true`/`on` means
-/// enabled; `0`/`false`/`off` disables the pool and forces the
-/// scoped-thread fallbacks (useful for A/B benches and as an escape
-/// hatch).
-///
-/// # Panics
-///
-/// Panics if the variable is set to anything else.
-pub fn pool_enabled() -> bool {
-    switch("GATE_SIM_POOL")
-}
-
 /// Whether `CompiledSim` construction may consult the process-wide
 /// [`crate::cache::ProgramCache`], from the `GATE_SIM_PROGRAM_CACHE`
 /// environment variable. Unset or `1`/`true`/`on` means enabled;
@@ -91,7 +76,7 @@ pub fn program_cache_enabled() -> bool {
 /// emission:
 ///
 /// * unset (`None`) — the default [`crate::EvalMode`] stays `Auto`,
-///   which promotes sequential one-word (≤ 64-lane) simulators to
+///   which promotes one-word (≤ 64-lane) simulators to
 ///   native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles;
 ///   callers select codegen from the first settle with
 ///   [`crate::CompiledSim::set_eval_mode`]`(EvalMode::Jit)`.

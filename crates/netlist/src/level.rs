@@ -6,10 +6,9 @@
 //! [`Program::compile`] then lowers the netlist to a dense, branch-friendly
 //! opcode stream in structure-of-arrays layout: one opcode byte plus up to
 //! three operand net indices per op. The stream is what
-//! [`crate::compiled::CompiledSim`] executes 64 stimulus lanes at a time;
-//! the level boundaries are retained so parallel backends (e.g.
-//! [`crate::sharded::ShardedSim`]'s shards, or a future per-level
-//! evaluator) can exploit the recorded level structure.
+//! [`crate::compiled::CompiledSim`] executes up to 512 stimulus lanes at
+//! a time; the level boundaries are retained for level skipping and for
+//! the per-level native code of [`crate::jit`].
 //!
 //! Compilation also records per-level *fan-in level sets*
 //! ([`Program::level_deps`]): for each level, a bitset over the earlier
@@ -127,8 +126,8 @@ pub enum OpCode {
 ///
 /// All five arrays have one entry per op; unused operand slots are 0. Ops
 /// are stored level-major, so a forward sweep is a valid combinational
-/// settle and [`Program::level_ops`] exposes per-level slices for parallel
-/// execution strategies.
+/// settle and [`Program::level_ops`] exposes the per-level slices that
+/// event-driven evaluation skips or gates.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Opcode per op.
@@ -297,45 +296,6 @@ impl Program {
     pub fn level_dep_set(&self, level: usize) -> &[u64] {
         &self.level_deps[level * self.dep_stride..(level + 1) * self.dep_stride]
     }
-
-    /// Scheduled ops of the widest level — the upper bound on how much
-    /// intra-level parallelism ([`crate::compiled::EvalPolicy`]) the
-    /// schedule can ever exploit.
-    pub fn max_level_ops(&self) -> usize {
-        (0..self.levels())
-            .map(|l| self.level_ops(l).len())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// The contiguous sub-range of `range` that worker `tid` of `threads`
-/// evaluates when a level is split for parallel evaluation.
-///
-/// The split is purely positional — `div_ceil`-sized chunks in op order —
-/// so it is deterministic for a fixed `(range, threads)` and the chunks
-/// partition `range` exactly (no op is evaluated twice or dropped).
-/// Ranges shorter than `min_ops` are not split at all: worker 0 takes the
-/// whole range and every other worker gets an empty chunk, because the
-/// per-level barrier handshake would dominate tiny levels.
-pub(crate) fn par_chunk(
-    range: std::ops::Range<usize>,
-    tid: usize,
-    threads: usize,
-    min_ops: usize,
-) -> std::ops::Range<usize> {
-    let n = range.len();
-    if n < min_ops || threads <= 1 {
-        return if tid == 0 {
-            range
-        } else {
-            range.start..range.start
-        };
-    }
-    let chunk = n.div_ceil(threads);
-    let lo = range.start + (tid * chunk).min(n);
-    let hi = range.start + ((tid + 1) * chunk).min(n);
-    lo..hi
 }
 
 #[cfg(test)]
@@ -435,45 +395,6 @@ mod tests {
         // conversion must panic with an actionable message instead of
         // wrapping when a netlist exceeds the u32 index space.
         let _ = checked_u32(u32::MAX as usize + 1, "ops");
-    }
-
-    #[test]
-    fn par_chunks_partition_every_range_exactly() {
-        for (start, len) in [(0usize, 0usize), (3, 1), (10, 7), (0, 64), (100, 1000)] {
-            for threads in [1usize, 2, 3, 4, 7, 64] {
-                let range = start..start + len;
-                let mut covered = Vec::new();
-                for tid in 0..threads {
-                    let c = par_chunk(range.clone(), tid, threads, 1);
-                    assert!(c.start >= range.start && c.end <= range.end);
-                    covered.extend(c);
-                }
-                // Exactly the range, each op once, in order.
-                assert_eq!(
-                    covered,
-                    range.collect::<Vec<_>>(),
-                    "{len} ops / {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_keep_small_levels_on_worker_zero() {
-        let range = 5..20; // 15 ops, below the 16-op threshold
-        assert_eq!(par_chunk(range.clone(), 0, 4, 16), range);
-        for tid in 1..4 {
-            assert!(par_chunk(range.clone(), tid, 4, 16).is_empty());
-        }
-    }
-
-    #[test]
-    fn max_level_ops_matches_widest_level() {
-        let nl = sample();
-        let p = Program::compile(&nl);
-        let widest = (0..p.levels()).map(|l| p.level_ops(l).len()).max().unwrap();
-        assert_eq!(p.max_level_ops(), widest);
-        assert!(widest >= 1);
     }
 
     #[test]

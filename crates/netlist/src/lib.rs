@@ -26,11 +26,11 @@
 //!   unavailable (contract in `docs/jit.md`).
 //! * [`sharded`] — the multi-threaded backend: compiled lane blocks over
 //!   disjoint stimulus lanes, merged bit-identically regardless of
-//!   thread count, schedule, or block width.
+//!   thread count or block width.
 //! * [`pool`] — the persistent worker-pool runtime behind every parallel
-//!   evaluation path: parked OS threads reused across settles, a
-//!   generation-stamped job protocol, and lock-free chunk/shard claiming
-//!   off atomic counters.
+//!   path: parked OS threads reused across jobs, a generation-stamped
+//!   job protocol, and the one lock-free claim loop ([`pool::claim_map`])
+//!   that hands shards, blocks and workloads out off an atomic counter.
 //! * [`failpoints`] — feature-gated deterministic fault injection
 //!   (`GATE_SIM_FAILPOINTS`): seeded schedules that force worker
 //!   panics, cache misses/evictions, and JIT failures so the fallback
@@ -104,12 +104,12 @@ pub mod stats;
 
 pub use cache::{CacheStats, ProgramCache};
 pub use compiled::{
-    word_lane_mask, CompiledSim, EvalMode, EvalPolicy, PortId, AUTO_NATIVE_AFTER_SETTLES,
-    LANES_PER_WORD, MAX_LANE_WORDS, MAX_TOTAL_LANES,
+    word_lane_mask, CompiledSim, EvalMode, PortId, AUTO_NATIVE_AFTER_SETTLES, LANES_PER_WORD,
+    MAX_LANE_WORDS, MAX_TOTAL_LANES,
 };
 pub use jit::{JitOptions, JitProgram};
 pub use pool::{JobError, JobOptions, WorkerPool};
-pub use sharded::{ShardPolicy, ShardSchedule, ShardedSim};
+pub use sharded::{ShardPolicy, ShardedSim};
 pub use sim::{EvalStats, Sim, SimBackend};
 
 /// Historical entry point for [`env::threads`] (the `GATE_SIM_THREADS`

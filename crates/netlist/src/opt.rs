@@ -248,12 +248,12 @@ pub fn check_equivalence(
 /// `policy.total_lanes()` random vectors (up to `lane_words * 64` per
 /// fused lane block) and the shards of
 /// both netlists evaluate on `policy.threads` workers of the persistent
-/// [`crate::pool::WorkerPool`] (or scoped threads on the fallback paths).
+/// [`crate::pool::WorkerPool`].
 ///
 /// The random vector sequence depends only on `seed` and
-/// `policy.total_lanes()` — never on the thread count, the scheduler, or
-/// the pool/scoped dispatch — so the verdict is deterministic for a
-/// fixed policy shape.
+/// `policy.total_lanes()` — never on the thread count or on which thread
+/// claims a shard — so the verdict is deterministic for a fixed policy
+/// shape.
 ///
 /// # Errors
 ///
@@ -469,24 +469,6 @@ mod tests {
             ..ShardPolicy::single()
         };
         check_equivalence_with(&good, &opt, 130, 9, policy).unwrap();
-        // The scheduler and intra-shard parallel level evaluation are pure
-        // performance knobs: same verdicts under the deprecated static
-        // scheduler and with par-level workers inside each shard.
-        #[allow(deprecated)] // pins the deprecated scheduler as reference
-        let static_policy = ShardPolicy {
-            schedule: crate::sharded::ShardSchedule::Static,
-            par_levels: 2,
-            ..policy
-        };
-        check_equivalence_with(&good, &opt, 130, 9, static_policy).unwrap();
-        assert!(check_equivalence_with(&good, &bad, 100, 7, static_policy).is_err());
-        // So is the persistent-pool vs scoped-thread dispatch.
-        let scoped_policy = ShardPolicy {
-            use_pool: false,
-            ..policy
-        };
-        check_equivalence_with(&good, &opt, 130, 9, scoped_policy).unwrap();
-        assert!(check_equivalence_with(&good, &bad, 100, 7, scoped_policy).is_err());
     }
 
     #[test]

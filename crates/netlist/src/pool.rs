@@ -1,17 +1,16 @@
-//! Persistent worker-pool runtime for parallel evaluation, with
+//! Persistent worker-pool runtime for independent claim-loop jobs, with
 //! multi-job admission.
 //!
-//! Before this module existed, every parallel settle
-//! ([`crate::compiled::CompiledSim`] with an [`crate::EvalPolicy`] above
-//! one thread, [`crate::sharded::ShardedSim::par_shards`]) opened a fresh
-//! [`std::thread::scope`]: thread creation plus teardown cost hundreds of
-//! microseconds per settle and dominated small-netlist workloads by ~85×
-//! (see `BENCH_baseline.json`'s pre-pool `compiled_64_lanes_par{2,4}`
-//! rows). A [`WorkerPool`] keeps a set of parked OS threads alive across
-//! settles instead, so submitting a parallel settle costs a handful of
-//! atomic operations — and, when settles come back-to-back (a processor
-//! cycle loop), not even a wakeup, because workers spin briefly before
-//! parking and are still hot when the next job lands.
+//! The useful parallelism of this system is *across* self-contained
+//! units — blocks of a mutation campaign, shards of a verification
+//! sweep, workloads of a characterisation run — never inside one
+//! settle. [`claim_map`] is the one entry point for that shape: it hands
+//! out item indices off a shared atomic counter to the participants of
+//! one pool job and returns the results in index order. A
+//! [`WorkerPool`] keeps its worker threads parked between jobs, so a
+//! submission costs a handful of atomic operations instead of a thread
+//! spawn, and workers still spinning from the previous job pick the
+//! next one up without a wakeup.
 //!
 //! # The job table
 //!
@@ -19,21 +18,20 @@
 //! submission claims one slot of a fixed job table (a compare-and-swap
 //! on the slot's busy flag), publishes its descriptor there, and idle
 //! workers scan the table for claimable work — so two independent
-//! simulators evaluate at the same time on disjoint worker subsets
-//! instead of taking turns. (The pre-table protocol serialized every
-//! caller on a submit mutex held for the whole job.) Admission reserves
-//! `participants - 1` workers on a pool-wide committed counter and grows
-//! the roster to the sum over all admitted jobs before publishing, so
-//! concurrent jobs can never strand each other at their barriers: every
-//! published tid has a worker able to claim it. A submission that finds
-//! all [`MAX_JOBS`] slots busy falls back to scoped threads — admission
-//! never blocks on another job's completion.
+//! submitters run at the same time instead of taking turns. Jobs never
+//! wait on each other: a participant only runs its own closure to
+//! completion, so a worker busy with one job delays another job's tids
+//! but can never strand them. A submission that finds all [`MAX_JOBS`]
+//! slots busy, or that is made from inside another job ([`in_job`]),
+//! runs *inline*: tids `0..participants` execute in order on the
+//! calling thread, and [`inline_runs`] counts the event. Admission never
+//! blocks on another job's completion.
 //!
 //! # The per-slot job protocol
 //!
-//! A job is a type-erased `Fn(tid, &SpinBarrier)` closure executed by
-//! `participants` workers: the **caller is worker 0**, pool threads claim
-//! tids `1..participants` off the slot's atomic counter. Publication on a
+//! A job is a type-erased `Fn(tid)` closure executed by `participants`
+//! threads: the **caller is tid 0**, pool threads claim tids
+//! `1..participants` off the slot's atomic counter. Publication on a
 //! slot is generation-stamped:
 //!
 //! 1. the submitter resets the slot's claim counter to
@@ -41,7 +39,7 @@
 //! 2. stores the job descriptor fields (all individually atomic),
 //! 3. publishes the slot's new generation, bumps the pool-wide epoch and
 //!    unparks parked workers,
-//! 4. runs its own share (`f(0, barrier)`),
+//! 4. runs its own share (`f(0)`),
 //! 5. blocks on the slot's completion latch (an atomic countdown; the
 //!    last finishing worker unparks the caller), then releases the slot.
 //!
@@ -49,11 +47,9 @@
 //! generation stamp: a stale worker that dozed through an entire job
 //! observes a mismatched stamp and discards what it read, so a claim can
 //! only ever succeed against the slot's currently-published descriptor
-//! (jobs on one slot are serialized by the busy flag, which is also what
-//! makes the slot's embedded [`SpinBarrier`] safely reusable). Claimed
-//! tids are unique, which is what lets jobs hand workers *positional*
-//! work (contiguous level chunks in `crate::level`, shard-index claims)
-//! with disjoint writes and no locks.
+//! (jobs on one slot are serialized by the busy flag). Claimed tids are
+//! unique, and every side effect of a job happens-before the submitter
+//! returns.
 //!
 //! # Wakeup and parking
 //!
@@ -63,9 +59,7 @@
 //! park/unpark handshake is race-checked in both directions — a worker
 //! re-checks the epoch after announcing itself parked, and a submitter
 //! unparks every worker whose parked flag it observes after bumping the
-//! epoch — so no wakeup is ever lost. Within one cycle-loop `step` the
-//! settles arrive faster than the spin window expires and workers never
-//! touch the futex.
+//! epoch — so no wakeup is ever lost.
 //!
 //! # Failure model
 //!
@@ -77,7 +71,7 @@
 //!   surfaces to the submitter — as [`JobError::WorkerPanic`] from
 //!   [`WorkerPool::run_with`], or re-raised verbatim by
 //!   [`WorkerPool::run`] so the original message is never replaced by a
-//!   generic one.
+//!   generic one. The inline path keeps the same semantics.
 //! * **Deadlines and cancellation.** [`JobOptions::deadline`] bounds a
 //!   job: a lazily spawned watchdog thread (plus the waiting submitter
 //!   itself) converts an overrun into [`JobError::DeadlineExceeded`] by
@@ -100,19 +94,17 @@
 //!
 //! # Lifecycle
 //!
-//! The process-wide pool is created lazily by the first simulator whose
-//! policy wants threads ([`WorkerPool::shared`]), grows on demand (a
-//! policy asking for more workers than exist, or concurrent jobs whose
-//! needs sum past the roster), and is reference-counted by the simulators
-//! holding it: dropping the last handle joins every worker thread — no
-//! detached threads survive (regression-tested in
-//! `crates/netlist/tests/pool_lifecycle.rs`). `GATE_SIM_POOL=0` disables
-//! pool acquisition entirely, forcing the scoped-thread fallback paths.
+//! The process-wide pool is created lazily by the first user that wants
+//! threads ([`WorkerPool::shared`]), grows on demand (a job asking for
+//! more workers than exist), and is reference-counted by the simulators
+//! and campaigns holding it: dropping the last handle joins every worker
+//! thread — no detached threads survive (regression-tested in
+//! `crates/netlist/tests/pool_lifecycle.rs`).
 //!
-//! Results are bit-identical to the scoped and sequential paths by
-//! construction — the pool only changes *who executes* a chunk, never
-//! what it reads or writes (`docs/simulation.md` § "Simulation as a
-//! service").
+//! Results never depend on the pool: [`claim_map`] writes each result
+//! into its own index-addressed slot, so which participant ran an item —
+//! a worker, the caller, or the inline fallback — cannot change the
+//! output (`docs/simulation.md` § "Simulation as a service").
 
 use std::any::Any;
 use std::cell::Cell;
@@ -121,10 +113,10 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// Job-table width: jobs admitted concurrently before submissions fall
-/// back to scoped threads. Sixteen is far past any realistic service
-/// shape (each job already fans out over multiple workers) while keeping
-/// the idle-worker scan trivially cheap.
+/// Job-table width: jobs admitted concurrently before submissions run
+/// inline. Sixteen is far past any realistic service shape (each job
+/// already fans out over multiple workers) while keeping the idle-worker
+/// scan trivially cheap.
 pub const MAX_JOBS: usize = 16;
 
 /// Spin iterations before an idle worker starts yielding, and yield
@@ -133,9 +125,6 @@ pub const MAX_JOBS: usize = 16;
 const IDLE_SPINS: u32 = 256;
 const IDLE_YIELDS: u32 = 64;
 
-/// Spin iterations before a barrier waiter starts yielding.
-const BARRIER_SPINS: u32 = 512;
-
 /// A captured panic payload, exactly as [`std::panic::catch_unwind`]
 /// returns it.
 pub type PanicPayload = Box<dyn Any + Send + 'static>;
@@ -143,9 +132,8 @@ pub type PanicPayload = Box<dyn Any + Send + 'static>;
 thread_local! {
     /// True while the current thread is executing a pool job (as the
     /// submitting caller or as a pool worker). A nested submission from
-    /// inside a job could deadlock waiting for workers its own ancestors
-    /// hold, so parallel evaluators consult [`in_job`] and fall back to
-    /// scoped threads when it is set.
+    /// inside a job could wait on workers its own ancestors hold, so
+    /// [`WorkerPool::run_with`] runs it inline when this is set.
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
 
     /// Cancel flag of the job the current thread is executing (null
@@ -160,26 +148,10 @@ thread_local! {
 }
 
 /// True while the current thread is (transitively) inside a
-/// [`WorkerPool::run`] job.
-///
-/// Evaluators that can run on the pool must check this and take their
-/// scoped-thread fallback when it returns true: a job submitted from
-/// inside another job competes for the very workers its ancestors are
-/// blocking at barriers, which can deadlock when the roster is fully
-/// claimed. Scoped fallback threads spawned from inside a job inherit
-/// the flag (`dispatch`/`scoped_run` handle this), so arbitrarily deep
-/// nesting keeps falling back instead of deadlocking.
+/// [`WorkerPool::run`] job. A submission made while this holds runs
+/// inline on the calling thread (see [`inline_runs`]).
 pub fn in_job() -> bool {
     IN_JOB.with(|f| f.get())
-}
-
-/// Marks the current thread as (not) being transitively inside a pool
-/// job. Only for scoped worker threads spawned *by* an evaluator on
-/// behalf of its caller — they must inherit the caller's flag, because a
-/// thread that is blind to the job above it would submit to the pool and
-/// risk the worker-starvation deadlock [`in_job`] exists to prevent.
-pub(crate) fn inherit_in_job(value: bool) {
-    IN_JOB.with(|f| f.set(value));
 }
 
 /// Cooperative cancellation token: true when the job the current thread
@@ -188,7 +160,7 @@ pub(crate) fn inherit_in_job(value: bool) {
 /// Long-running closures should poll this at natural boundaries (a
 /// chunk, a wave, a level) and return early; a closure that never polls
 /// cannot be abandoned — see [`JobError::DeadlineExceeded`]. Outside a
-/// pool job (including the scoped fallback paths) this is always false.
+/// pool job (including the inline fallback) this is always false.
 pub fn job_cancelled() -> bool {
     CANCEL.with(|c| {
         let p = c.get();
@@ -199,67 +171,85 @@ pub fn job_cancelled() -> bool {
     })
 }
 
-/// Runs `worker(tid, barrier)` on `threads` participants (the caller is
-/// tid 0): as one job on `pool` when a pool is available and the current
-/// thread is not already inside one, and on per-call scoped threads with
-/// a stack barrier otherwise. This is the single pool-or-scoped decision
-/// point every parallel evaluator dispatches through, so the
-/// nested-submission policy cannot diverge between them. Both branches
-/// execute the identical worker function — results cannot depend on the
-/// dispatch.
-pub(crate) fn dispatch(
+/// Runs `f(i, &mut items[i])` for every index of `items` and returns
+/// the results in index order.
+///
+/// With a pool and more than one participant (`threads` capped by the
+/// item count) this is one [`WorkerPool::run`] job whose participants
+/// claim the next unprocessed index off a single atomic counter the
+/// moment they go idle — lock-free, no queue — so uneven per-item loads
+/// rebalance automatically. Otherwise (no pool, one thread, or one item)
+/// the items run in order on the caller. The claim order is a race; the
+/// results are not: the counter hands out each index exactly once and
+/// each result lands in its own index-addressed slot, so the output is
+/// independent of the pool, the thread count, and the interleaving.
+///
+/// # Panics
+///
+/// Re-raises the first panic of `f`, with its original payload.
+pub fn claim_map<T, R, F>(
     pool: Option<&WorkerPool>,
     threads: usize,
-    worker: impl Fn(usize, &SpinBarrier) + Sync,
-) {
-    match pool {
-        Some(p) if !in_job() => p.run(threads, worker),
-        _ => scoped_run(threads, &worker),
-    }
-}
+    items: &mut [T],
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let participants = threads.min(items.len());
+    let Some(pool) = pool.filter(|_| participants > 1) else {
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+    };
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
 
-/// The scoped-thread fallback body of [`dispatch`]: spawns
-/// `threads - 1` scoped workers (each inheriting the caller's in-job
-/// flag) around a stack barrier and runs tid 0 on the caller. A worker
-/// panic is re-raised with its *original* payload (not
-/// [`std::thread::scope`]'s generic "a scoped thread panicked").
-pub(crate) fn scoped_run(threads: usize, worker: &(impl Fn(usize, &SpinBarrier) + Sync)) {
-    if let Err(payload) = scoped_run_result(threads, worker) {
-        std::panic::resume_unwind(payload);
+    /// Raw, `Sync` view of the item array and the result slots.
+    ///
+    /// # Safety contract
+    ///
+    /// Index `i` of both arrays is touched only by the participant whose
+    /// `next.fetch_add(1)` returned `i` — the counter hands out each
+    /// index exactly once — so all concurrent access is index-disjoint,
+    /// and the job's completion latch orders every slot write before the
+    /// caller's reads.
+    struct Arena<T, R> {
+        items: *mut T,
+        results: *mut Option<R>,
+        len: usize,
     }
-}
+    // SAFETY: see the struct-level contract; `T: Send` and `R: Send`
+    // because items are mutated and results produced on other threads.
+    unsafe impl<T: Send, R: Send> Sync for Arena<T, R> {}
 
-/// [`scoped_run`] with the first worker panic payload returned instead
-/// of re-raised. A panic on the *caller's* own share (tid 0) still
-/// propagates directly, taking precedence.
-fn scoped_run_result(
-    threads: usize,
-    worker: &(impl Fn(usize, &SpinBarrier) + Sync),
-) -> Result<(), PanicPayload> {
-    let barrier = SpinBarrier::new();
-    let nested = in_job();
-    let first_payload: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for tid in 1..threads {
-            let (w, b, sink) = (worker, &barrier, &first_payload);
-            scope.spawn(move || {
-                inherit_in_job(nested);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w(tid, b)));
-                if let Err(payload) = result {
-                    let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                    sink.get_or_insert(payload);
-                }
-            });
+    let arena = Arena {
+        items: items.as_mut_ptr(),
+        results: results.as_mut_ptr(),
+        len: items.len(),
+    };
+    pool.run(participants, |_tid| {
+        // Capture the whole arena, not its raw-pointer fields: the
+        // `Sync` contract lives on the struct (edition-2021 closures
+        // would otherwise capture the pointers disjointly).
+        let arena = &arena;
+        loop {
+            let i = next.fetch_add(1, SeqCst);
+            if i >= arena.len {
+                break;
+            }
+            // SAFETY: the claim counter yielded `i` to this participant
+            // alone.
+            let r = f(i, unsafe { &mut *arena.items.add(i) });
+            // SAFETY: same claim; the slot was preset to `None` and is
+            // read back only after the job completes.
+            unsafe { *arena.results.add(i) = Some(r) };
         }
-        worker(0, &barrier);
     });
-    match first_payload
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some(payload) => Err(payload),
-        None => Ok(()),
-    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every index claimed exactly once"))
+        .collect()
 }
 
 /// Pool-spawned worker threads currently alive, process-wide. Purely
@@ -270,6 +260,16 @@ pub fn alive_workers() -> usize {
 }
 
 static ALIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Jobs that ran inline on the submitting thread because the job table
+/// was full or the submission was nested inside another job
+/// ([`in_job`]), process-wide. Results are unaffected; the counter makes
+/// the fallback visible.
+pub fn inline_runs() -> usize {
+    INLINE_RUNS.load(SeqCst)
+}
+
+static INLINE_RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// The process-wide shared pool, held weakly: the pool lives exactly as
 /// long as some simulator holds a strong handle.
@@ -284,61 +284,6 @@ fn single_cpu() -> bool {
             .map(|p| p.get())
             .unwrap_or(1)
     }) == 1
-}
-
-/// Whether simulators may acquire the shared pool (the `GATE_SIM_POOL`
-/// knob). Historical entry point for [`crate::env::pool_enabled`]; all
-/// the `GATE_SIM_*` parsing now lives in [`crate::env`].
-pub use crate::env::pool_enabled as env_pool_enabled;
-
-/// A reusable sense-reversing barrier over two atomics.
-///
-/// Unlike [`std::sync::Barrier`] the participant count is a call-site
-/// argument, so one barrier instance (embedded in a job slot, or on a
-/// scoped caller's stack) serves every job without per-settle allocation,
-/// and waiters spin-then-yield instead of taking a mutex — a level
-/// boundary inside a settle is far too short-lived for futex round trips.
-///
-/// Every participant of an episode must call [`SpinBarrier::wait`] with
-/// the same `total`; episodes complete fully (count returns to zero)
-/// before the next begins, which is what makes the instance reusable
-/// across jobs.
-#[derive(Debug, Default)]
-pub struct SpinBarrier {
-    count: AtomicUsize,
-    epoch: AtomicU64,
-}
-
-impl SpinBarrier {
-    /// A fresh barrier (no waiters, epoch zero).
-    pub fn new() -> SpinBarrier {
-        SpinBarrier::default()
-    }
-
-    /// Blocks until `total` participants (including the caller) have
-    /// arrived at this episode.
-    pub fn wait(&self, total: usize) {
-        if total <= 1 {
-            return;
-        }
-        let epoch = self.epoch.load(SeqCst);
-        if self.count.fetch_add(1, SeqCst) + 1 == total {
-            // Last arriver: reset for the next episode, then release the
-            // waiters (the epoch store publishes the reset with it).
-            self.count.store(0, SeqCst);
-            self.epoch.store(epoch.wrapping_add(1), SeqCst);
-        } else {
-            let mut tries = 0u32;
-            while self.epoch.load(SeqCst) == epoch {
-                tries += 1;
-                if tries > BARRIER_SPINS || single_cpu() {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
 }
 
 /// Per-job submission options for [`WorkerPool::run_with`].
@@ -449,21 +394,14 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// The type-erased entry point of a job: `data` is a `*const F` for the
-/// submitted closure, `tid` the claimed worker index, `barrier` the
-/// serving slot's embedded barrier.
-type JobFn = unsafe fn(*const (), usize, *const SpinBarrier);
+/// submitted closure, `tid` the claimed participant index.
+type JobFn = unsafe fn(*const (), usize);
 
-unsafe fn call_job<F: Fn(usize, &SpinBarrier) + Sync>(
-    data: *const (),
-    tid: usize,
-    barrier: *const SpinBarrier,
-) {
+unsafe fn call_job<F: Fn(usize) + Sync>(data: *const (), tid: usize) {
     // SAFETY: `data` was erased from a live `&F` by `run`, which does not
     // return before every participant has finished (completion latch), so
-    // the reference is valid for the whole call; `barrier` points into
-    // the slot inside the pool's `Arc<PoolShared>`, alive for the same
-    // duration.
-    unsafe { (*(data as *const F))(tid, &*barrier) }
+    // the reference is valid for the whole call.
+    unsafe { (*(data as *const F))(tid) }
 }
 
 /// One entry of the job table. Submitters serialize on [`JobSlot::busy`];
@@ -473,7 +411,7 @@ struct JobSlot {
     /// Slot admission flag: a submitter owns the slot from a successful
     /// `false -> true` compare-and-swap until it stores `false` back
     /// after its completion latch — so at most one job ever occupies a
-    /// slot, which is what makes `generation`/`claim`/`barrier` reusable.
+    /// slot, which is what makes `generation`/`claim` reusable.
     busy: AtomicBool,
     /// Latest published job generation *on this slot*. Bumped by 1 per
     /// job; workers validate claims against it.
@@ -513,9 +451,6 @@ struct JobSlot {
     /// The submitting thread, for the completion unpark. Written only by
     /// the slot owner.
     caller: Mutex<Option<Thread>>,
-    /// The level barrier this slot's jobs use; reusable because jobs on
-    /// one slot are serialized by `busy`.
-    barrier: SpinBarrier,
 }
 
 impl JobSlot {
@@ -535,7 +470,6 @@ impl JobSlot {
             panic_payload: Mutex::new(None),
             deadline: Mutex::new(None),
             caller: Mutex::new(None),
-            barrier: SpinBarrier::new(),
         }
     }
 }
@@ -616,11 +550,6 @@ struct PoolShared {
     /// cheap "is there anything new?" signal that replaces the old
     /// single-descriptor generation watch.
     epoch: AtomicU64,
-    /// Workers reserved by admitted-but-unfinished jobs
-    /// (`participants - 1` each). Admission grows the roster to this sum
-    /// *before* publishing, so concurrently admitted jobs can always all
-    /// be fully claimed — no job can strand another at a barrier.
-    committed: AtomicUsize,
     /// Lock-free shadow of the roster length (updated under the roster
     /// lock after growth) so size checks never touch the mutex.
     roster_len: AtomicUsize,
@@ -664,12 +593,12 @@ fn spawn_worker(shared: &Arc<PoolShared>, index: usize) -> Option<Worker> {
 }
 
 /// A persistent pool of parked worker threads executing up to
-/// [`MAX_JOBS`] parallel evaluation jobs concurrently (see the module
-/// docs for the protocol and the failure model).
+/// [`MAX_JOBS`] jobs concurrently (see the module docs for the protocol
+/// and the failure model).
 ///
 /// Simulators normally obtain the process-wide instance through
-/// [`WorkerPool::shared`] and hold the `Arc` for as long as their policy
-/// wants threads; the pool joins all workers when the last handle drops.
+/// [`WorkerPool::shared`] and hold the `Arc` for as long as they want
+/// threads; the pool joins all workers when the last handle drops.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
 }
@@ -679,7 +608,6 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("workers", &self.worker_count())
             .field("epoch", &self.shared.epoch.load(SeqCst))
-            .field("committed", &self.shared.committed.load(SeqCst))
             .finish()
     }
 }
@@ -694,7 +622,6 @@ impl WorkerPool {
             shared: Arc::new(PoolShared {
                 slots: std::array::from_fn(|_| JobSlot::new()),
                 epoch: AtomicU64::new(0),
-                committed: AtomicUsize::new(0),
                 roster_len: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
                 roster: Mutex::new(Vec::new()),
@@ -733,7 +660,7 @@ impl WorkerPool {
     }
 
     /// Grows the roster to at least `workers` threads (never shrinks — a
-    /// policy asking for fewer threads simply leaves the extras parked,
+    /// job asking for fewer threads simply leaves the extras parked,
     /// which costs nothing until shutdown). Safe to call from anywhere,
     /// including inside a job: the roster mutex is only ever held for
     /// the duration of thread spawns or an unpark sweep, never across a
@@ -759,25 +686,22 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `f(tid, barrier)` on `participants` workers — the calling
-    /// thread is tid 0, pool threads claim tids `1..participants` — and
-    /// returns once every participant has finished. Independent callers
-    /// run concurrently, each on its own job-table slot with its own
-    /// barrier; a caller finding the whole table busy falls back to
-    /// scoped threads rather than queueing.
+    /// Runs `f(tid)` on `participants` threads — the calling thread is
+    /// tid 0, pool threads claim tids `1..participants` — and returns
+    /// once every participant has finished. Independent callers run
+    /// concurrently, each on its own job-table slot; a caller finding the
+    /// whole table busy, or submitting from inside another job, runs the
+    /// job inline instead of queueing (see [`inline_runs`]).
     ///
-    /// `f` may rely on tids being exactly `0..participants`, each claimed
-    /// by exactly one thread, and on every side effect of the job
-    /// happening-before `run` returns. `barrier` is private to this job:
-    /// participants use it for intra-job phase ordering (all episodes
-    /// with the job's participant count).
+    /// `f` may rely on tids being exactly `0..participants`, each run by
+    /// exactly one thread, and on every side effect of the job
+    /// happening-before `run` returns.
     ///
     /// # Panics
     ///
-    /// Panics if called from inside a pool job (check [`in_job`] and use
-    /// a scoped fallback instead), or — with the *original payload*, see
+    /// Panics — with the *original payload*, see
     /// [`JobError::WorkerPanic`] — if `f` panicked on any participant.
-    pub fn run<F: Fn(usize, &SpinBarrier) + Sync>(&self, participants: usize, f: F) {
+    pub fn run<F: Fn(usize) + Sync>(&self, participants: usize, f: F) {
         match self.run_with(participants, &JobOptions::default(), f) {
             Ok(()) => {}
             Err(JobError::WorkerPanic { payload }) => std::panic::resume_unwind(payload),
@@ -793,38 +717,32 @@ impl WorkerPool {
     /// participant's payload, or [`JobError::DeadlineExceeded`] when
     /// [`JobOptions::deadline`] expired first (see the module's
     /// "Failure model" section for exactly what each guarantees). On the
-    /// scoped fallback path (full job table) the deadline is not
-    /// enforced — overflow jobs run to completion, reporting panics only.
+    /// inline path (full job table, or a nested submission) the deadline
+    /// is not enforced — the job runs to completion, reporting panics
+    /// only.
     ///
     /// # Panics
     ///
-    /// Panics if called from inside a pool job, or if `f` panicked on
-    /// the *caller's own* share (tid 0) — the caller's panic unwinds
-    /// this frame itself and takes precedence over any `JobError`.
-    pub fn run_with<F: Fn(usize, &SpinBarrier) + Sync>(
+    /// Panics if `f` panicked on the *caller's own* share (tid 0) — the
+    /// caller's panic unwinds this frame itself and takes precedence over
+    /// any `JobError`.
+    pub fn run_with<F: Fn(usize) + Sync>(
         &self,
         participants: usize,
         opts: &JobOptions,
         f: F,
     ) -> Result<(), JobError> {
-        assert!(
-            !in_job(),
-            "nested WorkerPool::run could deadlock on worker starvation; \
-             callers must check pool::in_job() and fall back to scoped threads"
-        );
         if participants <= 1 {
-            f(0, &SpinBarrier::new());
+            f(0);
             return Ok(());
         }
+        if in_job() {
+            // A nested submission could wait on workers its own ancestors
+            // hold; the caller runs every tid itself instead.
+            return run_inline(participants, &f);
+        }
         let shared = &*self.shared;
-        let needed = participants - 1;
-        // Reserve our workers on top of every other admitted job's, and
-        // grow the roster to the sum before publishing: this is the
-        // no-starvation invariant — all concurrently admitted jobs can
-        // be fully claimed at once, so none can strand another at a
-        // barrier by hoarding the roster.
-        let committed = shared.committed.fetch_add(needed, SeqCst) + needed;
-        self.ensure_workers(committed);
+        self.ensure_workers(participants - 1);
         if opts.deadline.is_some() {
             ensure_watchdog(&self.shared);
         }
@@ -834,12 +752,10 @@ impl WorkerPool {
             .iter()
             .find(|s| s.busy.compare_exchange(false, true, SeqCst, SeqCst).is_ok())
         else {
-            // Every slot occupied (MAX_JOBS concurrent jobs): run scoped
+            // Every slot occupied (MAX_JOBS concurrent jobs): run inline
             // instead of queueing behind an unbounded stall. Deadlines
             // are not enforced on this degraded path (documented above).
-            shared.committed.fetch_sub(needed, SeqCst);
-            return scoped_run_result(participants, &f)
-                .map_err(|payload| JobError::WorkerPanic { payload });
+            return run_inline(participants, &f);
         };
 
         // Publish the job on the claimed slot (the order here is what the
@@ -939,8 +855,7 @@ impl WorkerPool {
         };
         IN_JOB.with(|flag| flag.set(true));
         CANCEL.with(|c| c.set(&slot.cancel as *const AtomicBool));
-        let caller_result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(0, &slot.barrier)));
+        let caller_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(0)));
         CANCEL.with(|c| c.set(std::ptr::null()));
         IN_JOB.with(|flag| flag.set(false));
         drop(guard); // blocks until all live pool-side participants finish
@@ -958,7 +873,6 @@ impl WorkerPool {
         }
         *slot.caller.lock().unwrap_or_else(PoisonError::into_inner) = None;
         slot.busy.store(false, SeqCst); // job complete: release the slot
-        shared.committed.fetch_sub(needed, SeqCst);
         if let Err(payload) = caller_result {
             std::panic::resume_unwind(payload);
         }
@@ -973,6 +887,26 @@ impl WorkerPool {
             });
         }
         Ok(())
+    }
+}
+
+/// The inline fallback of [`WorkerPool::run_with`]: runs tids
+/// `0..participants` in order on the calling thread. A panic on tid 0
+/// propagates directly; the first panic of any later tid is returned as
+/// [`JobError::WorkerPanic`] after the remaining tids have run — the
+/// same semantics as a pooled job.
+fn run_inline<F: Fn(usize)>(participants: usize, f: &F) -> Result<(), JobError> {
+    INLINE_RUNS.fetch_add(1, SeqCst);
+    f(0);
+    let mut first: Option<PanicPayload> = None;
+    for tid in 1..participants {
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(tid))) {
+            first.get_or_insert(payload);
+        }
+    }
+    match first {
+        Some(payload) => Err(JobError::WorkerPanic { payload }),
+        None => Ok(()),
     }
 }
 
@@ -1225,9 +1159,8 @@ fn try_serve(slot: &JobSlot, idx: usize) -> bool {
             // was produced from `call_job::<F>` for this descriptor.
             let call: JobFn = unsafe { std::mem::transmute::<usize, JobFn>(call) };
             // SAFETY: validated claim — `data` is the submitter's live
-            // closure and `tid` is uniquely ours (see module docs); the
-            // barrier is the serving slot's own.
-            unsafe { call(data, tid, &slot.barrier) };
+            // closure and `tid` is uniquely ours (see module docs).
+            unsafe { call(data, tid) };
         }));
         CANCEL.with(|c| c.set(std::ptr::null()));
         IN_JOB.with(|flag| flag.set(false));
@@ -1249,7 +1182,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         for participants in [2usize, 3, 4] {
             let hits: Vec<AtomicUsize> = (0..participants).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(participants, |tid, _| {
+            pool.run(participants, |tid| {
                 hits[tid].fetch_add(1, SeqCst);
             });
             for (tid, hit) in hits.iter().enumerate() {
@@ -1263,7 +1196,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let total = AtomicUsize::new(0);
         for _ in 0..500 {
-            pool.run(2, |_, _| {
+            pool.run(2, |_| {
                 total.fetch_add(1, SeqCst);
             });
         }
@@ -1274,35 +1207,47 @@ mod tests {
     #[test]
     fn grows_on_demand_and_single_participant_runs_inline() {
         let pool = WorkerPool::new(0);
-        pool.run(1, |tid, _| assert_eq!(tid, 0));
+        pool.run(1, |tid| assert_eq!(tid, 0));
         assert_eq!(pool.worker_count(), 0, "inline jobs spawn nothing");
         let sum = AtomicUsize::new(0);
-        pool.run(4, |tid, _| {
+        pool.run(4, |tid| {
             sum.fetch_add(tid, SeqCst);
         });
         assert_eq!(sum.load(SeqCst), 6, "tids 0..4 each ran once");
         assert_eq!(pool.worker_count(), 3);
     }
 
+    /// The shared claim loop: every index runs exactly once, results
+    /// come back in index order under deliberately uneven loads, and the
+    /// pooled, sequential and nested (inline) paths agree.
     #[test]
-    fn barrier_orders_phases_across_participants() {
+    fn claim_map_returns_results_in_index_order() {
         let pool = WorkerPool::new(3);
-        let participants = 4;
-        let phase1: Vec<AtomicUsize> = (0..participants).map(|_| AtomicUsize::new(0)).collect();
-        let observed_complete = AtomicBool::new(true);
-        pool.run(participants, |tid, barrier| {
-            phase1[tid].store(tid + 1, SeqCst);
-            barrier.wait(participants);
-            // After the barrier every participant must see every phase-1
-            // store.
-            for (i, slot) in phase1.iter().enumerate() {
-                if slot.load(SeqCst) != i + 1 {
-                    observed_complete.store(false, SeqCst);
+        let run = |pool: Option<&WorkerPool>, threads: usize| {
+            let mut items: Vec<u64> = (0..9).collect();
+            let out = claim_map(pool, threads, &mut items, |i, item| {
+                // Uneven loads: later items take longer.
+                for _ in 0..i * 1000 {
+                    std::hint::black_box(*item);
                 }
+                *item += 100;
+                (i, *item * 2)
+            });
+            (out, items)
+        };
+        let reference = run(None, 1);
+        assert_eq!(reference.1, (100..109).collect::<Vec<_>>());
+        assert_eq!(reference.0[4], (4, 208));
+        for threads in [2, 4, 64] {
+            assert_eq!(run(Some(&pool), threads), reference, "x{threads}");
+        }
+        let nested = Mutex::new(None);
+        pool.run(2, |tid| {
+            if tid == 0 {
+                *nested.lock().unwrap() = Some(run(Some(&pool), 4));
             }
-            barrier.wait(participants);
         });
-        assert!(observed_complete.load(SeqCst));
+        assert_eq!(nested.into_inner().unwrap(), Some(reference));
     }
 
     #[test]
@@ -1310,7 +1255,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         assert!(!in_job());
         let all_in_job = AtomicBool::new(true);
-        pool.run(2, |_, _| {
+        pool.run(2, |_| {
             if !in_job() {
                 all_in_job.store(false, SeqCst);
             }
@@ -1330,7 +1275,7 @@ mod tests {
         // hanging or panicking.
         let pool = WorkerPool::new(4);
         let ran = AtomicUsize::new(0);
-        pool.run(5, |_, _| {
+        pool.run(5, |_| {
             ran.fetch_add(1, SeqCst);
         });
         assert_eq!(ran.load(SeqCst), 5);
@@ -1342,7 +1287,7 @@ mod tests {
     fn worker_panic_is_propagated_not_hung() {
         let pool = WorkerPool::new(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(2, |tid, _| {
+            pool.run(2, |tid| {
                 if tid == 1 {
                     panic!("injected worker failure");
                 }
@@ -1351,7 +1296,7 @@ mod tests {
         assert!(result.is_err(), "the worker panic must reach the caller");
         // The pool stays usable for the next job.
         let ok = AtomicUsize::new(0);
-        pool.run(2, |_, _| {
+        pool.run(2, |_| {
             ok.fetch_add(1, SeqCst);
         });
         assert_eq!(ok.load(SeqCst), 2);
@@ -1364,7 +1309,7 @@ mod tests {
     fn worker_panic_payload_reaches_submitter_verbatim() {
         let pool = WorkerPool::new(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(2, |tid, _| {
+            pool.run(2, |tid| {
                 if tid == 1 {
                     panic!("mutant 0xbeef diverged in chunk 7");
                 }
@@ -1385,7 +1330,7 @@ mod tests {
     fn run_with_returns_typed_worker_panic() {
         let pool = WorkerPool::new(2);
         let err = pool
-            .run_with(3, &JobOptions::default(), |tid, _| {
+            .run_with(3, &JobOptions::default(), |tid| {
                 if tid != 0 {
                     panic!("typed failure from tid {tid}");
                 }
@@ -1398,7 +1343,7 @@ mod tests {
         );
         // Exactly one payload is captured (first wins); the pool stays
         // usable.
-        assert!(pool.run_with(3, &JobOptions::default(), |_, _| {}).is_ok());
+        assert!(pool.run_with(3, &JobOptions::default(), |_| {}).is_ok());
     }
 
     /// N consecutive panicking jobs, then a clean one at full width: the
@@ -1410,7 +1355,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         for round in 0..8 {
             let err = pool
-                .run_with(4, &JobOptions::default(), |tid, _| {
+                .run_with(4, &JobOptions::default(), |tid| {
                     if tid != 0 {
                         panic!("round {round} tid {tid} down");
                     }
@@ -1423,7 +1368,7 @@ mod tests {
             assert_eq!(pool.worker_count(), 3, "roster intact after round {round}");
         }
         let hits = AtomicUsize::new(0);
-        pool.run(4, |_, _| {
+        pool.run(4, |_| {
             hits.fetch_add(1, SeqCst);
         });
         assert_eq!(hits.load(SeqCst), 4, "clean job runs every tid");
@@ -1438,20 +1383,16 @@ mod tests {
         let pool = WorkerPool::new(2);
         let polled = AtomicUsize::new(0);
         let err = pool
-            .run_with(
-                3,
-                &JobOptions::deadline(Duration::from_millis(20)),
-                |tid, _| {
-                    if tid != 0 {
-                        // Cooperative stall: spin until the watchdog (or
-                        // the waiting submitter) cancels the job.
-                        while !job_cancelled() {
-                            std::thread::yield_now();
-                        }
-                        polled.fetch_add(1, SeqCst);
+            .run_with(3, &JobOptions::deadline(Duration::from_millis(20)), |tid| {
+                if tid != 0 {
+                    // Cooperative stall: spin until the watchdog (or
+                    // the waiting submitter) cancels the job.
+                    while !job_cancelled() {
+                        std::thread::yield_now();
                     }
-                },
-            )
+                    polled.fetch_add(1, SeqCst);
+                }
+            })
             .expect_err("the deadline must fire");
         match err {
             JobError::DeadlineExceeded {
@@ -1468,7 +1409,7 @@ mod tests {
         // No poisoned state: the next (deadline-free) job is clean.
         let hits = AtomicUsize::new(0);
         assert!(pool
-            .run_with(3, &JobOptions::default(), |_, _| {
+            .run_with(3, &JobOptions::default(), |_| {
                 hits.fetch_add(1, SeqCst);
             })
             .is_ok());
@@ -1482,13 +1423,9 @@ mod tests {
         let pool = WorkerPool::new(2);
         for _ in 0..20 {
             let sum = AtomicUsize::new(0);
-            pool.run_with(
-                3,
-                &JobOptions::deadline(Duration::from_secs(30)),
-                |tid, _| {
-                    sum.fetch_add(tid + 1, SeqCst);
-                },
-            )
+            pool.run_with(3, &JobOptions::deadline(Duration::from_secs(30)), |tid| {
+                sum.fetch_add(tid + 1, SeqCst);
+            })
             .expect("healthy job inside its deadline");
             assert_eq!(sum.load(SeqCst), 6);
         }
@@ -1499,7 +1436,7 @@ mod tests {
         assert!(!job_cancelled());
         let pool = WorkerPool::new(1);
         let saw_uncancelled = AtomicBool::new(false);
-        pool.run(2, |_, _| {
+        pool.run(2, |_| {
             if !job_cancelled() {
                 saw_uncancelled.store(true, SeqCst);
             }
@@ -1511,23 +1448,35 @@ mod tests {
         assert!(!job_cancelled(), "token cleared after the job");
     }
 
-    /// The scoped fallback must also preserve the original payload (it
-    /// serves both `dispatch` without a pool and job-table overflow).
+    /// The inline fallback must also preserve the original payload (it
+    /// serves both nested submissions and job-table overflow), and keeps
+    /// running the remaining tids after one panics.
     #[test]
     fn scoped_fallback_preserves_panic_payload() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scoped_run(3, &|tid, _: &SpinBarrier| {
+        let pool = WorkerPool::new(1);
+        let ran = AtomicUsize::new(0);
+        let inner = Mutex::new(None);
+        pool.run(2, |tid| {
+            if tid != 0 {
+                return;
+            }
+            let before = inline_runs();
+            let result = pool.run_with(4, &JobOptions::default(), |tid| {
+                ran.fetch_add(1, SeqCst);
                 if tid == 2 {
-                    panic!("scoped tid 2 died");
+                    panic!("inline tid 2 died");
                 }
             });
-        }));
-        let payload = result.expect_err("the panic must propagate");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .expect("payload must be the original &str");
-        assert_eq!(message, "scoped tid 2 died");
+            assert!(inline_runs() > before, "a nested job runs inline");
+            *inner.lock().unwrap() = Some(result);
+        });
+        let err = inner
+            .into_inner()
+            .unwrap()
+            .expect("the nested job ran")
+            .expect_err("the panic must surface");
+        assert_eq!(err.panic_message(), Some("inline tid 2 died"));
+        assert_eq!(ran.load(SeqCst), 4, "every tid ran despite the panic");
     }
 
     /// The multi-job acceptance case: job B runs to completion while job
@@ -1542,7 +1491,7 @@ mod tests {
         std::thread::scope(|scope| {
             let (pool_ref, gate, running) = (&pool, &gate_open, &a_running);
             scope.spawn(move || {
-                pool_ref.run(2, |_, _| {
+                pool_ref.run(2, |_| {
                     running.fetch_add(1, SeqCst);
                     while !gate.load(SeqCst) {
                         std::thread::yield_now();
@@ -1556,7 +1505,7 @@ mod tests {
             }
             // Job B must be admitted and complete while A stays stalled.
             let b_hits = AtomicUsize::new(0);
-            pool.run(2, |_, _| {
+            pool.run(2, |_| {
                 b_hits.fetch_add(1, SeqCst);
             });
             assert_eq!(b_hits.load(SeqCst), 2, "job B ran every tid");
@@ -1569,8 +1518,7 @@ mod tests {
     }
 
     /// Concurrent submitters from many threads: every job sees exactly
-    /// its own tids, barriers do not cross-talk between slots, and the
-    /// roster grows to cover the concurrent demand.
+    /// its own tids, whatever the interleaving of the shared roster.
     #[test]
     fn concurrent_submitters_each_get_exact_tids() {
         let pool = WorkerPool::new(0);
@@ -1583,25 +1531,23 @@ mod tests {
                     let participants = 2 + s % 3;
                     for _ in 0..rounds {
                         let sum = AtomicUsize::new(0);
-                        pool.run(participants, |tid, barrier| {
+                        pool.run(participants, |tid| {
                             sum.fetch_add(tid + 1, SeqCst);
-                            barrier.wait(participants);
-                            // Post-barrier, the whole job's sum is sealed.
-                            assert_eq!(
-                                sum.load(SeqCst),
-                                participants * (participants + 1) / 2,
-                                "tids 0..{participants} each ran exactly once"
-                            );
                         });
+                        assert_eq!(
+                            sum.load(SeqCst),
+                            participants * (participants + 1) / 2,
+                            "tids 0..{participants} each ran exactly once"
+                        );
                     }
                 });
             }
         });
     }
 
-    /// Saturating the job table falls back to scoped threads instead of
-    /// blocking: a submission arriving while all MAX_JOBS slots are
-    /// stalled still completes.
+    /// Saturating the job table runs the next submission inline instead
+    /// of blocking: a submission arriving while all MAX_JOBS slots are
+    /// stalled still completes, and the fallback is counted.
     #[test]
     fn table_overflow_falls_back_to_scoped() {
         let pool = WorkerPool::new(0);
@@ -1611,7 +1557,7 @@ mod tests {
             for _ in 0..MAX_JOBS {
                 let (pool_ref, gate, count) = (&pool, &gate_open, &stalled);
                 scope.spawn(move || {
-                    pool_ref.run(2, |tid, _| {
+                    pool_ref.run(2, |tid| {
                         if tid == 0 {
                             count.fetch_add(1, SeqCst);
                         }
@@ -1625,38 +1571,14 @@ mod tests {
                 std::thread::yield_now();
             }
             // Table full; the next submission must still complete.
+            let before = inline_runs();
             let hits = AtomicUsize::new(0);
-            pool.run(3, |_, _| {
+            pool.run(3, |_| {
                 hits.fetch_add(1, SeqCst);
             });
             assert_eq!(hits.load(SeqCst), 3, "overflow job ran every tid");
+            assert!(inline_runs() > before, "the overflow job ran inline");
             gate_open.store(true, SeqCst);
-        });
-    }
-
-    #[test]
-    fn spin_barrier_is_reusable_standalone() {
-        let barrier = SpinBarrier::new();
-        let rounds = 50;
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    for _ in 0..rounds {
-                        counter.fetch_add(1, SeqCst);
-                        barrier.wait(4);
-                        // Second episode holds the next round's increments
-                        // back until the main thread has asserted.
-                        barrier.wait(4);
-                    }
-                });
-            }
-            for round in 1..=rounds {
-                counter.fetch_add(1, SeqCst);
-                barrier.wait(4);
-                assert_eq!(counter.load(SeqCst), 4 * round);
-                barrier.wait(4);
-            }
         });
     }
 }

@@ -13,12 +13,11 @@
 //! Since the compiled backend grew K-word lane blocks, full-width (64
 //! lane) logical shards *fuse*: [`ShardPolicy::lane_words`] consecutive
 //! shards become one wide `CompiledSim` of up to `lane_words * 64` lanes
-//! — one compile, one state arena, one settle walk for the whole block —
-//! and any thread budget the fusion frees up is routed into intra-shard
-//! parallel level evaluation ([`EvalPolicy::par_levels`]). A policy
-//! asking for `4 x 64` lanes on 2 threads therefore runs one 256-lane
-//! sim whose settles split levels across 2 workers, instead of 4 sims
-//! paying 4 level walks. Shards narrower than a full word never fuse.
+//! — one compile, one state arena, one settle walk for the whole block.
+//! A policy asking for `4 x 64` lanes therefore runs one 256-lane sim
+//! instead of 4 sims paying 4 level walks; the thread count is capped at
+//! the number of blocks left. Shards narrower than a full word never
+//! fuse.
 //!
 //! Lane numbering is global: a [`ShardedSim`] over `T` total lanes in
 //! physical blocks of `B` puts global lane `g` in block `g / B` at local
@@ -36,63 +35,28 @@
 //!   This is what `hwlib`'s verification sweeps and the `gate_sim` bench
 //!   use.
 //!
-//! Under the default [`ShardSchedule::WorkStealing`], idle workers claim
-//! the next shard index off a single atomic counter — no queue, no lock.
-//! Evaluation runs on the shared [`crate::pool::WorkerPool`] when
-//! available ([`ShardPolicy::use_pool`], `GATE_SIM_POOL`), and on
-//! per-call scoped threads otherwise; both paths use the same claim
-//! counter and are bit-identical.
+//! Either way the shards are handed out by [`pool::claim_map`]: idle
+//! workers claim the next shard index off a single atomic counter, on
+//! the shared [`crate::pool::WorkerPool`] whenever more than one thread
+//! is configured.
 
-use crate::compiled::{CompiledSim, EvalMode, EvalPolicy, LANES_PER_WORD, MAX_LANE_WORDS};
+use crate::compiled::{CompiledSim, EvalMode, LANES_PER_WORD, MAX_LANE_WORDS};
 use crate::pool::{self, WorkerPool};
 use crate::sim::{EvalStats, SimBackend};
 use crate::{NetId, Netlist};
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default lane-block fusion width when `GATE_SIM_LANE_WORDS` is unset:
 /// 4 words = 256 lanes per block, the widest monomorphized kernel.
 pub const DEFAULT_LANE_WORDS: usize = 4;
 
-/// How a batch of shards is scheduled onto the worker threads of one
-/// [`ShardedSim::par_shards`] scope.
-///
-/// Purely a scheduling knob: shards are disjoint and results are written
-/// back in shard order, so every schedule produces bit-identical results
-/// (property-tested in `crates/netlist/tests/properties.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardSchedule {
-    /// Threads pull the next unclaimed shard from a shared queue the
-    /// moment they finish their current one, so uneven per-shard loads
-    /// (e.g. one shard's schedule settling far more than the others') no
-    /// longer serialize on the slowest statically-assigned thread.
-    #[default]
-    WorkStealing,
-    /// The pre-work-stealing scheduler: shards are pre-sliced into one
-    /// contiguous chunk per thread, balanced by *weight* (a shard's op
-    /// stream length times its lane-block width), so a partial trailing
-    /// lane block no longer drags a full-width shard onto its thread.
-    /// Runs on the persistent worker pool like the stealing scheduler.
-    #[deprecated(
-        since = "0.1.0",
-        note = "static pre-slicing balances compile-time weight but still \
-                cannot rebalance loads that only differ at run time (e.g. \
-                per-shard settle counts); use ShardSchedule::WorkStealing \
-                (the default). Kept reachable so the determinism property \
-                tests can pin both schedulers against each other."
-    )]
-    Static,
-}
-
 /// How a stimulus batch is split into shards and scheduled onto threads.
 ///
-/// `shards * lanes_per_shard` is the total lane count; `threads`,
-/// `schedule`, `par_levels`, and `lane_words` only control how those
-/// lanes evaluate (how many OS threads, how shards are handed to them,
-/// how many additional workers split each level *inside* a shard settle,
-/// and how many full-width shards fuse into one wide lane block) and
-/// never affect simulation values or toggle counts.
+/// `shards * lanes_per_shard` is the total lane count; `threads` and
+/// `lane_words` only control how those lanes evaluate (how many OS
+/// threads claim shards, and how many full-width shards fuse into one
+/// wide lane block) and never affect simulation values or toggle counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
     /// Number of logical [`CompiledSim`] shards.
@@ -100,24 +64,8 @@ pub struct ShardPolicy {
     /// Stimulus lanes per logical shard (1..=[`LANES_PER_WORD`]).
     pub lanes_per_shard: usize,
     /// Worker threads to spread shards over (clamped to the physical
-    /// shard count after lane-block fusion; the leftover budget becomes
-    /// intra-shard [`EvalPolicy::par_levels`] workers).
+    /// shard count after lane-block fusion).
     pub threads: usize,
-    /// How shards are handed to the worker threads.
-    pub schedule: ShardSchedule,
-    /// Intra-shard parallel level evaluation: every shard settles with
-    /// [`EvalPolicy::par_levels`]`(par_levels)` workers (1 = sequential
-    /// shard settles). Multiplies with `threads`, so keep
-    /// `threads * par_levels` within the physical core budget.
-    pub par_levels: usize,
-    /// Run work-stealing evaluations on the persistent shared
-    /// [`crate::pool::WorkerPool`] (the default) instead of spawning a
-    /// fresh `std::thread::scope` per call. Purely a performance knob —
-    /// both paths claim shards off the same atomic counter and are
-    /// bit-identical — kept switchable so benches can measure the pool
-    /// against its scoped predecessor (`GATE_SIM_POOL=0` forces it off
-    /// globally).
-    pub use_pool: bool,
     /// Lane-block fusion width in 64-lane words
     /// (1..=[`MAX_LANE_WORDS`]): up to `lane_words` consecutive
     /// *full-width* (64-lane) logical shards fuse into one wide
@@ -140,9 +88,6 @@ impl ShardPolicy {
             shards: 1,
             lanes_per_shard: LANES_PER_WORD,
             threads: 1,
-            schedule: ShardSchedule::default(),
-            par_levels: 1,
-            use_pool: true,
             lane_words: crate::env_lane_words().unwrap_or(DEFAULT_LANE_WORDS),
         }
     }
@@ -193,13 +138,9 @@ pub struct ShardedSim {
     /// Total stimulus lanes (`policy.shards * policy.lanes_per_shard`).
     total_lanes: usize,
     threads: usize,
-    schedule: ShardSchedule,
-    /// Whether pooled evaluation was requested ([`ShardPolicy::use_pool`]);
-    /// remembered so [`ShardedSim::set_threads`] can re-acquire the pool.
-    want_pool: bool,
-    /// Handle on the persistent worker pool, held while the policy wants
-    /// pooled threads. Dropping the last handle process-wide joins the
-    /// pool's workers.
+    /// Handle on the persistent worker pool, held while more than one
+    /// thread is configured. Dropping the last handle process-wide joins
+    /// the pool's workers.
     pool: Option<Arc<WorkerPool>>,
     /// Merged per-net toggle counts, rebuilt lazily after each eval.
     merged_toggles: OnceCell<Vec<u64>>,
@@ -242,8 +183,9 @@ impl ShardedSim {
         assert!(policy.shards >= 1, "policy needs at least one shard");
         assert!(policy.threads >= 1, "policy needs at least one thread");
         assert!(
-            policy.par_levels >= 1,
-            "policy needs at least one par-level worker"
+            (1..=LANES_PER_WORD).contains(&policy.lanes_per_shard),
+            "policy.lanes_per_shard must be in 1..={LANES_PER_WORD}, got {}",
+            policy.lanes_per_shard
         );
         assert!(
             (1..=MAX_LANE_WORDS).contains(&policy.lane_words),
@@ -263,20 +205,10 @@ impl ShardedSim {
         let shard_lanes: Vec<usize> = (0..total_lanes.div_ceil(block_lanes))
             .map(|i| (total_lanes - i * block_lanes).min(block_lanes))
             .collect();
-        let threads = policy.threads.min(shard_lanes.len());
-        // Fusion can leave fewer blocks than requested threads; route the
-        // freed budget into intra-shard parallel level evaluation so
-        // `threads` keeps meaning "worker threads the eval may use".
-        // Results are unaffected: par-level settles are bit-identical.
-        let intra = policy.par_levels * (policy.threads / shard_lanes.len()).max(1);
         // Blocks are identical at reset: levelize/compile once, clone (or
         // reshape, for a partial trailing block — both share the compiled
         // program and the netlist Arc).
-        let mut first = CompiledSim::with_lanes_arc(netlist, shard_lanes[0]);
-        first.set_eval_policy(EvalPolicy {
-            use_pool: policy.use_pool,
-            ..EvalPolicy::par_levels(intra)
-        });
+        let first = CompiledSim::with_lanes_arc(netlist, shard_lanes[0]);
         let shards: Vec<CompiledSim> = shard_lanes
             .iter()
             .map(|&l| {
@@ -295,24 +227,12 @@ impl ShardedSim {
             // width callers can actually drive.
             lanes_per_shard: shard_lanes[0],
             total_lanes,
-            threads,
-            schedule: policy.schedule,
-            want_pool: policy.use_pool,
+            threads: 1,
             pool: None,
             merged_toggles: OnceCell::new(),
         };
-        sim.acquire_pool();
+        sim.set_threads(policy.threads);
         sim
-    }
-
-    /// (Re-)acquires or releases the shared worker pool to match the
-    /// current `threads`/`want_pool` configuration. Both schedulers run
-    /// their slices on the pool: pooled-vs-scoped execution is
-    /// bit-identical, so pooling the deprecated static path keeps the
-    /// determinism pins intact while removing its per-call spawn tax.
-    fn acquire_pool(&mut self) {
-        let poolable = self.threads > 1 && self.want_pool && pool::env_pool_enabled();
-        self.pool = poolable.then(|| WorkerPool::shared(self.threads - 1));
     }
 
     /// Selects every shard's evaluation strategy ([`EvalMode`]). Purely a
@@ -321,22 +241,6 @@ impl ShardedSim {
         for s in &mut self.shards {
             s.set_eval_mode(mode);
         }
-    }
-
-    /// Selects every shard's intra-settle parallelism ([`EvalPolicy`]).
-    /// Purely a performance knob: results are bit-identical for every
-    /// policy. Each shard settle then uses `policy.threads` workers *in
-    /// addition to* the shard threads, so keep the product within the
-    /// physical core budget.
-    pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        for s in &mut self.shards {
-            s.set_eval_policy(policy);
-        }
-    }
-
-    /// How shards are handed to the worker threads.
-    pub fn schedule(&self) -> ShardSchedule {
-        self.schedule
     }
 
     /// Merged work counters: the elementwise sum of every shard's
@@ -376,11 +280,13 @@ impl ShardedSim {
         self.threads
     }
 
-    /// Re-schedules future evaluations over `threads` threads. Results are
-    /// unaffected — this is purely a performance knob.
+    /// Re-schedules future evaluations over `threads` threads (capped at
+    /// the shard count), acquiring the shared worker pool when more than
+    /// one remains and releasing it otherwise. Results are unaffected —
+    /// this is purely a performance knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1).min(self.shards.len());
-        self.acquire_pool();
+        self.pool = (self.threads > 1).then(|| WorkerPool::shared(self.threads - 1));
     }
 
     fn shard_of(&self, lane: usize) -> (usize, usize) {
@@ -393,9 +299,8 @@ impl ShardedSim {
     }
 
     /// Runs `f(shard_index, shard)` for every shard, spread over the
-    /// configured threads as one job on the persistent worker pool (or
-    /// one scoped-thread batch on the fallback paths), and returns the
-    /// results in shard order.
+    /// configured threads as one job on the persistent worker pool, and
+    /// returns the results in shard order.
     ///
     /// This is the batched entry point: putting a whole settle schedule
     /// inside `f` amortises even the (small) per-job submission cost over
@@ -404,168 +309,23 @@ impl ShardedSim {
     /// [`CompiledSim::step`] counts) if you later read
     /// [`ShardedSim::cycles`] or activity.
     ///
-    /// Under the default [`ShardSchedule::WorkStealing`] the threads
-    /// claim shard indices off one atomic counter, so uneven per-shard
-    /// loads rebalance automatically; results are written back by shard
-    /// index either way, so `f`'s return values (and all shard state) are
-    /// independent of the schedule and the thread count.
+    /// Threads claim shard indices off one atomic counter
+    /// ([`pool::claim_map`]), so uneven per-shard loads rebalance
+    /// automatically; results are written back by shard index, so `f`'s
+    /// return values (and all shard state) are independent of the claim
+    /// order and the thread count. Called from inside another pool job,
+    /// the shards run inline on the calling thread.
     pub fn par_shards<R, F>(&mut self, f: F) -> Vec<R>
     where
         F: Fn(usize, &mut CompiledSim) -> R + Sync,
         R: Send,
     {
         self.merged_toggles.take();
-        let threads = self.threads.min(self.shards.len());
-        if threads <= 1 {
-            return self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| f(i, s))
-                .collect();
-        }
-        #[allow(deprecated)] // the deprecated static path stays reachable
-        match self.schedule {
-            ShardSchedule::WorkStealing => self.par_shards_stealing(threads, f),
-            ShardSchedule::Static => self.par_shards_static(threads, f),
-        }
+        pool::claim_map(self.pool.as_deref(), self.threads, &mut self.shards, f)
     }
 
-    /// [`ShardedSim::par_shards`] under [`ShardSchedule::WorkStealing`]:
-    /// each worker claims the next unclaimed shard index off one atomic
-    /// counter the moment it goes idle — lock-free, no queue structure at
-    /// all (this replaced a mutex-guarded iterator queue). The claim
-    /// order is nondeterministic; the work and the results are not — a
-    /// `fetch_add` hands out each index exactly once, so every `(index,
-    /// shard)` pair is processed by exactly one thread and each result is
-    /// written into its own slot of a shard-indexed vector.
-    ///
-    /// Runs as one job on the persistent pool when available, and on
-    /// per-call scoped threads otherwise (`GATE_SIM_POOL=0`, a policy
-    /// opt-out, or a call nested inside another pool job); both paths
-    /// execute the identical claim loop.
-    fn par_shards_stealing<R, F>(&mut self, threads: usize, f: F) -> Vec<R>
-    where
-        F: Fn(usize, &mut CompiledSim) -> R + Sync,
-        R: Send,
-    {
-        let count = self.shards.len();
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<R>> = (0..count).map(|_| None).collect();
-
-        /// Raw, `Sync` view of the shard array and the result slots.
-        ///
-        /// # Safety contract
-        ///
-        /// Index `i` of both arrays is touched only by the worker whose
-        /// `next.fetch_add(1)` returned `i` — the counter hands out each
-        /// index exactly once — so all concurrent access is
-        /// index-disjoint, and the job's completion edge (pool latch or
-        /// scope join) orders every slot write before the caller's reads.
-        struct StealArena<R> {
-            shards: *mut CompiledSim,
-            results: *mut Option<R>,
-        }
-        // SAFETY: see the struct-level contract — index-disjoint access
-        // ordered by the job completion edge.
-        unsafe impl<R> Sync for StealArena<R> {}
-
-        let arena = StealArena {
-            shards: self.shards.as_mut_ptr(),
-            results: results.as_mut_ptr(),
-        };
-        let worker = |_tid: usize, _barrier: &pool::SpinBarrier| loop {
-            // Capture the whole arena, not its raw-pointer fields: the
-            // `Sync` contract lives on the struct (edition-2021 closures
-            // would otherwise capture the pointers disjointly).
-            let arena = &arena;
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            // SAFETY: the claim counter yielded `i` to this worker alone.
-            let shard = unsafe { &mut *arena.shards.add(i) };
-            let r = f(i, shard);
-            // SAFETY: same claim; the slot was preset to None by the
-            // caller and is read back only after the job completes.
-            unsafe { *arena.results.add(i) = Some(r) };
-        };
-        pool::dispatch(self.pool.as_deref(), threads, worker);
-        results
-            .into_iter()
-            .map(|r| r.expect("every shard index claimed exactly once"))
-            .collect()
-    }
-
-    /// [`ShardedSim::par_shards`] under the deprecated
-    /// [`ShardSchedule::Static`]: shards are pre-sliced into one
-    /// contiguous chunk per thread, balanced by measured weight (a
-    /// shard's op stream length times its lane-block width) instead of
-    /// by shard count, so a cheap partial trailing block no longer
-    /// occupies a whole thread while a heavy one queues. The slicing is
-    /// a pure function of the (immutable) program and shard shapes —
-    /// fully deterministic — and each shard index is owned by exactly
-    /// one thread, so results are bit-identical to the stealing
-    /// scheduler and to sequential execution. Runtime load imbalance
-    /// (e.g. uneven per-shard settle counts in `f`) still serializes on
-    /// the assigned thread; that is why the stealing scheduler remains
-    /// the default.
-    fn par_shards_static<R, F>(&mut self, threads: usize, f: F) -> Vec<R>
-    where
-        F: Fn(usize, &mut CompiledSim) -> R + Sync,
-        R: Send,
-    {
-        let weights: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| (s.program().len() * s.lane_words()) as u64)
-            .collect();
-        let bounds = balanced_bounds(&weights, threads);
-        let mut results: Vec<Option<R>> = (0..self.shards.len()).map(|_| None).collect();
-
-        /// Raw, `Sync` view of the shard array and the result slots.
-        ///
-        /// # Safety contract
-        ///
-        /// `bounds` partitions `0..shards.len()` into disjoint contiguous
-        /// ranges, and thread `t` touches exactly the indices of
-        /// `bounds[t]` — so all concurrent access is index-disjoint, and
-        /// the job's completion edge (pool latch or scope join) orders
-        /// every slot write before the caller's reads.
-        struct StaticArena<R> {
-            shards: *mut CompiledSim,
-            results: *mut Option<R>,
-        }
-        // SAFETY: see the struct-level contract — index-disjoint access
-        // ordered by the job completion edge.
-        unsafe impl<R> Sync for StaticArena<R> {}
-
-        let arena = StaticArena {
-            shards: self.shards.as_mut_ptr(),
-            results: results.as_mut_ptr(),
-        };
-        let worker = |tid: usize, _barrier: &pool::SpinBarrier| {
-            // Capture the whole arena, not its raw-pointer fields (the
-            // `Sync` contract lives on the struct).
-            let arena = &arena;
-            for i in bounds[tid].clone() {
-                // SAFETY: `bounds` hands index `i` to this thread alone.
-                let shard = unsafe { &mut *arena.shards.add(i) };
-                let r = f(i, shard);
-                // SAFETY: same ownership; the slot was preset to None by
-                // the caller and read back only after the job completes.
-                unsafe { *arena.results.add(i) = Some(r) };
-            }
-        };
-        pool::dispatch(self.pool.as_deref(), threads, worker);
-        results
-            .into_iter()
-            .map(|r| r.expect("balanced bounds cover every shard index"))
-            .collect()
-    }
-
-    /// Settles all combinational logic on every shard (one pool job, or
-    /// one thread scope on the fallback paths).
+    /// Settles all combinational logic on every shard (one pool job when
+    /// more than one thread is configured).
     pub fn eval(&mut self) {
         self.par_shards(|_, s| s.eval());
     }
@@ -656,36 +416,6 @@ impl ShardedSim {
     }
 }
 
-/// Pre-slices `weights.len()` items into `threads` contiguous ranges so
-/// each range's weight is as close to the remaining average as a greedy
-/// left-to-right walk can make it, while guaranteeing every range holds
-/// at least one item (callers clamp `threads <= weights.len()`). Fully
-/// deterministic: the slicing depends only on the weights.
-fn balanced_bounds(weights: &[u64], threads: usize) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    debug_assert!(threads >= 1 && threads <= n);
-    let total: u64 = weights.iter().sum();
-    let mut bounds = Vec::with_capacity(threads);
-    let (mut start, mut spent) = (0usize, 0u64);
-    for t in 0..threads {
-        let left = threads - t; // ranges still to emit, this one included
-                                // Later ranges must keep at least one item each; this one must
-                                // take at least one.
-        let hi = n - (left - 1);
-        let target = (total - spent).div_ceil(left as u64);
-        let mut end = start + 1;
-        let mut acc = weights[start];
-        while end < hi && acc < target {
-            acc += weights[end];
-            end += 1;
-        }
-        spent += acc;
-        bounds.push(start..end);
-        start = end;
-    }
-    bounds
-}
-
 impl SimBackend for ShardedSim {
     fn netlist(&self) -> &Netlist {
         ShardedSim::netlist(self)
@@ -733,10 +463,6 @@ impl SimBackend for ShardedSim {
 
     fn eval_stats(&self) -> EvalStats {
         ShardedSim::eval_stats(self)
-    }
-
-    fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        ShardedSim::set_eval_policy(self, policy);
     }
 }
 
@@ -795,21 +521,18 @@ mod tests {
     #[test]
     fn work_stealing_matches_static_on_uneven_loads() {
         // Deliberately uneven per-shard loads: shard i settles (i + 1) * 4
-        // times inside one par_shards scope. Under static chunking the
-        // heavy shards pin their thread; stealing rebalances — but state,
-        // toggles, and results must be bit-identical either way, at every
-        // thread count.
+        // times inside one par_shards scope. Stealing rebalances the heavy
+        // shards across threads, but state, toggles, and results must be
+        // bit-identical to the in-order single-thread run at every thread
+        // count.
         let nl = counter(5);
-        #[allow(deprecated)] // pins the deprecated scheduler as reference
-        let schedules = [ShardSchedule::WorkStealing, ShardSchedule::Static];
-        let run = |schedule: ShardSchedule, threads: usize| {
+        let run = |threads: usize| {
             let mut sim = ShardedSim::with_policy(
                 &nl,
                 ShardPolicy {
                     shards: 6,
                     lanes_per_shard: 2,
                     threads,
-                    schedule,
                     ..ShardPolicy::single()
                 },
             );
@@ -822,20 +545,14 @@ mod tests {
             });
             (settles, sim.toggles().to_vec())
         };
-        let reference = run(schedules[1], 1);
+        let reference = run(1);
         assert_eq!(
             reference.0,
             vec![4, 8, 12, 16, 20, 24],
             "per-shard settle counts are genuinely uneven"
         );
-        for schedule in schedules {
-            for threads in [1, 2, 3, 4, 6] {
-                assert_eq!(
-                    run(schedule, threads),
-                    reference,
-                    "{schedule:?} x{threads} diverged"
-                );
-            }
+        for threads in [2, 3, 4, 6] {
+            assert_eq!(run(threads), reference, "x{threads} diverged");
         }
     }
 
@@ -852,7 +569,6 @@ mod tests {
                 ..ShardPolicy::single()
             },
         );
-        assert_eq!(sim.schedule(), ShardSchedule::WorkStealing);
         let claims = AtomicUsize::new(0);
         let indices = sim.par_shards(|i, _| {
             claims.fetch_add(1, Ordering::Relaxed);
@@ -1008,7 +724,6 @@ mod tests {
                 lanes_per_shard: 64,
                 threads: 4,
                 lane_words: 1,
-                ..ShardPolicy::single()
             },
         );
         sim.set_eval_mode(EvalMode::Auto);
@@ -1045,7 +760,6 @@ mod tests {
                 lanes_per_shard: 64,
                 threads: 4,
                 lane_words: 4,
-                ..ShardPolicy::single()
             },
         );
         // 5 x 64 lanes fuse into a 256-lane block plus a 64-lane tail.
@@ -1054,10 +768,8 @@ mod tests {
         assert_eq!(SimBackend::lanes(&sim), 320);
         assert_eq!(SimBackend::lanes(&sim.shards()[0]), 256);
         assert_eq!(SimBackend::lanes(&sim.shards()[1]), 64);
-        // Fusion halved the outer thread count; the freed budget became
-        // intra-shard parallel level workers (4 threads / 2 blocks = 2).
+        // Fusion left two blocks, so only two of the four threads apply.
         assert_eq!(sim.thread_count(), 2);
-        assert_eq!(sim.shards()[0].eval_policy().threads, 2);
         // Narrow shards never fuse.
         let narrow = ShardedSim::with_policy(
             &nl,
@@ -1066,7 +778,6 @@ mod tests {
                 lanes_per_shard: 2,
                 threads: 1,
                 lane_words: 4,
-                ..ShardPolicy::single()
             },
         );
         assert_eq!(narrow.shard_count(), 6);
@@ -1084,7 +795,6 @@ mod tests {
                     lanes_per_shard: 64,
                     threads,
                     lane_words,
-                    ..ShardPolicy::single()
                 },
             );
             for _ in 0..9 {
@@ -1108,20 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_bounds_slices_by_weight_not_count() {
-        // One heavy item among light ones: count-based chunking would put
-        // two items per thread regardless; weight-based slicing gives the
-        // heavy item its own thread.
-        let bounds = balanced_bounds(&[6, 1, 1, 1, 1, 2], 3);
-        assert_eq!(bounds, vec![0..1, 1..4, 4..6]);
-        let covered: Vec<usize> = bounds.iter().flat_map(|r| r.clone()).collect();
-        assert_eq!(covered, (0..6).collect::<Vec<_>>(), "a partition");
-        // Degenerate slices.
-        assert_eq!(balanced_bounds(&[3, 3, 3], 1), vec![0..3]);
-        assert_eq!(balanced_bounds(&[5, 1], 2), vec![0..1, 1..2]);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let nl = counter(2);
@@ -1131,6 +827,45 @@ mod tests {
                 shards: 0,
                 lanes_per_shard: 1,
                 threads: 1,
+                ..ShardPolicy::single()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn zero_threads_rejected() {
+        let nl = counter(2);
+        let _ = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy {
+                threads: 0,
+                ..ShardPolicy::single()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes_per_shard must be in 1..=64, got 0")]
+    fn zero_lanes_per_shard_rejected() {
+        let nl = counter(2);
+        let _ = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy {
+                lanes_per_shard: 0,
+                ..ShardPolicy::single()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes_per_shard must be in 1..=64, got 65")]
+    fn overwide_lanes_per_shard_rejected() {
+        let nl = counter(2);
+        let _ = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy {
+                lanes_per_shard: 65,
                 ..ShardPolicy::single()
             },
         );

@@ -11,7 +11,6 @@
 //! * [`crate::compiled::CompiledSim`] — a compiled op-stream backend that
 //!   evaluates up to 64 stimulus lanes per pass (`u64` bit-vector per net).
 
-use crate::compiled::EvalPolicy;
 use crate::{Gate, NetId, Netlist};
 
 /// Bit `i` of `value` as a 0/1 word, where bits at and beyond 64 read as 0:
@@ -175,13 +174,6 @@ pub trait SimBackend {
     fn eval_stats(&self) -> EvalStats {
         EvalStats::default()
     }
-
-    /// Requests an intra-settle parallelism policy ([`EvalPolicy`]:
-    /// levels split into chunks across scoped worker threads). Purely a
-    /// performance knob — results are bit-identical for every policy, so
-    /// backends without a compiled level structure (e.g. the interpreted
-    /// [`Sim`]) are free to ignore it; the default does.
-    fn set_eval_policy(&mut self, _policy: EvalPolicy) {}
 }
 
 /// Interpreted simulator for one netlist (owns a copy of the structure).

@@ -408,7 +408,7 @@ fn worker_panic_chaos_is_typed_and_the_pool_recovers() {
     let pool = WorkerPool::new(2);
     failpoints::configure(Plan::parse("11:pool::worker_panic=once"));
     let err = pool
-        .run_with(3, &JobOptions::default(), |_tid, _barrier| {})
+        .run_with(3, &JobOptions::default(), |_tid| {})
         .expect_err("injected panic must surface");
     assert!(
         err.panic_message()
@@ -417,7 +417,7 @@ fn worker_panic_chaos_is_typed_and_the_pool_recovers() {
     );
     failpoints::clear();
     let hits = AtomicUsize::new(0);
-    pool.run(3, |_tid, _barrier| {
+    pool.run(3, |_tid| {
         hits.fetch_add(1, Ordering::SeqCst);
     });
     assert_eq!(hits.load(Ordering::SeqCst), 3, "pool must recover");
@@ -434,7 +434,7 @@ fn worker_loss_chaos_respawns_a_replacement() {
     let width = pool.worker_count();
     failpoints::configure(Plan::parse("13:pool::worker_loss=once"));
     let err = pool
-        .run_with(2, &JobOptions::default(), |_tid, _barrier| {})
+        .run_with(2, &JobOptions::default(), |_tid| {})
         .expect_err("a lost worker must surface");
     assert!(
         err.panic_message()
@@ -446,13 +446,9 @@ fn worker_loss_chaos_respawns_a_replacement() {
     // The replacement (spawned by the dying worker's guard) serves the
     // next job; a generous deadline bounds the test if respawn broke.
     let hits = AtomicUsize::new(0);
-    pool.run_with(
-        2,
-        &JobOptions::deadline(Duration::from_secs(10)),
-        |_t, _b| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        },
-    )
+    pool.run_with(2, &JobOptions::deadline(Duration::from_secs(10)), |_t| {
+        hits.fetch_add(1, Ordering::SeqCst);
+    })
     .expect("replacement worker must serve");
     assert_eq!(hits.load(Ordering::SeqCst), 2);
 }
@@ -466,7 +462,7 @@ fn deadline_revokes_tids_a_dozing_worker_never_claims() {
     let pool = WorkerPool::new(1);
     // Warm the worker up and let it park, so the doze below lands at its
     // wakeup (loop top) rather than racing an initial spin phase.
-    pool.run(2, |_tid, _barrier| {});
+    pool.run(2, |_tid| {});
     std::thread::sleep(Duration::from_millis(50));
     // Belt and braces: even if the worker were mid-scan, the stalled
     // claim delay keeps its CAS past the deadline, where the sealed
@@ -476,7 +472,7 @@ fn deadline_revokes_tids_a_dozing_worker_never_claims() {
     ));
     let deadline = Duration::from_millis(50);
     let err = pool
-        .run_with(2, &JobOptions::deadline(deadline), |tid, _barrier| {
+        .run_with(2, &JobOptions::deadline(deadline), |tid| {
             assert_eq!(tid, 0, "the dozing worker must never run its tid");
         })
         .expect_err("the unclaimed tid must expire the job");
@@ -494,16 +490,17 @@ fn deadline_revokes_tids_a_dozing_worker_never_claims() {
     }
     failpoints::clear();
     let hits = AtomicUsize::new(0);
-    pool.run(2, |_tid, _barrier| {
+    pool.run(2, |_tid| {
         hits.fetch_add(1, Ordering::SeqCst);
     });
     assert_eq!(hits.load(Ordering::SeqCst), 2, "pool must recover");
 }
 
-/// The scoped fallback (taken when an evaluator runs while already
+/// The inline fallback (taken when an evaluator runs while already
 /// inside a pool job, per [`pool::in_job`]) honours the same chaos
 /// contract: the nested sharded evaluator stays bit-identical even
-/// though it cannot use the roster.
+/// though it cannot use the roster, and every nested settle is counted
+/// by [`pool::inline_runs`].
 #[test]
 fn chaos_respects_the_in_job_escape_hatch() {
     let _guard = failpoints::exclusive();
@@ -518,11 +515,11 @@ fn chaos_respects_the_in_job_escape_hatch() {
     let want = int.get_bus("out");
     let got = std::sync::Mutex::new(None);
     let outer = WorkerPool::new(1);
-    outer.run(2, |tid, _barrier| {
+    outer.run(2, |tid| {
         if tid != 0 {
             return;
         }
-        assert!(pool::in_job(), "the job flag gates the scoped fallback");
+        assert!(pool::in_job(), "the job flag gates the inline fallback");
         let mut sharded = ShardedSim::with_policy(
             &nl,
             ShardPolicy {
@@ -532,11 +529,16 @@ fn chaos_respects_the_in_job_escape_hatch() {
                 ..ShardPolicy::single()
             },
         );
+        let before = pool::inline_runs();
         for &s in &stimuli(41, 8) {
             SimBackend::set_bus(&mut sharded, "in", s as u32);
             sharded.eval();
             sharded.step();
         }
+        assert!(
+            pool::inline_runs() >= before + 8,
+            "every nested settle must count as an inline run"
+        );
         *got.lock().unwrap() = Some(sharded.get_bus_lane("out", 0));
     });
     assert_eq!(got.into_inner().unwrap(), Some(want as u64));

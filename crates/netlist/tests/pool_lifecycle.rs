@@ -7,9 +7,13 @@
 //! reason. The `GATE_SIM_THREADS={1,2,4}` CI matrix runs this file at
 //! each thread count, so the join-on-drop guarantee is exercised with
 //! real concurrency at every shape.
+//!
+//! Simulators acquire the pool through [`ShardedSim`]: a sharded
+//! simulator with more than one thread holds a handle, one with a
+//! single thread holds none.
 
 use netlist::pool::{alive_workers, WorkerPool};
-use netlist::{Builder, CompiledSim, EvalPolicy, Netlist, ShardPolicy, ShardedSim, Sim};
+use netlist::{Builder, Netlist, ShardPolicy, ShardedSim, Sim};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes the tests in this binary: each one asserts on the
@@ -18,13 +22,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 fn pool_mutex() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// True when `GATE_SIM_POOL=0` disabled pool acquisition: there is no
-/// roster to assert on, so the census tests vacuously pass (the
-/// scoped-fallback *results* are covered by the property suite).
-fn pool_disabled() -> bool {
-    !netlist::pool::env_pool_enabled()
 }
 
 /// The thread count the CI matrix asked for, with a multi-threaded
@@ -45,25 +42,31 @@ fn counter(bits: usize) -> Netlist {
     b.finish()
 }
 
+/// A sharded simulator over `threads` two-lane shards on `threads`
+/// threads (narrow shards never fuse, so every thread gets a shard).
+fn sharded(nl: &Netlist, threads: usize) -> ShardedSim {
+    ShardedSim::with_policy(
+        nl,
+        ShardPolicy {
+            shards: threads,
+            lanes_per_shard: 2,
+            threads,
+            ..ShardPolicy::single()
+        },
+    )
+}
+
 /// Dropping the last simulator that holds the pool joins every worker:
 /// no detached threads survive, at any `GATE_SIM_THREADS` shape.
 #[test]
 fn dropping_the_last_sim_joins_all_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let threads = matrix_threads().max(2);
     let before = alive_workers();
     let nl = counter(6);
     {
-        let mut comp = CompiledSim::with_lanes(&nl, 64);
-        comp.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
-        let mut sharded = ShardedSim::with_policy(
+        let mut a = sharded(&nl, threads);
+        let mut b = ShardedSim::with_policy(
             &nl,
             ShardPolicy {
                 shards: threads * 2,
@@ -73,22 +76,21 @@ fn dropping_the_last_sim_joins_all_workers() {
             },
         );
         for _ in 0..5 {
-            comp.eval();
-            comp.step();
-            sharded.eval();
-            sharded.step();
+            a.eval();
+            a.step();
+            b.eval();
+            b.step();
         }
         assert!(
             alive_workers() >= before + threads - 1,
-            "pooled policies must have spawned workers"
+            "pooled simulators must have spawned workers"
         );
-        // A clone shares the pool handle; dropping the original must not
-        // tear the pool down under the clone.
-        let clone = comp.clone();
-        drop(comp);
+        // Dropping one holder must not tear the pool down under the
+        // other.
+        drop(a);
         assert!(alive_workers() >= before + threads - 1);
-        drop(clone);
-        drop(sharded);
+        b.eval();
+        drop(b);
     }
     // All simulators are gone: WorkerPool::drop has joined every thread
     // synchronously, so the census is back immediately — no polling.
@@ -104,25 +106,12 @@ fn dropping_the_last_sim_joins_all_workers() {
 /// instance rather than spawning a second roster.
 #[test]
 fn concurrent_sims_share_one_pool_instance() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(4);
-    let mut a = CompiledSim::with_lanes(&nl, 64);
-    a.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    let a = sharded(&nl, 2);
     let spawned_for_a = alive_workers() - before;
-    let mut b = CompiledSim::with_lanes(&nl, 64);
-    b.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    let b = sharded(&nl, 2);
     assert_eq!(
         alive_workers() - before,
         spawned_for_a,
@@ -138,45 +127,40 @@ fn concurrent_sims_share_one_pool_instance() {
     assert_eq!(alive_workers(), before);
 }
 
-/// Growing a policy grows the shared roster in place; shrinking parks
-/// the surplus instead of churning threads, and results stay exact
+/// Growing the thread count grows the shared roster in place; shrinking
+/// parks the surplus instead of churning threads, and results stay exact
 /// throughout (the bit-identity half is property-tested — here we pin
 /// the roster census and a smoke-check of the values).
 #[test]
 fn resize_grows_in_place_and_shrink_parks_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(8);
     let mut reference = Sim::new(&nl);
-    let mut sim = CompiledSim::new(&nl);
+    let mut sim = sharded(&nl, 4);
     let mut census_high = 0;
     // The schedule never passes back through 1 thread: a sequential
-    // policy releases the pool handle outright (covered by
+    // simulator releases the pool handle outright (covered by
     // `sequential_policies_keep_no_workers`), which would churn the
     // roster this test pins as stable across shrinks.
-    for (cycle, threads) in [1usize, 4, 2, 4, 3].into_iter().enumerate() {
-        sim.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
+    for (cycle, threads) in [2usize, 4, 2, 4, 3].into_iter().enumerate() {
+        sim.set_threads(threads);
         census_high = census_high.max(alive_workers() - before);
         reference.eval();
         sim.eval();
-        assert_eq!(
-            sim.get_bus("count"),
-            reference.get_bus("count"),
-            "cycle {cycle} under {threads} threads"
-        );
+        for lane in 0..8 {
+            assert_eq!(
+                sim.get_bus_lane("count", lane),
+                reference.get_bus_u64("count"),
+                "cycle {cycle} under {threads} threads"
+            );
+        }
         reference.step();
         sim.step();
     }
     assert!(
         census_high >= 3,
-        "the 4-thread policy must have grown to 3+"
+        "the 4-thread simulator must have grown to 3+"
     );
     assert_eq!(
         alive_workers() - before,
@@ -188,46 +172,27 @@ fn resize_grows_in_place_and_shrink_parks_workers() {
 }
 
 /// Regression: evaluators nested *two* levels below a pool job must keep
-/// falling back to scoped threads. The chain is: a pooled `par_shards`
-/// job → a second `ShardedSim` evaluated inside it (falls back to scoped
-/// stealing threads, which must inherit the in-job flag) → that sim's
-/// shards settling with a pooled `par_levels` policy. Before the flag
-/// was inherited by scoped fallback threads, the innermost settle saw a
-/// fresh thread-local, submitted to the pool, and deadlocked on the
-/// submit lock the outermost job still holds — this test hung instead
-/// of passing.
+/// running inline instead of submitting. The chain is: a pooled
+/// `par_shards` job → a second `ShardedSim` evaluated inside it (runs
+/// its shards inline on the claiming thread) → a third `ShardedSim`
+/// evaluated inside *that* sim's shard closure. A nested submission that
+/// waited for pool workers its ancestors hold could hang; this test
+/// would hang instead of passing.
 #[test]
 fn nested_evaluators_fall_back_instead_of_deadlocking() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let nl = counter(5);
-    let mut outer = ShardedSim::with_policy(
-        &nl,
-        ShardPolicy {
-            shards: 2,
-            lanes_per_shard: 2,
-            threads: 2,
-            ..ShardPolicy::single()
-        },
-    );
+    let mut outer = sharded(&nl, 2);
     let inner_nl = counter(4);
     let cycles = outer.par_shards(|_, shard| {
-        let mut inner = ShardedSim::with_policy(
-            &inner_nl,
-            ShardPolicy {
-                shards: 2,
-                lanes_per_shard: 1,
-                threads: 2,
-                par_levels: 2,
-                ..ShardPolicy::single()
-            },
-        );
-        inner.set_eval_policy(EvalPolicy {
-            threads: 2,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
+        let mut inner = sharded(&inner_nl, 2);
+        let innermost = inner.par_shards(|_, _| {
+            let mut deepest = sharded(&inner_nl, 2);
+            for _ in 0..2 {
+                deepest.eval();
+                deepest.step();
+            }
+            deepest.cycles()
         });
         for _ in 0..3 {
             inner.eval();
@@ -235,36 +200,25 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
             shard.eval();
             shard.step();
         }
-        (inner.cycles(), inner.get_bus_lane("count", 0))
+        (inner.cycles(), inner.get_bus_lane("count", 0), innermost)
     });
     // 3 stepped cycles; the last settle published the count of cycle 2.
-    assert_eq!(cycles, vec![(3, 2), (3, 2)]);
+    assert_eq!(cycles, vec![(3, 2, vec![2, 2]), (3, 2, vec![2, 2])]);
 }
 
 /// Multi-job admission: two threads submit independent pooled
-/// evaluations concurrently — each claims its own job-table slot and a
-/// disjoint worker subset — and every result is bit-identical to the
-/// same run serialized on one thread. Afterwards the census is back at
-/// the baseline: concurrent admission leaks neither workers nor job
-/// slots. (Before the job table, the second submitter would simply
-/// block on the pool-wide submit lock; this test pins the new protocol
-/// end to end through the public simulator API.)
+/// evaluations concurrently — each claims its own job-table slot — and
+/// every result is bit-identical to the same run serialized on one
+/// thread. Afterwards the census is back at the baseline: concurrent
+/// admission leaks neither workers nor job slots.
 #[test]
 fn concurrent_admissions_are_deterministic_and_leak_free() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl_a = counter(8);
     let nl_b = counter(6);
     let run = |nl: &Netlist, cycles: usize| {
-        let mut sim = CompiledSim::with_lanes(nl, 128);
-        sim.set_eval_policy(EvalPolicy {
-            threads: matrix_threads().max(2),
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
+        let mut sim = sharded(nl, matrix_threads().max(2));
         for _ in 0..cycles {
             sim.eval();
             sim.step();
@@ -304,33 +258,36 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
     );
 }
 
-/// A sequential policy holds no pool handle at all: purely sequential
-/// simulators never spawn (or keep alive) a single worker thread.
+/// A single-threaded simulator holds no pool handle at all: purely
+/// sequential simulators never spawn (or keep alive) a single worker
+/// thread.
 #[test]
 fn sequential_policies_keep_no_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(5);
-    let mut sim = CompiledSim::with_lanes(&nl, 64);
+    let mut sim = ShardedSim::with_policy(
+        &nl,
+        ShardPolicy {
+            shards: 2,
+            lanes_per_shard: 2,
+            threads: 1,
+            ..ShardPolicy::single()
+        },
+    );
     for _ in 0..3 {
         sim.eval();
         sim.step();
     }
-    // Going parallel then back to sequential releases the handle.
-    sim.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    assert_eq!(alive_workers(), before, "one thread spawns no workers");
+    // Going parallel then back to one thread releases the handle.
+    sim.set_threads(2);
     sim.eval();
-    sim.set_eval_policy(EvalPolicy::seq());
+    sim.set_threads(1);
     sim.eval();
     assert_eq!(
         alive_workers(),
         before,
-        "a policy back at seq() must have released the pool"
+        "a sim back at one thread must have released the pool"
     );
 }

@@ -9,12 +9,12 @@
 
 use netlist::sim::Sim;
 use netlist::{
-    bus, Builder, CompiledSim, EvalMode, EvalPolicy, Gate, NetId, Netlist, ShardPolicy,
-    ShardSchedule, ShardedSim, SimBackend, AUTO_NATIVE_AFTER_SETTLES,
+    bus, Builder, CompiledSim, EvalMode, Gate, NetId, Netlist, ShardPolicy, ShardedSim, SimBackend,
+    WorkerPool, AUTO_NATIVE_AFTER_SETTLES,
 };
 use proptest::prelude::*;
 
-/// The thread counts the parallel-evaluation properties sweep. Without
+/// The shard-thread counts the parallel-evaluation properties sweep. Without
 /// an override: 1, 2, and 4. When the CI thread-matrix sets
 /// `GATE_SIM_THREADS=n`, the sweep becomes exactly `{1, n}` — the
 /// sequential reference plus the matrix's thread count — so each matrix
@@ -488,72 +488,23 @@ proptest! {
         );
     }
 
-    /// Parallel level evaluation is bit-identical to the sequential sweep
-    /// — outputs, FF state, exact per-net toggle counts, *and* the
-    /// [`netlist::EvalStats`] work counters — on random sequential
-    /// netlists, for every thread count, in both pinned-full-sweep and
-    /// Auto evaluation modes (`docs/simulation.md` § "Parallel level
-    /// evaluation"). Stats coherence is the strong form of the merge rule:
-    /// the aggregated per-thread ops-executed equals the sequential
-    /// count in pinned mode, and Auto's levels-skipped (and its dense
-    /// fallback, which feeds back into full_sweeps) are thread-count
-    /// independent.
-    #[test]
-    fn parallel_levels_match_sequential_in_every_mode(
-        recipe in proptest::collection::vec(any::<u8>(), 6..120),
-        stimuli in proptest::collection::vec(any::<u8>(), 2..20),
-        sparse in any::<bool>(),
-    ) {
-        let nl = sequential_circuit_from_recipe(&recipe);
-        for mode in [EvalMode::FullSweep, EvalMode::Auto] {
-            let run = |threads: usize| {
-                let mut sim = CompiledSim::with_lanes(&nl, 64);
-                sim.set_eval_mode(mode);
-                // min_par_ops: 1 forces genuine chunk splits on these
-                // small random circuits.
-                sim.set_eval_policy(EvalPolicy { threads, min_par_ops: 1, ..EvalPolicy::seq() });
-                let mut outs = Vec::new();
-                for (t, &s) in stimuli.iter().enumerate() {
-                    let v = if sparse { stimuli[t - t % 4] } else { s };
-                    sim.set_bus("in", v as u32);
-                    sim.eval();
-                    outs.push((sim.get_bus_u64("out"), sim.get_bus_u64("state")));
-                    sim.step();
-                }
-                (outs, sim.toggles().to_vec(), sim.eval_stats())
-            };
-            let reference = run(1);
-            for threads in property_threads() {
-                let par = run(threads);
-                prop_assert_eq!(&par.0, &reference.0, "outputs {:?} x{}", mode, threads);
-                prop_assert_eq!(&par.1, &reference.1, "toggles {:?} x{}", mode, threads);
-                prop_assert_eq!(par.2, reference.2, "eval stats {:?} x{}", mode, threads);
-            }
-        }
-    }
-
     /// Work-stealing determinism: deliberately uneven per-shard loads
     /// (shard `i` settles `(i + 1) * 3` times inside one `par_shards`
     /// scope) produce identical per-net toggle sums and per-shard results
-    /// across 1/2/4 stealing threads — and identical to the deprecated
-    /// static scheduler, which the policy flag keeps reachable precisely
-    /// for this pin.
+    /// across 1/2/4 stealing threads.
     #[test]
     fn work_stealing_is_deterministic_on_uneven_shard_loads(
         recipe in proptest::collection::vec(any::<u8>(), 6..80),
         base in any::<u8>(),
     ) {
         let nl = sequential_circuit_from_recipe(&recipe);
-        #[allow(deprecated)] // the static path is the pinned reference
-        let schedules = [ShardSchedule::WorkStealing, ShardSchedule::Static];
-        let run = |schedule: ShardSchedule, threads: usize| {
+        let run = |threads: usize| {
             let mut sim = ShardedSim::with_policy(
                 &nl,
                 ShardPolicy {
                     shards: 5,
                     lanes_per_shard: 2,
                     threads,
-                    schedule,
                     ..ShardPolicy::single()
                 },
             );
@@ -567,64 +518,18 @@ proptest! {
             });
             (cycles, sim.toggles().to_vec())
         };
-        let reference = run(schedules[1], 1);
+        let reference = run(1);
         prop_assert_eq!(&reference.0, &vec![3, 6, 9, 12, 15], "loads are uneven");
-        for schedule in schedules {
-            for threads in property_threads() {
-                prop_assert_eq!(
-                    run(schedule, threads),
-                    reference.clone(),
-                    "{:?} x{} diverged", schedule, threads
-                );
-            }
+        for threads in property_threads() {
+            prop_assert_eq!(run(threads), reference.clone(), "x{} diverged", threads);
         }
-    }
-
-    /// The three parallelism axes compose: a sharded run whose shards
-    /// settle with intra-shard parallel levels (`ShardPolicy::par_levels`)
-    /// under work stealing reproduces the interpreted reference exactly,
-    /// lanes, toggles and all.
-    #[test]
-    fn sharded_par_levels_compose_with_interpreter(
-        recipe in proptest::collection::vec(any::<u8>(), 6..80),
-        stimuli in proptest::collection::vec(any::<u8>(), 1..12),
-    ) {
-        let nl = sequential_circuit_from_recipe(&recipe);
-        let mut int = Sim::new(&nl);
-        let mut sharded = ShardedSim::with_policy(
-            &nl,
-            ShardPolicy {
-                shards: 2,
-                lanes_per_shard: 2,
-                threads: 2,
-                par_levels: 2,
-                ..ShardPolicy::single()
-            },
-        );
-        // Small random circuits need the split threshold lowered for the
-        // par-level axis to actually engage.
-        sharded.set_eval_policy(EvalPolicy { threads: 2, min_par_ops: 1, ..EvalPolicy::seq() });
-        for &s in &stimuli {
-            int.set_bus("in", s as u32);
-            SimBackend::set_bus(&mut sharded, "in", s as u32);
-            int.eval();
-            sharded.eval();
-            for lane in 0..4 {
-                prop_assert_eq!(sharded.get_bus_lane("out", lane), int.get_bus_u64("out"));
-                prop_assert_eq!(sharded.get_bus_lane("state", lane), int.get_bus_u64("state"));
-            }
-            int.step();
-            sharded.step();
-        }
-        let expected: Vec<u64> = int.toggles().iter().map(|&t| 4 * t).collect();
-        prop_assert_eq!(sharded.toggles(), &expected[..]);
     }
 
     /// Pool lifecycle determinism, leg 1 — reuse and mid-run resizing:
-    /// one simulator whose [`EvalPolicy`] shrinks and grows between
-    /// settles (1 → n → 2 → n threads, every settle reusing the same
-    /// persistent pool) produces bit-identical outputs, FF state, toggle
-    /// counts, and [`netlist::EvalStats`] work counters to a
+    /// one sharded simulator whose thread count shrinks and grows between
+    /// settles (1 → n → 2 → n threads, every pooled settle reusing the
+    /// same persistent pool) produces bit-identical outputs, FF state,
+    /// toggle counts, and [`netlist::EvalStats`] work counters to a
     /// never-parallel run of the same schedule.
     #[test]
     fn pool_reuse_and_midrun_resize_is_deterministic(
@@ -634,22 +539,20 @@ proptest! {
         let nl = sequential_circuit_from_recipe(&recipe);
         let n = *property_threads().last().unwrap();
         let run = |resize: bool| {
-            let mut sim = CompiledSim::with_lanes(&nl, 64);
+            let mut sim = ShardedSim::with_policy(
+                &nl,
+                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 1, ..ShardPolicy::single() },
+            );
             let mut outs = Vec::new();
             for (t, &s) in stimuli.iter().enumerate() {
                 if resize {
                     // Shrink/grow mid-run: the pool grows on demand and
                     // parks surplus workers; results cannot move.
-                    let threads = [1, n, 2, n][t % 4];
-                    sim.set_eval_policy(EvalPolicy {
-                        threads,
-                        min_par_ops: 1,
-                        ..EvalPolicy::seq()
-                    });
+                    sim.set_threads([1, n, 2, n][t % 4]);
                 }
-                sim.set_bus("in", s as u32);
+                SimBackend::set_bus(&mut sim, "in", s as u32);
                 sim.eval();
-                outs.push((sim.get_bus_u64("out"), sim.get_bus_u64("state")));
+                outs.push((sim.get_bus_lane("out", 7), sim.get_bus_lane("state", 7)));
                 sim.step();
             }
             (outs, sim.toggles().to_vec(), sim.eval_stats().work())
@@ -659,10 +562,10 @@ proptest! {
     }
 
     /// Pool lifecycle determinism, leg 2 — interleaved submissions: a
-    /// pooled [`CompiledSim`] and a pooled [`ShardedSim`] (whose shards
-    /// additionally request intra-shard parallel levels, exercising the
-    /// nested-job scoped fallback) alternate settles on the one shared
-    /// pool and both reproduce the interpreted reference exactly.
+    /// sequential [`CompiledSim`] and two pooled [`ShardedSim`]s of
+    /// different shapes alternate settles, the sharded ones submitting to
+    /// the one shared pool, and all three reproduce the interpreted
+    /// reference exactly.
     #[test]
     fn interleaved_compiled_and_sharded_submissions_share_one_pool(
         recipe in proptest::collection::vec(any::<u8>(), 6..80),
@@ -673,76 +576,57 @@ proptest! {
         // Single-lane so its toggle counts compare 1:1 with the
         // interpreter's.
         let mut comp = CompiledSim::new(&nl);
-        comp.set_eval_policy(EvalPolicy { threads: 2, min_par_ops: 1, ..EvalPolicy::seq() });
-        let mut sharded = ShardedSim::with_policy(
+        let mut narrow = ShardedSim::with_policy(
             &nl,
-            ShardPolicy {
-                shards: 3,
-                lanes_per_shard: 2,
-                threads: 2,
-                par_levels: 2,
-                ..ShardPolicy::single()
-            },
+            ShardPolicy { shards: 3, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
         );
-        sharded.set_eval_policy(EvalPolicy { threads: 2, min_par_ops: 1, ..EvalPolicy::seq() });
+        let mut wide = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy { shards: 5, lanes_per_shard: 64, threads: 2, lane_words: 2 },
+        );
         for &s in &stimuli {
             int.set_bus("in", s as u32);
             comp.set_bus("in", s as u32);
-            SimBackend::set_bus(&mut sharded, "in", s as u32);
+            SimBackend::set_bus(&mut narrow, "in", s as u32);
+            SimBackend::set_bus(&mut wide, "in", s as u32);
             int.eval();
-            comp.eval(); // pool job from the compiled sim...
-            sharded.eval(); // ...then one from the sharded sim, same pool
+            comp.eval();
+            narrow.eval(); // pool job from one sharded sim...
+            wide.eval(); // ...then one from the other, same pool
             let want = int.get_bus_u64("out");
             prop_assert_eq!(comp.get_bus_u64("out"), want);
             for lane in 0..6 {
-                prop_assert_eq!(sharded.get_bus_lane("out", lane), want, "lane {}", lane);
+                prop_assert_eq!(narrow.get_bus_lane("out", lane), want, "lane {}", lane);
+            }
+            for lane in (0..320).step_by(53) {
+                prop_assert_eq!(wide.get_bus_lane("out", lane), want, "wide lane {}", lane);
             }
             int.step();
             comp.step();
-            sharded.step();
+            narrow.step();
+            wide.step();
         }
         prop_assert_eq!(comp.toggles(), int.toggles());
         let merged: Vec<u64> = int.toggles().iter().map(|&t| 6 * t).collect();
-        prop_assert_eq!(sharded.toggles(), &merged[..]);
+        prop_assert_eq!(narrow.toggles(), &merged[..]);
+        let merged: Vec<u64> = int.toggles().iter().map(|&t| 320 * t).collect();
+        prop_assert_eq!(wide.toggles(), &merged[..]);
     }
 
-    /// The scoped-thread fallback paths (policy opt-out from the pool)
-    /// are bit-identical to the pooled paths — outputs, toggles, and
-    /// stats for the compiled evaluator; results and merged toggles for
-    /// the work-stealing sharded evaluator.
+    /// The inline fallback (a sharded evaluation issued from inside
+    /// another pool job, which runs every shard on the calling thread) is
+    /// bit-identical to the pooled path: per-shard results, merged
+    /// toggles, and merged work counters.
     #[test]
     fn scoped_fallback_matches_pooled_execution(
         recipe in proptest::collection::vec(any::<u8>(), 6..100),
         stimuli in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
         let nl = sequential_circuit_from_recipe(&recipe);
-        let compiled_run = |use_pool: bool| {
-            let mut sim = CompiledSim::with_lanes(&nl, 64);
-            sim.set_eval_policy(EvalPolicy {
-                threads: 2,
-                min_par_ops: 1,
-                use_pool,
-            });
-            let mut outs = Vec::new();
-            for &s in &stimuli {
-                sim.set_bus("in", s as u32);
-                sim.eval();
-                outs.push((sim.get_bus_u64("out"), sim.get_bus_u64("state")));
-                sim.step();
-            }
-            (outs, sim.toggles().to_vec(), sim.eval_stats())
-        };
-        prop_assert_eq!(compiled_run(false), compiled_run(true), "compiled fallback diverged");
-        let sharded_run = |use_pool: bool| {
+        let sharded_run = || {
             let mut sim = ShardedSim::with_policy(
                 &nl,
-                ShardPolicy {
-                    shards: 4,
-                    lanes_per_shard: 2,
-                    threads: 2,
-                    use_pool,
-                    ..ShardPolicy::single()
-                },
+                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
             );
             let settles = sim.par_shards(|i, s| {
                 for (t, &v) in stimuli.iter().enumerate() {
@@ -752,9 +636,16 @@ proptest! {
                 }
                 s.cycles()
             });
-            (settles, sim.toggles().to_vec())
+            (settles, sim.toggles().to_vec(), sim.eval_stats())
         };
-        prop_assert_eq!(sharded_run(false), sharded_run(true), "sharded fallback diverged");
+        let pooled = sharded_run();
+        let nested = std::sync::Mutex::new(None);
+        WorkerPool::new(1).run(2, |tid| {
+            if tid == 0 {
+                *nested.lock().unwrap() = Some(sharded_run());
+            }
+        });
+        prop_assert_eq!(nested.into_inner().unwrap(), Some(pooled), "inline fallback diverged");
     }
 
     /// Stuck-at mutation changes the gate census by at most one gate kind,
@@ -785,9 +676,9 @@ proptest! {
 }
 
 proptest! {
-    // The wide-lane-block tests sweep lane widths × eval modes × thread
-    // counts × pool on/off *inside* every case, so fewer random circuits
-    // per test keep the suite's runtime flat.
+    // The wide-lane-block tests sweep lane widths × eval modes *inside*
+    // every case, so fewer random circuits per test keep the suite's
+    // runtime flat.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// K-word lane blocks are bit-identical to chunked 64-lane runs
@@ -796,9 +687,9 @@ proptest! {
     /// stimuli reproduce 2/4 independent 64-lane sims chunk-for-chunk —
     /// per-lane outputs and FF state every settle, cycle counts, and
     /// per-net toggle counts summing exactly across chunks — in both Auto
-    /// and pinned-full-sweep modes, at every thread count, pooled and
-    /// scoped. In full-sweep mode the wide block's [`netlist::EvalStats`]
-    /// additionally equal each chunk's: every settle walks the whole
+    /// and pinned-full-sweep modes. In full-sweep mode the wide block's
+    /// [`netlist::EvalStats`] additionally equal each chunk's: every
+    /// settle walks the whole
     /// program either way, K only changes the words per op. (Auto-mode
     /// *stats* can legitimately differ on uncorrelated stimuli — a wide
     /// block gates each net on the union of its lanes' activity — which
@@ -814,78 +705,71 @@ proptest! {
         for lanes in [128usize, 256] {
             let chunks = lanes / 64;
             for mode in [EvalMode::Auto, EvalMode::FullSweep] {
-                for threads in property_threads() {
-                    for use_pool in [false, true] {
-                        let policy = EvalPolicy { threads, min_par_ops: 1, use_pool };
-                        let mut wide = CompiledSim::with_lanes(&nl, lanes);
-                        wide.set_eval_mode(mode);
-                        wide.set_eval_policy(policy);
-                        let mut refs: Vec<CompiledSim> = (0..chunks)
-                            .map(|_| {
-                                let mut sim = CompiledSim::with_lanes(&nl, 64);
-                                sim.set_eval_mode(mode);
-                                sim.set_eval_policy(policy);
-                                sim
-                            })
-                            .collect();
-                        for (t, &s) in stimuli.iter().enumerate() {
-                            for g in 0..lanes {
-                                // A distinct, deterministic stimulus per
-                                // lane per settle.
-                                let v = (s as u64)
-                                    .wrapping_mul(g as u64 * 2 + 3)
-                                    .wrapping_add(base ^ t as u64)
-                                    & 0xff;
-                                wide.set_bus_lane("in", g, v);
-                                refs[g / 64].set_bus_lane("in", g % 64, v);
-                            }
-                            wide.eval();
-                            for r in &mut refs {
-                                r.eval();
-                            }
-                            for g in (0..lanes).step_by(17) {
-                                let r = &refs[g / 64];
-                                prop_assert_eq!(
-                                    wide.get_bus_lane("out", g),
-                                    r.get_bus_lane("out", g % 64),
-                                    "out lane {} of {} ({:?} x{} pool={})",
-                                    g, lanes, mode, threads, use_pool
-                                );
-                                prop_assert_eq!(
-                                    wide.get_bus_lane("state", g),
-                                    r.get_bus_lane("state", g % 64),
-                                    "state lane {} of {}", g, lanes
-                                );
-                            }
-                            wide.step();
-                            for r in &mut refs {
-                                r.step();
-                            }
-                        }
-                        let mut sum = vec![0u64; nl.len()];
-                        for r in &refs {
-                            for (acc, &t) in sum.iter_mut().zip(r.toggles()) {
-                                *acc += t;
-                            }
-                        }
+                let mut wide = CompiledSim::with_lanes(&nl, lanes);
+                wide.set_eval_mode(mode);
+                let mut refs: Vec<CompiledSim> = (0..chunks)
+                    .map(|_| {
+                        let mut sim = CompiledSim::with_lanes(&nl, 64);
+                        sim.set_eval_mode(mode);
+                        sim
+                    })
+                    .collect();
+                for (t, &s) in stimuli.iter().enumerate() {
+                    for g in 0..lanes {
+                        // A distinct, deterministic stimulus per
+                        // lane per settle.
+                        let v = (s as u64)
+                            .wrapping_mul(g as u64 * 2 + 3)
+                            .wrapping_add(base ^ t as u64)
+                            & 0xff;
+                        wide.set_bus_lane("in", g, v);
+                        refs[g / 64].set_bus_lane("in", g % 64, v);
+                    }
+                    wide.eval();
+                    for r in &mut refs {
+                        r.eval();
+                    }
+                    for g in (0..lanes).step_by(17) {
+                        let r = &refs[g / 64];
                         prop_assert_eq!(
-                            wide.toggles(), &sum[..],
-                            "toggles at {} lanes ({:?} x{} pool={})",
-                            lanes, mode, threads, use_pool
+                            wide.get_bus_lane("out", g),
+                            r.get_bus_lane("out", g % 64),
+                            "out lane {} of {} ({:?})",
+                            g, lanes, mode
                         );
                         prop_assert_eq!(
-                            SimBackend::cycles(&wide),
-                            SimBackend::cycles(&refs[0])
+                            wide.get_bus_lane("state", g),
+                            r.get_bus_lane("state", g % 64),
+                            "state lane {} of {}", g, lanes
                         );
-                        if mode == EvalMode::FullSweep {
-                            for r in &refs {
-                                prop_assert_eq!(
-                                    wide.eval_stats(), r.eval_stats(),
-                                    "full-sweep stats at {} lanes x{} pool={}",
-                                    lanes, threads, use_pool
-                                );
-                            }
-                        }
+                    }
+                    wide.step();
+                    for r in &mut refs {
+                        r.step();
+                    }
+                }
+                let mut sum = vec![0u64; nl.len()];
+                for r in &refs {
+                    for (acc, &t) in sum.iter_mut().zip(r.toggles()) {
+                        *acc += t;
+                    }
+                }
+                prop_assert_eq!(
+                    wide.toggles(), &sum[..],
+                    "toggles at {} lanes ({:?})",
+                    lanes, mode
+                );
+                prop_assert_eq!(
+                    SimBackend::cycles(&wide),
+                    SimBackend::cycles(&refs[0])
+                );
+                if mode == EvalMode::FullSweep {
+                    for r in &refs {
+                        prop_assert_eq!(
+                            wide.eval_stats(), r.eval_stats(),
+                            "full-sweep stats at {} lanes",
+                            lanes
+                        );
                     }
                 }
             }
@@ -898,7 +782,7 @@ proptest! {
     /// chunk's own activity), a 128/256-lane sim's full
     /// [`netlist::EvalStats`] — ops executed, levels skipped, full
     /// sweeps — equal each chunked 64-lane reference's, settle for
-    /// settle, at every thread count. The stimulus schedule only changes
+    /// settle. The stimulus schedule only changes
     /// every third settle so the event-driven gating actually engages.
     #[test]
     fn wide_lane_auto_stats_match_chunked_on_replicated_stimuli(
@@ -909,59 +793,50 @@ proptest! {
         let nl = sequential_circuit_from_recipe(&recipe);
         for lanes in [128usize, 256] {
             let chunks = lanes / 64;
-            for threads in property_threads() {
-                let policy = EvalPolicy { threads, min_par_ops: 1, use_pool: true };
-                let mut wide = CompiledSim::with_lanes(&nl, lanes);
-                wide.set_eval_policy(policy);
-                let mut refs: Vec<CompiledSim> = (0..chunks)
-                    .map(|_| {
-                        let mut sim = CompiledSim::with_lanes(&nl, 64);
-                        sim.set_eval_policy(policy);
-                        sim
-                    })
-                    .collect();
-                for (t, &_s) in stimuli.iter().enumerate() {
-                    let s = stimuli[t - t % 3]; // sparse: re-drive 2 of 3
-                    for lane in 0..64usize {
-                        let v = (s as u64)
-                            .wrapping_mul(lane as u64 * 2 + 3)
-                            .wrapping_add(base)
-                            & 0xff;
-                        for chunk in 0..chunks {
-                            wide.set_bus_lane("in", chunk * 64 + lane, v);
-                        }
-                        for r in &mut refs {
-                            r.set_bus_lane("in", lane, v);
-                        }
+            let mut wide = CompiledSim::with_lanes(&nl, lanes);
+            let mut refs: Vec<CompiledSim> =
+                (0..chunks).map(|_| CompiledSim::with_lanes(&nl, 64)).collect();
+            for (t, &_s) in stimuli.iter().enumerate() {
+                let s = stimuli[t - t % 3]; // sparse: re-drive 2 of 3
+                for lane in 0..64usize {
+                    let v = (s as u64)
+                        .wrapping_mul(lane as u64 * 2 + 3)
+                        .wrapping_add(base)
+                        & 0xff;
+                    for chunk in 0..chunks {
+                        wide.set_bus_lane("in", chunk * 64 + lane, v);
                     }
-                    wide.eval();
                     for r in &mut refs {
-                        r.eval();
-                    }
-                    for lane in (0..64usize).step_by(13) {
-                        for (c, r) in refs.iter().enumerate() {
-                            prop_assert_eq!(
-                                wide.get_bus_lane("out", c * 64 + lane),
-                                r.get_bus_lane("out", lane),
-                                "out chunk {} lane {} settle {}", c, lane, t
-                            );
-                        }
-                    }
-                    wide.step();
-                    for r in &mut refs {
-                        r.step();
+                        r.set_bus_lane("in", lane, v);
                     }
                 }
-                for r in &refs {
-                    prop_assert_eq!(
-                        wide.eval_stats(), r.eval_stats(),
-                        "auto-mode stats diverged at {} lanes x{}", lanes, threads
-                    );
+                wide.eval();
+                for r in &mut refs {
+                    r.eval();
                 }
-                let expected: Vec<u64> =
-                    refs[0].toggles().iter().map(|&t| chunks as u64 * t).collect();
-                prop_assert_eq!(wide.toggles(), &expected[..]);
+                for lane in (0..64usize).step_by(13) {
+                    for (c, r) in refs.iter().enumerate() {
+                        prop_assert_eq!(
+                            wide.get_bus_lane("out", c * 64 + lane),
+                            r.get_bus_lane("out", lane),
+                            "out chunk {} lane {} settle {}", c, lane, t
+                        );
+                    }
+                }
+                wide.step();
+                for r in &mut refs {
+                    r.step();
+                }
             }
+            for r in &refs {
+                prop_assert_eq!(
+                    wide.eval_stats(), r.eval_stats(),
+                    "auto-mode stats diverged at {} lanes", lanes
+                );
+            }
+            let expected: Vec<u64> =
+                refs[0].toggles().iter().map(|&t| chunks as u64 * t).collect();
+            prop_assert_eq!(wide.toggles(), &expected[..]);
         }
     }
 
@@ -970,8 +845,8 @@ proptest! {
     /// second construction of a content-equal netlist behind a fresh
     /// `Arc`) is bit-identical to the first-construction simulator and to
     /// the cache-free interpreted reference — outputs, FF state, exact
-    /// toggle counts, and [`netlist::EvalStats`] — across lane widths,
-    /// thread counts, and eval modes. (With `GATE_SIM_PROGRAM_CACHE=0`
+    /// toggle counts, and [`netlist::EvalStats`] — across lane widths
+    /// and eval modes. (With `GATE_SIM_PROGRAM_CACHE=0`
     /// both constructions compile fresh and the property must hold all
     /// the same.)
     #[test]
@@ -993,42 +868,35 @@ proptest! {
             .collect();
         for lanes in [1usize, 64, 128] {
             for mode in [EvalMode::FullSweep, EvalMode::EventDriven] {
-                for threads in property_threads() {
-                    let run = |netlist: std::sync::Arc<Netlist>| {
-                        let mut sim = CompiledSim::with_lanes_arc(netlist, lanes);
-                        sim.set_eval_mode(mode);
-                        sim.set_eval_policy(EvalPolicy {
-                            threads,
-                            min_par_ops: 1,
-                            ..EvalPolicy::seq()
-                        });
-                        let mut outs = Vec::new();
-                        for &s in &stimuli {
-                            sim.set_bus("in", s as u32); // broadcast: all lanes alike
-                            sim.eval();
-                            outs.push((
-                                sim.get_bus_lane("out", 0),
-                                sim.get_bus_lane("state", 0),
-                                sim.get_bus_lane("out", lanes - 1),
-                            ));
-                            sim.step();
-                        }
-                        (outs, sim.toggles().to_vec(), sim.eval_stats())
-                    };
-                    // First construction compiles (or hits a prior
-                    // iteration's entry); the second is the cache-hit
-                    // path: same content behind a brand-new allocation.
-                    let first = run(std::sync::Arc::new(nl.clone()));
-                    let hit = run(std::sync::Arc::new(nl.clone()));
-                    prop_assert_eq!(&hit, &first, "cached construction diverged");
-                    for (got, want) in first.0.iter().zip(&int_outs) {
-                        prop_assert_eq!((got.0, got.1), *want, "vs interpreter");
-                        prop_assert_eq!(got.2, want.0, "last lane vs interpreter");
+                let run = |netlist: std::sync::Arc<Netlist>| {
+                    let mut sim = CompiledSim::with_lanes_arc(netlist, lanes);
+                    sim.set_eval_mode(mode);
+                    let mut outs = Vec::new();
+                    for &s in &stimuli {
+                        sim.set_bus("in", s as u32); // broadcast: all lanes alike
+                        sim.eval();
+                        outs.push((
+                            sim.get_bus_lane("out", 0),
+                            sim.get_bus_lane("state", 0),
+                            sim.get_bus_lane("out", lanes - 1),
+                        ));
+                        sim.step();
                     }
-                    let scaled: Vec<u64> =
-                        int.toggles().iter().map(|&t| lanes as u64 * t).collect();
-                    prop_assert_eq!(&first.1, &scaled, "exact toggles");
+                    (outs, sim.toggles().to_vec(), sim.eval_stats())
+                };
+                // First construction compiles (or hits a prior
+                // iteration's entry); the second is the cache-hit
+                // path: same content behind a brand-new allocation.
+                let first = run(std::sync::Arc::new(nl.clone()));
+                let hit = run(std::sync::Arc::new(nl.clone()));
+                prop_assert_eq!(&hit, &first, "cached construction diverged");
+                for (got, want) in first.0.iter().zip(&int_outs) {
+                    prop_assert_eq!((got.0, got.1), *want, "vs interpreter");
+                    prop_assert_eq!(got.2, want.0, "last lane vs interpreter");
                 }
+                let scaled: Vec<u64> =
+                    int.toggles().iter().map(|&t| lanes as u64 * t).collect();
+                prop_assert_eq!(&first.1, &scaled, "exact toggles");
             }
         }
     }
@@ -1039,11 +907,8 @@ proptest! {
     /// pinned full sweeps *and* to the interpreted reference backend on
     /// random sequential netlists: per-lane outputs, FF state, exact
     /// per-net toggle counts, and [`netlist::EvalStats`] (but for the
-    /// engine counter, `native_sweeps`), across lane
-    /// widths (one-word, multi-word, partial-word blocks) × thread
-    /// counts (parallel policies run the interpreted parallel sweep —
-    /// the documented precedence rule — and must still match) ×
-    /// distinct per-lane stimulus.
+    /// engine counter, `native_sweeps`), across lane widths (one-word,
+    /// multi-word, partial-word blocks) × distinct per-lane stimulus.
     #[test]
     fn jit_matches_interpreter_and_full_sweep_everywhere(
         recipe in proptest::collection::vec(any::<u8>(), 6..100),
@@ -1055,54 +920,49 @@ proptest! {
             (s as u64).wrapping_mul(g as u64 * 2 + 3).wrapping_add(base ^ t as u64) & 0xff
         };
         for lanes in [1usize, 64, 100, 256] {
-            for threads in property_threads() {
-                let policy = EvalPolicy { threads, min_par_ops: 1, ..EvalPolicy::seq() };
-                let mut int = Sim::new(&nl);
-                let mut full = CompiledSim::with_lanes(&nl, lanes);
-                full.set_eval_mode(EvalMode::FullSweep);
-                full.set_eval_policy(policy);
-                let mut jit = CompiledSim::with_lanes(&nl, lanes);
-                jit.set_eval_mode(EvalMode::Jit);
-                jit.set_eval_policy(policy);
-                for (t, &s) in stimuli.iter().enumerate() {
-                    for g in 0..lanes {
-                        let v = lane_stim(s, g, t);
-                        full.set_bus_lane("in", g, v);
-                        jit.set_bus_lane("in", g, v);
-                    }
-                    int.set_bus("in", lane_stim(s, 0, t) as u32);
-                    int.eval();
-                    full.eval();
-                    jit.eval();
-                    for g in (0..lanes).step_by(13) {
-                        for port in ["out", "state"] {
-                            prop_assert_eq!(
-                                jit.get_bus_lane(port, g),
-                                full.get_bus_lane(port, g),
-                                "jit vs full, {} lane {} of {} x{} settle {}",
-                                port, g, lanes, threads, t
-                            );
-                        }
-                    }
-                    // Lane 0 doubles as the interpreter cross-check.
-                    prop_assert_eq!(
-                        jit.get_bus_lane("out", 0),
-                        int.get_bus_u64("out"),
-                        "jit vs interpreter, {} lanes x{} settle {}", lanes, threads, t
-                    );
-                    int.step();
-                    full.step();
-                    jit.step();
+            let mut int = Sim::new(&nl);
+            let mut full = CompiledSim::with_lanes(&nl, lanes);
+            full.set_eval_mode(EvalMode::FullSweep);
+            let mut jit = CompiledSim::with_lanes(&nl, lanes);
+            jit.set_eval_mode(EvalMode::Jit);
+            for (t, &s) in stimuli.iter().enumerate() {
+                for g in 0..lanes {
+                    let v = lane_stim(s, g, t);
+                    full.set_bus_lane("in", g, v);
+                    jit.set_bus_lane("in", g, v);
                 }
+                int.set_bus("in", lane_stim(s, 0, t) as u32);
+                int.eval();
+                full.eval();
+                jit.eval();
+                for g in (0..lanes).step_by(13) {
+                    for port in ["out", "state"] {
+                        prop_assert_eq!(
+                            jit.get_bus_lane(port, g),
+                            full.get_bus_lane(port, g),
+                            "jit vs full, {} lane {} of {} settle {}",
+                            port, g, lanes, t
+                        );
+                    }
+                }
+                // Lane 0 doubles as the interpreter cross-check.
                 prop_assert_eq!(
-                    jit.toggles(), full.toggles(),
-                    "exact toggles, {} lanes x{}", lanes, threads
+                    jit.get_bus_lane("out", 0),
+                    int.get_bus_u64("out"),
+                    "jit vs interpreter, {} lanes settle {}", lanes, t
                 );
-                prop_assert_eq!(
-                    jit.eval_stats().work(), full.eval_stats(),
-                    "eval stats, {} lanes x{}", lanes, threads
-                );
+                int.step();
+                full.step();
+                jit.step();
             }
+            prop_assert_eq!(
+                jit.toggles(), full.toggles(),
+                "exact toggles, {} lanes", lanes
+            );
+            prop_assert_eq!(
+                jit.eval_stats().work(), full.eval_stats(),
+                "eval stats, {} lanes", lanes
+            );
         }
     }
 
