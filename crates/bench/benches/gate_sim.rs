@@ -169,8 +169,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // Sharded backend: 4 shards x 64 lanes = 256 vectors per settle, the
-    // whole EVALS-settle schedule batched inside one pool job via
-    // `par_shards` (shard s's lane l carries global vector s*64 + l, so
+    // whole EVALS-settle schedule batched inside one threaded
+    // `par_shards` call (shard s's lane l carries global vector s*64 + l, so
     // 1-thread and 4-thread runs do bit-identical work). Per-vector
     // throughput here is over 4x the vectors of `settle_compiled_64_lanes`.
     // `lane_words: 1` pins the historical one-sim-per-64-lanes layout —

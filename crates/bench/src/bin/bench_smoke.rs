@@ -59,8 +59,9 @@ struct CampaignRow {
 }
 
 /// One measured service load-mix configuration (a YCSB-style read/update
-/// mix against the program cache + multi-job pool; see `bench::service`
-/// and `docs/simulation.md` § "Simulation as a service").
+/// mix against the program cache and concurrent callers; see
+/// `bench::service` and `docs/simulation.md` § "Simulation as a
+/// service").
 struct ServiceRow {
     name: &'static str,
     submitters: usize,
@@ -213,9 +214,9 @@ fn main() {
 }
 
 /// Times full-library lane-parallel mutation sweeps (`hwlib::campaign`)
-/// at the single-threaded and pooled shapes. Pinned seed and mutant
-/// budget, so the mutant population is identical run to run and the
-/// mutants/sec trajectory is comparable across PRs.
+/// at one and two threads. Pinned seed and mutant budget, so the mutant
+/// population is identical run to run and the mutants/sec trajectory is
+/// comparable across PRs.
 fn measure_campaigns(lib: &hwlib::HwLibrary) -> Vec<CampaignRow> {
     [
         ("campaign_mutation_256l_1t", 256, 1),
@@ -249,9 +250,8 @@ fn measure_campaigns(lib: &hwlib::HwLibrary) -> Vec<CampaignRow> {
 
 /// Times the YCSB-style service load mixes (`bench::service`): two
 /// concurrent submitters drive read-heavy / write-heavy / 50-50 mixes
-/// against the shared program cache and the multi-job worker pool. Reads
-/// verify cached library cores (compile hits); updates evaluate fresh
-/// mutants (compile misses). Pinned seeds, so the op schedule — and
+/// against the shared program cache. Reads verify cached library cores
+/// (compile hits); updates evaluate fresh mutants (compile misses). Pinned seeds, so the op schedule — and
 /// therefore the hit-rate profile — is identical run to run; only
 /// jobs/sec moves with the machine.
 fn measure_service(lib: &hwlib::HwLibrary) -> Vec<ServiceRow> {
@@ -357,10 +357,11 @@ fn measure(core: &Arc<netlist::Netlist>, settles: u64) -> Vec<Row> {
         rows.push(row("event_driven_sparse", "CompiledSim", 1, 64, &sim, f));
     }
 
-    // Sharded: 4 shards x 64 lanes claimed off the worker pool by 2
-    // threads. `lane_words: 1` pins the historical
-    // one-CompiledSim-per-64-lanes layout so this row stays comparable
-    // with its pre-lane-block baseline; the `sharded_block_*` row below
+    // Sharded: 4 shards x 64 lanes configured for 2 threads; per-settle
+    // `eval` runs them in order on the caller (the row name predates
+    // that and stays for baseline continuity). `lane_words: 1` pins the
+    // historical one-CompiledSim-per-64-lanes layout so this row stays
+    // comparable with its pre-lane-block baseline; the `sharded_block_*` row below
     // measures the same 256 lanes fused into one K = 4 lane block.
     {
         let mut sim = ShardedSim::with_policy_arc(

@@ -12,7 +12,7 @@ use flexic::tech::Tech;
 use flexic::DesignMetrics;
 use hwlib::HwLibrary;
 use netlist::compiled::MAX_TOTAL_LANES;
-use netlist::pool::{self, WorkerPool};
+use netlist::pool;
 use netlist::stats::GateCounts;
 use rissp::processor::{BatchedGateLevelCpu, GateLevelCpu};
 use rissp::profile::InstructionSubset;
@@ -132,7 +132,7 @@ pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech) -> CharacterisedDesign {
 }
 
 /// Characterises several workloads, claimed one at a time off a shared
-/// counter by `threads` worker-pool participants ([`pool::claim_map`];
+/// counter by `threads` threads ([`pool::claim_map`];
 /// each workload's RISSP generation and gate-level activity run is
 /// independent). Results are returned in input order and are identical
 /// for every thread count — the knob only changes wall-clock time.
@@ -142,12 +142,8 @@ pub fn characterise_workloads(
     t: &Tech,
     threads: usize,
 ) -> Vec<CharacterisedDesign> {
-    let threads = threads.clamp(1, ws.len().max(1));
-    let pool = (threads > 1).then(|| WorkerPool::shared(threads - 1));
     let mut ws: Vec<&Workload> = ws.iter().collect();
-    pool::claim_map(pool.as_deref(), threads, &mut ws, |_, w| {
-        characterise_workload(lib, w, t)
-    })
+    pool::claim_map(threads, &mut ws, |_, w| characterise_workload(lib, w, t))
 }
 
 /// Builds the Serv baseline's metrics; its CPI is measured by running the

@@ -4,9 +4,8 @@
 //! (verify this core, evaluate that mutant) and the runtime answers them
 //! out of two shared resources — the process-wide
 //! [`netlist::ProgramCache`] (compiled programs keyed by netlist content)
-//! and the multi-job worker pool (concurrent submissions claim disjoint
-//! worker subsets). This module measures that service under the classic
-//! YCSB load mixes:
+//! and concurrent `par_shards` sweeps that never wait on each other.
+//! This module measures that service under the classic YCSB load mixes:
 //!
 //! * a **read** is a functional verify of a library core — the netlist
 //!   content is already cached, so the op reuses the compiled program and
@@ -18,9 +17,9 @@
 //! proportions API: `read_proportion(0.95).update_proportion(0.05)` is
 //! workload B (read-heavy), `0.5/0.5` is workload A (update-heavy), and
 //! so on. [`run_service`] drives the chosen mix from several concurrent
-//! submitter threads — each read submits pool jobs, so independent
-//! submissions exercise the job-table admission path — and reports
-//! jobs/sec plus the cache-hit profile.
+//! submitter threads — each read runs a threaded shard sweep, so
+//! independent submissions run side by side — and reports jobs/sec plus
+//! the cache-hit profile.
 
 use hwlib::mutate::{mutants_of, Mutant};
 use hwlib::verify::functional_verify_arc;
@@ -124,13 +123,12 @@ pub struct ServiceConfig {
     /// The read/update proportions.
     pub mix: ServiceMix,
     /// Concurrent submitter threads (each is an independent service
-    /// client; > 1 exercises multi-job pool admission).
+    /// client; > 1 runs independent jobs side by side).
     pub submitters: usize,
     /// Ops issued per submitter.
     pub ops_per_submitter: usize,
-    /// Worker threads per read's shard policy. At >= 2 every read
-    /// submits a real pool job, so concurrent submitters contend on the
-    /// job table rather than on a serializing submit lock.
+    /// Threads per read's shard policy. At >= 2 every read's sweep
+    /// spawns helper threads.
     pub threads: usize,
     /// Seed for the deterministic per-submitter op sequence.
     pub seed: u64,
@@ -168,8 +166,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// A read op: functionally verify one library core. The core's netlist
 /// content is warm in the program cache, so the op's compile is a hit and
-/// the cost is the stimulus sweep (which runs as a pool job when
-/// `threads > 1`).
+/// the cost is the stimulus sweep (threaded when `threads > 1`).
 fn read_op(block: &InstrBlock, policy: ShardPolicy) {
     functional_verify_arc(block.mnemonic, Arc::new(block.netlist.clone()), policy)
         .expect("library cores verify");

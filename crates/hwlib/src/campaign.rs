@@ -38,7 +38,7 @@ use crate::mutate::{mutants_of, observability_probes, CoverageReport, Mutant, Mu
 use crate::verify::{arch_test_vectors, read_outputs_lane};
 use crate::{HwLibrary, InstrBlock};
 use netlist::compiled::{CompiledSim, LANES_PER_WORD, MAX_TOTAL_LANES};
-use netlist::pool::{self, WorkerPool};
+use netlist::pool;
 use netlist::{Builder, Gate, NetId, Netlist};
 use riscv_isa::semantics::{block_semantics, BlockInputs};
 use riscv_isa::Mnemonic;
@@ -60,8 +60,8 @@ pub struct CampaignConfig {
     /// and the last lane carries the unmutated reference. Clamped to
     /// [`MAX_TOTAL_LANES`].
     pub lanes: usize,
-    /// Worker threads for the library-wide sweep (blocks are claimed off
-    /// a shared counter by the persistent worker pool). `1` runs inline.
+    /// Threads for the library-wide sweep (blocks are claimed off a
+    /// shared counter, [`pool::claim_map`]). `1` runs on the caller.
     pub threads: usize,
 }
 
@@ -318,19 +318,15 @@ pub fn lane_mutation_coverage(
 }
 
 /// Runs the lane-parallel MCY loop over every block in the library, with
-/// blocks claimed off a shared counter by the persistent worker pool when
-/// `cfg.threads > 1`. Results are in deterministic mnemonic order and
+/// blocks claimed off a shared counter by `cfg.threads` threads
+/// ([`pool::claim_map`]). Results are in deterministic mnemonic order and
 /// independent of the thread count (each block's campaign is
 /// self-contained).
 pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<BlockCoverage> {
     let mut blocks: Vec<&InstrBlock> = lib.iter().collect();
-    let threads = cfg.threads.max(1).min(blocks.len().max(1));
-    let pool = (threads > 1).then(|| WorkerPool::shared(threads - 1));
-    pool::claim_map(pool.as_deref(), threads, &mut blocks, |_, block| {
-        BlockCoverage {
-            mnemonic: block.mnemonic,
-            report: lane_mutation_coverage(block, cfg.limit, cfg.seed, cfg.lanes),
-        }
+    pool::claim_map(cfg.threads, &mut blocks, |_, block| BlockCoverage {
+        mnemonic: block.mnemonic,
+        report: lane_mutation_coverage(block, cfg.limit, cfg.seed, cfg.lanes),
     })
 }
 

@@ -107,11 +107,10 @@ pub(crate) fn read_outputs_lane<S: SimBackend>(sim: &S, lane: usize) -> BlockOut
 /// Evaluates `vectors` through a sharded block simulation: each settle
 /// packs `sim.lanes()` stimuli (up to `lane_words * 64` per fused lane
 /// block) and the *whole sweep* — driving, evaluation, and the per-lane
-/// `check` calls — runs inside one pool job via
-/// [`ShardedSim::par_shards`], so both the settles and the golden-model
-/// comparisons parallelise and the job submission is paid once per
-/// sweep, not once per settle. Physical shard `s` owns the lane range
-/// `[s * lanes_per_shard, s * lanes_per_shard + s.lanes())` of every
+/// `check` calls — runs inside one [`ShardedSim::par_shards`] call, so
+/// both the settles and the golden-model comparisons parallelise and the
+/// thread spawns are paid once per sweep, not once per settle. Physical
+/// shard `s` owns the lane range `[s * lanes_per_shard, s * lanes_per_shard + s.lanes())` of every
 /// chunk and stops at its first failing vector; the smallest global index
 /// across shards wins, so the returned error is exactly the one a
 /// sequential sweep would hit first, at any thread count.
@@ -293,7 +292,7 @@ pub fn formal_verify(block: &InstrBlock, samples: usize, seed: u64) -> Result<()
 
 /// [`formal_verify`] under an explicit shard policy: each settle packs
 /// `policy.total_lanes()` random vectors and the shards evaluate on
-/// `policy.threads` pool threads. The stimulus sequence depends only on
+/// `policy.threads` threads. The stimulus sequence depends only on
 /// `seed`, so for a fixed policy shape the verdict is deterministic and
 /// independent of the thread count.
 ///
@@ -496,9 +495,9 @@ mod tests {
     #[test]
     fn verification_is_schedule_pool_and_par_level_independent() {
         // The shard-thread count — sequential on the caller, or claimed
-        // off the pool's shared counter in whatever order the threads
-        // race — is a pure performance knob: verdicts and first failing
-        // vectors cannot move.
+        // off a shared counter in whatever order the threads race — is a
+        // pure performance knob: verdicts and first failing vectors cannot
+        // move.
         for threads in [1, 2, 3] {
             let policy = ShardPolicy {
                 shards: 3,

@@ -42,8 +42,8 @@
 //! Results do not change.
 //!
 //! A settle always runs on the calling thread. Parallelism lives one
-//! level up, across independent simulators: [`crate::ShardedSim`] spreads
-//! its lane blocks over the shared [`crate::pool::WorkerPool`].
+//! level up, across independent simulators: [`crate::ShardedSim::par_shards`]
+//! spreads its lane blocks over threads with [`crate::pool::claim_map`].
 
 use crate::level::{OpCode, Program};
 use crate::sim::{port_bit, EvalStats, SimBackend};

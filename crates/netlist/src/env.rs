@@ -9,7 +9,7 @@
 //!
 //! | variable | values | default | consumers |
 //! | --- | --- | --- | --- |
-//! | `GATE_SIM_THREADS` | positive integer | auto | [`crate::ShardPolicy::auto`], CI property sweeps, [`crate::pool::WorkerPool::shared`] seeding |
+//! | `GATE_SIM_THREADS` | positive integer | auto | [`crate::ShardPolicy::auto`], CI property sweeps |
 //! | `GATE_SIM_LANE_WORDS` | `1..=`[`MAX_LANE_WORDS`] | 4 | [`crate::ShardPolicy`] lane-block fusion width |
 //! | `GATE_SIM_PROGRAM_CACHE` | `0/1/true/false/on/off` | on | the process-wide [`crate::cache::ProgramCache`]; off recompiles every construction |
 //! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: unset lets [`crate::EvalMode::Auto`] promote ≤64-lane simulators to native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles; `1` makes [`crate::EvalMode::Jit`] the default eval mode (native from the first settle, every width); `0` disables codegen entirely (no promotion; explicit `Jit` falls back to the interpreter) |

@@ -276,7 +276,8 @@ enum Slot {
 /// live code; after the last user, it emits afresh. Refusals are
 /// memoized for good, so fallback is decided once, not per request.
 /// Each slot's lock is held across emission, so concurrent requests
-/// (e.g. shards promoting together on pool workers) share one emission.
+/// (e.g. shards promoting together on `par_shards` threads) share one
+/// emission.
 ///
 /// Slots memoize *default-options* compiles only. Custom [`JitOptions`]
 /// bypass them — they are test/bench seams, not hot paths. `Clone`

@@ -27,14 +27,13 @@
 //! * [`sharded`] — the multi-threaded backend: compiled lane blocks over
 //!   disjoint stimulus lanes, merged bit-identically regardless of
 //!   thread count or block width.
-//! * [`pool`] — the persistent worker-pool runtime behind every parallel
-//!   path: parked OS threads reused across jobs, a generation-stamped
-//!   job protocol, and the one lock-free claim loop ([`pool::claim_map`])
-//!   that hands shards, blocks and workloads out off an atomic counter.
+//! * [`pool`] — the one parallel primitive: a scoped-thread claim loop
+//!   ([`pool::claim_map`]) that hands shards, blocks and workloads out
+//!   off an atomic counter.
 //! * [`failpoints`] — feature-gated deterministic fault injection
-//!   (`GATE_SIM_FAILPOINTS`): seeded schedules that force worker
-//!   panics, cache misses/evictions, and JIT failures so the fallback
-//!   paths above are exercised on purpose (`docs/robustness.md`).
+//!   (`GATE_SIM_FAILPOINTS`): seeded schedules that force cache
+//!   misses/evictions and JIT failures so the fallback paths above are
+//!   exercised on purpose (`docs/robustness.md`).
 //! * [`opt`] — "synthesis": re-cons, constant-fold and sweep a netlist.
 //! * [`stats`] — NAND2-equivalent gate counting exactly as the paper's
 //!   area numbers are reported.
@@ -108,7 +107,6 @@ pub use compiled::{
     MAX_LANE_WORDS, MAX_TOTAL_LANES,
 };
 pub use jit::{JitOptions, JitProgram};
-pub use pool::{JobError, JobOptions, WorkerPool};
 pub use sharded::{ShardPolicy, ShardedSim};
 pub use sim::{EvalStats, Sim, SimBackend};
 

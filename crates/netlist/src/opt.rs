@@ -247,13 +247,11 @@ pub fn check_equivalence(
 /// [`check_equivalence`] with an explicit shard policy: each settle packs
 /// `policy.total_lanes()` random vectors (up to `lane_words * 64` per
 /// fused lane block) and the shards of
-/// both netlists evaluate on `policy.threads` workers of the persistent
-/// [`crate::pool::WorkerPool`].
+/// both netlists settle one after another on the calling thread.
 ///
 /// The random vector sequence depends only on `seed` and
-/// `policy.total_lanes()` — never on the thread count or on which thread
-/// claims a shard — so the verdict is deterministic for a fixed policy
-/// shape.
+/// `policy.total_lanes()` — never on the thread count — so the verdict
+/// is deterministic for a fixed policy shape.
 ///
 /// # Errors
 ///

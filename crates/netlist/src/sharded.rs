@@ -1,8 +1,8 @@
 //! Multi-threaded sharded simulation backend.
 //!
 //! [`ShardedSim`] runs N independent [`CompiledSim`]s — the *shards* —
-//! over disjoint stimulus lane ranges, optionally spread across worker
-//! threads. Because shards never share mutable state, the merged results
+//! over disjoint stimulus lane ranges, optionally spread across threads
+//! by [`ShardedSim::par_shards`]. Because shards never share mutable state, the merged results
 //! (outputs, FF state, per-net toggle counts) are bit-identical to
 //! running the same shards sequentially on one thread: the thread count
 //! is purely a scheduling knob and can never change a simulation result.
@@ -28,20 +28,18 @@
 //!
 //! Two usage patterns:
 //! * **Per-settle** — drive lanes through the [`SimBackend`] trait and call
-//!   [`ShardedSim::eval`]; each eval submits one job to the persistent
-//!   worker pool. Good when settles are interleaved with host-side logic.
+//!   [`ShardedSim::eval`]; the shards settle in order on the calling
+//!   thread (one settle cannot repay a thread spawn). Good when settles
+//!   are interleaved with host-side logic.
 //! * **Batched** — hand a whole per-shard schedule to
-//!   [`ShardedSim::par_shards`]; one pool job covers the entire run.
-//!   This is what `hwlib`'s verification sweeps and the `gate_sim` bench
-//!   use.
+//!   [`ShardedSim::par_shards`]; the only threaded path. This is what
+//!   `hwlib`'s verification sweeps and the `gate_sim` bench use.
 //!
-//! Either way the shards are handed out by [`pool::claim_map`]: idle
-//! workers claim the next shard index off a single atomic counter, on
-//! the shared [`crate::pool::WorkerPool`] whenever more than one thread
-//! is configured.
+//! `par_shards` hands the shards out through [`pool::claim_map`]: idle
+//! threads claim the next shard index off a single atomic counter.
 
 use crate::compiled::{CompiledSim, EvalMode, LANES_PER_WORD, MAX_LANE_WORDS};
-use crate::pool::{self, WorkerPool};
+use crate::pool;
 use crate::sim::{EvalStats, SimBackend};
 use crate::{NetId, Netlist};
 use std::cell::OnceCell;
@@ -63,8 +61,9 @@ pub struct ShardPolicy {
     pub shards: usize,
     /// Stimulus lanes per logical shard (1..=[`LANES_PER_WORD`]).
     pub lanes_per_shard: usize,
-    /// Worker threads to spread shards over (clamped to the physical
-    /// shard count after lane-block fusion).
+    /// Threads [`ShardedSim::par_shards`] spreads shards over (clamped
+    /// to the physical shard count after lane-block fusion); per-settle
+    /// [`ShardedSim::eval`] always runs on the calling thread.
     pub threads: usize,
     /// Lane-block fusion width in 64-lane words
     /// (1..=[`MAX_LANE_WORDS`]): up to `lane_words` consecutive
@@ -138,10 +137,6 @@ pub struct ShardedSim {
     /// Total stimulus lanes (`policy.shards * policy.lanes_per_shard`).
     total_lanes: usize,
     threads: usize,
-    /// Handle on the persistent worker pool, held while more than one
-    /// thread is configured. Dropping the last handle process-wide joins
-    /// the pool's workers.
-    pool: Option<Arc<WorkerPool>>,
     /// Merged per-net toggle counts, rebuilt lazily after each eval.
     merged_toggles: OnceCell<Vec<u64>>,
 }
@@ -228,7 +223,6 @@ impl ShardedSim {
             lanes_per_shard: shard_lanes[0],
             total_lanes,
             threads: 1,
-            pool: None,
             merged_toggles: OnceCell::new(),
         };
         sim.set_threads(policy.threads);
@@ -275,18 +269,16 @@ impl ShardedSim {
         self.lanes_per_shard
     }
 
-    /// Worker threads used per evaluation.
+    /// Threads used per [`ShardedSim::par_shards`] call.
     pub fn thread_count(&self) -> usize {
         self.threads
     }
 
-    /// Re-schedules future evaluations over `threads` threads (capped at
-    /// the shard count), acquiring the shared worker pool when more than
-    /// one remains and releasing it otherwise. Results are unaffected —
+    /// Spreads future [`ShardedSim::par_shards`] calls over `threads`
+    /// threads (capped at the shard count). Results are unaffected —
     /// this is purely a performance knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1).min(self.shards.len());
-        self.pool = (self.threads > 1).then(|| WorkerPool::shared(self.threads - 1));
     }
 
     fn shard_of(&self, lane: usize) -> (usize, usize) {
@@ -299,12 +291,11 @@ impl ShardedSim {
     }
 
     /// Runs `f(shard_index, shard)` for every shard, spread over the
-    /// configured threads as one job on the persistent worker pool, and
-    /// returns the results in shard order.
+    /// configured threads, and returns the results in shard order.
     ///
-    /// This is the batched entry point: putting a whole settle schedule
-    /// inside `f` amortises even the (small) per-job submission cost over
-    /// the run. Shards are disjoint, so any interleaving produces
+    /// This is the batched entry point and the only threaded one: put a
+    /// whole settle schedule inside `f` so the thread spawns are
+    /// amortised over the run. Shards are disjoint, so any interleaving produces
     /// identical state — but keep shards in *cycle lockstep* (equal
     /// [`CompiledSim::step`] counts) if you later read
     /// [`ShardedSim::cycles`] or activity.
@@ -313,21 +304,23 @@ impl ShardedSim {
     /// ([`pool::claim_map`]), so uneven per-shard loads rebalance
     /// automatically; results are written back by shard index, so `f`'s
     /// return values (and all shard state) are independent of the claim
-    /// order and the thread count. Called from inside another pool job,
-    /// the shards run inline on the calling thread.
+    /// order and the thread count.
     pub fn par_shards<R, F>(&mut self, f: F) -> Vec<R>
     where
         F: Fn(usize, &mut CompiledSim) -> R + Sync,
         R: Send,
     {
         self.merged_toggles.take();
-        pool::claim_map(self.pool.as_deref(), self.threads, &mut self.shards, f)
+        pool::claim_map(self.threads, &mut self.shards, f)
     }
 
-    /// Settles all combinational logic on every shard (one pool job when
-    /// more than one thread is configured).
+    /// Settles all combinational logic on every shard, in order on the
+    /// calling thread.
     pub fn eval(&mut self) {
-        self.par_shards(|_, s| s.eval());
+        self.merged_toggles.take();
+        for s in &mut self.shards {
+            s.eval();
+        }
     }
 
     /// Clock edge on every shard. Cheap (per-DFF word copies), so it runs
@@ -712,8 +705,9 @@ mod tests {
         let _ = sim.get_bus_lane("count", 4);
     }
 
-    /// One-word shards promoting together on pool workers share one
-    /// emission, and the merged stats count every shard's native sweeps.
+    /// One-word shards promoting together on their own `par_shards`
+    /// threads share one emission, and the merged stats count every
+    /// shard's native sweeps.
     #[test]
     fn concurrently_promoting_shards_share_one_emission() {
         let nl = counter(6);
@@ -728,10 +722,12 @@ mod tests {
         );
         sim.set_eval_mode(EvalMode::Auto);
         let settles = crate::compiled::AUTO_NATIVE_AFTER_SETTLES + 8;
-        for _ in 0..settles {
-            sim.eval();
-            sim.step();
-        }
+        sim.par_shards(|_, s| {
+            for _ in 0..settles {
+                s.eval();
+                s.step();
+            }
+        });
         let stats = sim.eval_stats();
         assert_eq!(stats.settles, 4 * u64::from(settles));
         if !(crate::jit::host_supported() && crate::env::jit() != Some(false)) {

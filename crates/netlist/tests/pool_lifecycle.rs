@@ -1,31 +1,54 @@
-//! Lifecycle and leak regression tests for the persistent worker pool.
+//! Lifecycle regression tests for the scoped-thread claim loop
+//! ([`netlist::pool::claim_map`]) as simulators drive it through
+//! [`ShardedSim::par_shards`].
 //!
-//! These live in their own integration-test binary (their own process)
-//! so the [`netlist::pool::alive_workers`] accounting they assert on is
-//! not perturbed by unrelated tests acquiring the shared pool. Within
-//! the binary, every test serializes on [`pool_mutex`] for the same
-//! reason. The `GATE_SIM_THREADS={1,2,4}` CI matrix runs this file at
-//! each thread count, so the join-on-drop guarantee is exercised with
-//! real concurrency at every shape.
-//!
-//! Simulators acquire the pool through [`ShardedSim`]: a sharded
-//! simulator with more than one thread holds a handle, one with a
-//! single thread holds none.
+//! Helper threads are counted by a thread-local census: a thread that
+//! runs a shard registers on first use and deregisters when its
+//! thread-locals are destroyed, which happens before the thread can be
+//! joined. These tests live in their own integration-test binary (their
+//! own process) and serialize on [`census_mutex`], so the census only
+//! moves for the test holding it. The `GATE_SIM_THREADS={1,2,4}` CI
+//! matrix runs this file at each thread count.
 
-use netlist::pool::{alive_workers, WorkerPool};
-use netlist::{Builder, Netlist, ShardPolicy, ShardedSim, Sim};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use netlist::{Builder, Netlist, ShardPolicy, ShardedSim};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
 /// Serializes the tests in this binary: each one asserts on the
-/// process-wide worker census, which only holds still while it is the
-/// sole pool user.
-fn pool_mutex() -> MutexGuard<'static, ()> {
+/// process-wide helper census.
+fn census_mutex() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Helper threads that have run a shard and not yet exited.
+static LIVE_HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+struct Census;
+
+impl Drop for Census {
+    fn drop(&mut self) {
+        LIVE_HELPERS.fetch_sub(1, SeqCst);
+    }
+}
+
+thread_local! {
+    static CENSUS: Census = {
+        LIVE_HELPERS.fetch_add(1, SeqCst);
+        Census
+    };
+}
+
+/// Registers the current thread in the census unless it is `caller`.
+fn enlist(caller: ThreadId) {
+    if std::thread::current().id() != caller {
+        CENSUS.with(|_| {});
+    }
+}
+
 /// The thread count the CI matrix asked for, with a multi-threaded
-/// default so the pool genuinely spawns when the variable is unset.
+/// default so helpers genuinely spawn when the variable is unset.
 fn matrix_threads() -> usize {
     netlist::env_threads().unwrap_or(2)
 }
@@ -56,131 +79,50 @@ fn sharded(nl: &Netlist, threads: usize) -> ShardedSim {
     )
 }
 
-/// Dropping the last simulator that holds the pool joins every worker:
-/// no detached threads survive, at any `GATE_SIM_THREADS` shape.
+/// `par_shards` joins every helper before it returns: no detached
+/// thread survives a call, at any `GATE_SIM_THREADS` shape, and two
+/// simulators alive at once do not hold threads between calls.
 #[test]
 fn dropping_the_last_sim_joins_all_workers() {
-    let _guard = pool_mutex();
+    let _guard = census_mutex();
+    let caller = std::thread::current().id();
     let threads = matrix_threads().max(2);
-    let before = alive_workers();
     let nl = counter(6);
-    {
-        let mut a = sharded(&nl, threads);
-        let mut b = ShardedSim::with_policy(
-            &nl,
-            ShardPolicy {
-                shards: threads * 2,
-                lanes_per_shard: 2,
-                threads,
-                ..ShardPolicy::single()
-            },
-        );
-        for _ in 0..5 {
-            a.eval();
-            a.step();
-            b.eval();
-            b.step();
-        }
-        assert!(
-            alive_workers() >= before + threads - 1,
-            "pooled simulators must have spawned workers"
-        );
-        // Dropping one holder must not tear the pool down under the
-        // other.
-        drop(a);
-        assert!(alive_workers() >= before + threads - 1);
-        b.eval();
-        drop(b);
-    }
-    // All simulators are gone: WorkerPool::drop has joined every thread
-    // synchronously, so the census is back immediately — no polling.
-    assert_eq!(
-        alive_workers(),
-        before,
-        "dropping the last sim must join all pool workers"
-    );
+    let mut a = sharded(&nl, threads);
+    let mut b = sharded(&nl, threads);
+    let drive = |sim: &mut ShardedSim| {
+        // Every participant holds its shard until all have one, so all
+        // `threads - 1` helpers run.
+        let barrier = Barrier::new(threads);
+        let live = sim.par_shards(|_, shard| {
+            enlist(caller);
+            barrier.wait();
+            let live = LIVE_HELPERS.load(SeqCst);
+            // Nobody exits before everyone has looked.
+            barrier.wait();
+            shard.eval();
+            shard.step();
+            live
+        });
+        assert_eq!(live, vec![threads - 1; threads], "every helper ran");
+        assert_eq!(LIVE_HELPERS.load(SeqCst), 0, "every helper joined");
+    };
+    drive(&mut a);
+    drive(&mut b);
+    drive(&mut a);
+    assert_eq!((a.cycles(), b.cycles()), (2, 1));
 }
 
-/// Simulators acquire one shared pool instance, and an explicit
-/// [`WorkerPool::shared`] call while they are alive returns that same
-/// instance rather than spawning a second roster.
-#[test]
-fn concurrent_sims_share_one_pool_instance() {
-    let _guard = pool_mutex();
-    let before = alive_workers();
-    let nl = counter(4);
-    let a = sharded(&nl, 2);
-    let spawned_for_a = alive_workers() - before;
-    let b = sharded(&nl, 2);
-    assert_eq!(
-        alive_workers() - before,
-        spawned_for_a,
-        "a second sim with the same needs must not spawn a second roster"
-    );
-    let first = WorkerPool::shared(1);
-    let second = WorkerPool::shared(1);
-    assert!(
-        std::sync::Arc::ptr_eq(&first, &second),
-        "the registry must hand out one shared instance"
-    );
-    drop((first, second, a, b));
-    assert_eq!(alive_workers(), before);
-}
-
-/// Growing the thread count grows the shared roster in place; shrinking
-/// parks the surplus instead of churning threads, and results stay exact
-/// throughout (the bit-identity half is property-tested — here we pin
-/// the roster census and a smoke-check of the values).
-#[test]
-fn resize_grows_in_place_and_shrink_parks_workers() {
-    let _guard = pool_mutex();
-    let before = alive_workers();
-    let nl = counter(8);
-    let mut reference = Sim::new(&nl);
-    let mut sim = sharded(&nl, 4);
-    let mut census_high = 0;
-    // The schedule never passes back through 1 thread: a sequential
-    // simulator releases the pool handle outright (covered by
-    // `sequential_policies_keep_no_workers`), which would churn the
-    // roster this test pins as stable across shrinks.
-    for (cycle, threads) in [2usize, 4, 2, 4, 3].into_iter().enumerate() {
-        sim.set_threads(threads);
-        census_high = census_high.max(alive_workers() - before);
-        reference.eval();
-        sim.eval();
-        for lane in 0..8 {
-            assert_eq!(
-                sim.get_bus_lane("count", lane),
-                reference.get_bus_u64("count"),
-                "cycle {cycle} under {threads} threads"
-            );
-        }
-        reference.step();
-        sim.step();
-    }
-    assert!(
-        census_high >= 3,
-        "the 4-thread simulator must have grown to 3+"
-    );
-    assert_eq!(
-        alive_workers() - before,
-        census_high,
-        "shrinking parks workers, it does not churn threads"
-    );
-    drop(sim);
-    assert_eq!(alive_workers(), before, "last handle joins the roster");
-}
-
-/// Regression: evaluators nested *two* levels below a pool job must keep
-/// running inline instead of submitting. The chain is: a pooled
-/// `par_shards` job → a second `ShardedSim` evaluated inside it (runs
-/// its shards inline on the claiming thread) → a third `ShardedSim`
-/// evaluated inside *that* sim's shard closure. A nested submission that
-/// waited for pool workers its ancestors hold could hang; this test
-/// would hang instead of passing.
+/// Regression: evaluators nested *two* levels below a `par_shards` call
+/// each spawn their own helpers instead of waiting on threads their
+/// ancestors hold. The chain is: a threaded `par_shards` call → a
+/// second `ShardedSim`'s `par_shards` inside one of its shards → a
+/// third `ShardedSim`'s `par_shards` inside *that* sim's shard closure. A
+/// nested call that waited for its ancestors' threads would hang this
+/// test instead of passing.
 #[test]
 fn nested_evaluators_fall_back_instead_of_deadlocking() {
-    let _guard = pool_mutex();
+    let _guard = census_mutex();
     let nl = counter(5);
     let mut outer = sharded(&nl, 2);
     let inner_nl = counter(4);
@@ -188,10 +130,12 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
         let mut inner = sharded(&inner_nl, 2);
         let innermost = inner.par_shards(|_, _| {
             let mut deepest = sharded(&inner_nl, 2);
-            for _ in 0..2 {
-                deepest.eval();
-                deepest.step();
-            }
+            deepest.par_shards(|_, s| {
+                for _ in 0..2 {
+                    s.eval();
+                    s.step();
+                }
+            });
             deepest.cycles()
         });
         for _ in 0..3 {
@@ -206,33 +150,36 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
     assert_eq!(cycles, vec![(3, 2, vec![2, 2]), (3, 2, vec![2, 2])]);
 }
 
-/// Multi-job admission: two threads submit independent pooled
-/// evaluations concurrently — each claims its own job-table slot — and
-/// every result is bit-identical to the same run serialized on one
-/// thread. Afterwards the census is back at the baseline: concurrent
-/// admission leaks neither workers nor job slots.
+/// Concurrent callers: two threads run independent `par_shards`
+/// schedules at the same time, and every result is bit-identical to the
+/// same run serialized on one thread. Afterwards no helper is left
+/// running.
 #[test]
 fn concurrent_admissions_are_deterministic_and_leak_free() {
-    let _guard = pool_mutex();
-    let before = alive_workers();
+    let _guard = census_mutex();
+    let caller = std::thread::current().id();
     let nl_a = counter(8);
     let nl_b = counter(6);
     let run = |nl: &Netlist, cycles: usize| {
         let mut sim = sharded(nl, matrix_threads().max(2));
-        for _ in 0..cycles {
-            sim.eval();
-            sim.step();
-        }
-        sim.eval();
-        (sim.get_bus_lane("count", 0), sim.toggles().to_vec())
+        let counts = sim.par_shards(|_, shard| {
+            enlist(caller);
+            for _ in 0..cycles {
+                shard.eval();
+                shard.step();
+            }
+            shard.eval();
+            shard.get_bus_lane("count", 0)
+        });
+        (counts, sim.toggles().to_vec())
     };
     // Serialized reference runs first, on this thread.
     let want_a = run(&nl_a, 37);
     let want_b = run(&nl_b, 53);
-    // Now the same two workloads concurrently, from separate submitter
-    // threads, several rounds to vary slot/worker interleavings.
+    // Now the same two workloads concurrently, from separate caller
+    // threads, several rounds to vary the interleavings.
     for round in 0..10 {
-        let gate = std::sync::Barrier::new(2);
+        let gate = Barrier::new(2);
         let (got_a, got_b) = std::thread::scope(|s| {
             let a = s.spawn(|| {
                 gate.wait();
@@ -240,7 +187,7 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
             });
             gate.wait();
             let b = run(&nl_b, 53);
-            (a.join().expect("submitter A panicked"), b)
+            (a.join().expect("caller A panicked"), b)
         });
         assert_eq!(
             got_a, want_a,
@@ -252,19 +199,19 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
         );
     }
     assert_eq!(
-        alive_workers(),
-        before,
-        "concurrent admissions must not leak workers or job slots"
+        LIVE_HELPERS.load(SeqCst),
+        0,
+        "concurrent calls must not leak helpers"
     );
 }
 
-/// A single-threaded simulator holds no pool handle at all: purely
-/// sequential simulators never spawn (or keep alive) a single worker
-/// thread.
+/// A single-threaded simulator runs every shard on the calling thread:
+/// purely sequential simulators never spawn a helper, including after a
+/// round trip through two threads.
 #[test]
 fn sequential_policies_keep_no_workers() {
-    let _guard = pool_mutex();
-    let before = alive_workers();
+    let _guard = census_mutex();
+    let caller = std::thread::current().id();
     let nl = counter(5);
     let mut sim = ShardedSim::with_policy(
         &nl,
@@ -275,19 +222,29 @@ fn sequential_policies_keep_no_workers() {
             ..ShardPolicy::single()
         },
     );
-    for _ in 0..3 {
-        sim.eval();
-        sim.step();
-    }
-    assert_eq!(alive_workers(), before, "one thread spawns no workers");
-    // Going parallel then back to one thread releases the handle.
-    sim.set_threads(2);
-    sim.eval();
-    sim.set_threads(1);
-    sim.eval();
+    let ran_on = |sim: &mut ShardedSim| {
+        sim.par_shards(|_, shard| {
+            shard.eval();
+            shard.step();
+            std::thread::current().id()
+        })
+    };
     assert_eq!(
-        alive_workers(),
-        before,
-        "a sim back at one thread must have released the pool"
+        ran_on(&mut sim),
+        vec![caller; 2],
+        "one thread spawns nothing"
+    );
+    sim.set_threads(2);
+    let barrier = Barrier::new(2);
+    let parallel = sim.par_shards(|_, _| {
+        barrier.wait();
+        std::thread::current().id()
+    });
+    assert!(parallel.contains(&caller) && parallel[0] != parallel[1]);
+    sim.set_threads(1);
+    assert_eq!(
+        ran_on(&mut sim),
+        vec![caller; 2],
+        "a sim back at one thread runs on the caller"
     );
 }

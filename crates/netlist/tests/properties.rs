@@ -9,8 +9,8 @@
 
 use netlist::sim::Sim;
 use netlist::{
-    bus, Builder, CompiledSim, EvalMode, Gate, NetId, Netlist, ShardPolicy, ShardedSim, SimBackend,
-    WorkerPool, AUTO_NATIVE_AFTER_SETTLES,
+    bus, pool, Builder, CompiledSim, EvalMode, Gate, NetId, Netlist, ShardPolicy, ShardedSim,
+    SimBackend, AUTO_NATIVE_AFTER_SETTLES,
 };
 use proptest::prelude::*;
 
@@ -525,12 +525,11 @@ proptest! {
         }
     }
 
-    /// Pool lifecycle determinism, leg 1 — reuse and mid-run resizing:
-    /// one sharded simulator whose thread count shrinks and grows between
-    /// settles (1 → n → 2 → n threads, every pooled settle reusing the
-    /// same persistent pool) produces bit-identical outputs, FF state,
-    /// toggle counts, and [`netlist::EvalStats`] work counters to a
-    /// never-parallel run of the same schedule.
+    /// Mid-run resizing: one sharded simulator whose thread count
+    /// shrinks and grows between settles (1 → n → 2 → n threads, each
+    /// settle one `par_shards` call) produces bit-identical outputs, FF state, toggle counts, and
+    /// [`netlist::EvalStats`] work counters to a never-resized run of
+    /// the same schedule.
     #[test]
     fn pool_reuse_and_midrun_resize_is_deterministic(
         recipe in proptest::collection::vec(any::<u8>(), 6..120),
@@ -546,12 +545,11 @@ proptest! {
             let mut outs = Vec::new();
             for (t, &s) in stimuli.iter().enumerate() {
                 if resize {
-                    // Shrink/grow mid-run: the pool grows on demand and
-                    // parks surplus workers; results cannot move.
+                    // Shrink/grow mid-run; results cannot move.
                     sim.set_threads([1, n, 2, n][t % 4]);
                 }
                 SimBackend::set_bus(&mut sim, "in", s as u32);
-                sim.eval();
+                sim.par_shards(|_, shard| shard.eval());
                 outs.push((sim.get_bus_lane("out", 7), sim.get_bus_lane("state", 7)));
                 sim.step();
             }
@@ -561,11 +559,10 @@ proptest! {
         prop_assert_eq!(run(true), reference, "mid-run resize diverged");
     }
 
-    /// Pool lifecycle determinism, leg 2 — interleaved submissions: a
-    /// sequential [`CompiledSim`] and two pooled [`ShardedSim`]s of
-    /// different shapes alternate settles, the sharded ones submitting to
-    /// the one shared pool, and all three reproduce the interpreted
-    /// reference exactly.
+    /// Interleaved simulators: a single-lane [`CompiledSim`] and two
+    /// multi-threaded [`ShardedSim`]s of different shapes alternate
+    /// settles (each sharded settle one `par_shards` call), and all three reproduce the interpreted reference
+    /// exactly.
     #[test]
     fn interleaved_compiled_and_sharded_submissions_share_one_pool(
         recipe in proptest::collection::vec(any::<u8>(), 6..80),
@@ -591,8 +588,8 @@ proptest! {
             SimBackend::set_bus(&mut wide, "in", s as u32);
             int.eval();
             comp.eval();
-            narrow.eval(); // pool job from one sharded sim...
-            wide.eval(); // ...then one from the other, same pool
+            narrow.par_shards(|_, shard| shard.eval());
+            wide.par_shards(|_, shard| shard.eval());
             let want = int.get_bus_u64("out");
             prop_assert_eq!(comp.get_bus_u64("out"), want);
             for lane in 0..6 {
@@ -613,10 +610,11 @@ proptest! {
         prop_assert_eq!(wide.toggles(), &merged[..]);
     }
 
-    /// The inline fallback (a sharded evaluation issued from inside
-    /// another pool job, which runs every shard on the calling thread) is
-    /// bit-identical to the pooled path: per-shard results, merged
-    /// toggles, and merged work counters.
+    /// Nested parallelism: `par_shards` runs issued from inside a
+    /// two-thread [`pool::claim_map`] (so each spawns its helpers from a
+    /// participant, one of them a helper itself) are bit-identical to a
+    /// top-level run: per-shard results, merged toggles, and merged work
+    /// counters.
     #[test]
     fn scoped_fallback_matches_pooled_execution(
         recipe in proptest::collection::vec(any::<u8>(), 6..100),
@@ -638,14 +636,11 @@ proptest! {
             });
             (settles, sim.toggles().to_vec(), sim.eval_stats())
         };
-        let pooled = sharded_run();
-        let nested = std::sync::Mutex::new(None);
-        WorkerPool::new(1).run(2, |tid| {
-            if tid == 0 {
-                *nested.lock().unwrap() = Some(sharded_run());
-            }
-        });
-        prop_assert_eq!(nested.into_inner().unwrap(), Some(pooled), "inline fallback diverged");
+        let top_level = sharded_run();
+        let nested = pool::claim_map(2, &mut [(), ()], |_, _| sharded_run());
+        for run in nested {
+            prop_assert_eq!(&run, &top_level, "nested run diverged");
+        }
     }
 
     /// Stuck-at mutation changes the gate census by at most one gate kind,
