@@ -4,9 +4,8 @@
 //! backend and the multi-threaded sharded backend on the same crc32 core:
 //! per-settle (scalar), with 64/128/256 stimulus lanes packed per settle
 //! (K = 1/2/4 words per net), and with 4 shards x 64 lanes on 1 and 4
-//! threads plus the fused 256-lane block equivalent — so the `SimBackend`
-//! speedup, the lane-block scaling, and the thread-scaling are numbers
-//! rather than assertions. Per-vector throughput = settles x lanes / time.
+//! threads — so the `SimBackend` speedup, the lane-block scaling, and the
+//! thread-scaling are numbers rather than assertions. Per-vector throughput = settles x lanes / time.
 //!
 //! The `settle_sparse_*` / `settle_dense_*` pairs compare the full-sweep
 //! evaluator against the event-driven one (`EvalMode`) on low-activity
@@ -172,9 +171,8 @@ fn bench(c: &mut Criterion) {
     // whole EVALS-settle schedule batched inside one threaded
     // `par_shards` call (shard s's lane l carries global vector s*64 + l, so
     // 1-thread and 4-thread runs do bit-identical work). Per-vector
-    // throughput here is over 4x the vectors of `settle_compiled_64_lanes`.
-    // `lane_words: 1` pins the historical one-sim-per-64-lanes layout —
-    // the fused lane-block alternative is measured separately below.
+    // throughput here is over 4x the vectors of `settle_compiled_64_lanes`;
+    // `settle_compiled_256_lanes` runs the same vectors as one lane block.
     for threads in [1, 4] {
         let mut sharded = ShardedSim::with_policy(
             core,
@@ -182,7 +180,6 @@ fn bench(c: &mut Criterion) {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads,
-                lane_words: 1,
             },
         );
         g.bench_function(
@@ -207,41 +204,9 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Block-sharded: the same 256 vectors per settle as the 4 x 64 rows,
-    // fused into one 256-lane (K = 4) lane block — one compile, one state
-    // arena, one settle walk — which leaves one block, so the settle
-    // runs on the caller whatever the thread budget.
-    {
-        let mut sharded = ShardedSim::with_policy(
-            core,
-            ShardPolicy {
-                shards: 4,
-                lanes_per_shard: 64,
-                threads: 2,
-                lane_words: 4,
-            },
-        );
-        let mut stimuli = vec![0u64; 256];
-        g.bench_function("settle_sharded_block_256_lanes", |b| {
-            b.iter(|| {
-                for i in 0..EVALS {
-                    for (lane, s) in stimuli.iter_mut().enumerate() {
-                        *s = black_box(0x0000_0113u64 ^ ((i * 256 + lane) as u64) << 7);
-                    }
-                    sharded.set_bus_lanes("insn", &stimuli);
-                    sharded.eval();
-                    sharded.step();
-                }
-                sharded.cycles()
-            })
-        });
-    }
-
     // Work stealing on a deliberately uneven load: shard s settles
     // (s + 1) * EVALS / 4 times, so the claim loop has to rebalance the
-    // heavy shards across threads. `lane_words: 1` keeps the 8 logical
-    // shards as 8 physical shards — fused blocks would change the loads
-    // the threads race on.
+    // heavy shards across threads.
     {
         let mut sharded = ShardedSim::with_policy_arc(
             core_arc.clone(),
@@ -249,7 +214,6 @@ fn bench(c: &mut Criterion) {
                 shards: 8,
                 lanes_per_shard: 64,
                 threads: 4,
-                lane_words: 1,
             },
         );
         g.bench_function("settle_uneven_8_shards_stealing", |b| {

@@ -6,8 +6,6 @@
 //! the gate-level core → run the FlexIC flow.  See `EXPERIMENTS.md` at the
 //! repository root for paper-vs-measured values.
 
-pub mod service;
-
 use flexic::tech::Tech;
 use flexic::DesignMetrics;
 use hwlib::HwLibrary;

@@ -70,7 +70,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             limit: 24,
             seed: 0x5eed_cafe,
-            lanes: LANES_PER_WORD * netlist::env_lane_words().unwrap_or(4),
+            lanes: LANES_PER_WORD * 4,
             threads: netlist::env_threads().unwrap_or(1),
         }
     }

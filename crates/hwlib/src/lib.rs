@@ -192,10 +192,8 @@ impl HwLibrary {
 
     /// [`HwLibrary::verify_all`] under an explicit shard policy: each
     /// block's vector sweeps settle `policy.total_lanes()` stimuli at a
-    /// time across `policy.threads` threads (full-width shards fuse into
-    /// `policy.lane_words`-word lane blocks, up to 512 stimuli per
-    /// physical shard). Verdicts are independent of the thread count and
-    /// of the lane-block width (see `docs/simulation.md`).
+    /// time across `policy.threads` threads. Verdicts are independent of
+    /// the thread count (see `docs/simulation.md`).
     ///
     /// # Errors
     ///

@@ -105,15 +105,15 @@ pub(crate) fn read_outputs_lane<S: SimBackend>(sim: &S, lane: usize) -> BlockOut
 }
 
 /// Evaluates `vectors` through a sharded block simulation: each settle
-/// packs `sim.lanes()` stimuli (up to `lane_words * 64` per fused lane
-/// block) and the *whole sweep* — driving, evaluation, and the per-lane
-/// `check` calls — runs inside one [`ShardedSim::par_shards`] call, so
-/// both the settles and the golden-model comparisons parallelise and the
-/// thread spawns are paid once per sweep, not once per settle. Physical
-/// shard `s` owns the lane range `[s * lanes_per_shard, s * lanes_per_shard + s.lanes())` of every
-/// chunk and stops at its first failing vector; the smallest global index
-/// across shards wins, so the returned error is exactly the one a
-/// sequential sweep would hit first, at any thread count.
+/// packs `sim.lanes()` stimuli and the *whole sweep* — driving,
+/// evaluation, and the per-lane `check` calls — runs inside one
+/// [`ShardedSim::par_shards`] call, so both the settles and the
+/// golden-model comparisons parallelise and the thread spawns are paid
+/// once per sweep, not once per settle. Shard `s` owns the `s`-th
+/// `lanes_per_shard`-lane slice of every chunk and stops at its first
+/// failing vector; the smallest global index across shards wins, so the
+/// returned error is exactly the one a sequential sweep would hit first,
+/// at any thread count.
 fn run_batched(
     sim: &mut ShardedSim,
     vectors: &[BlockInputs],
@@ -123,17 +123,13 @@ fn run_batched(
     let width = sim.lanes();
     let earliest = sim
         .par_shards(|shard, s| {
-            // Shards are uniform except for a possibly-narrower trailing
-            // lane block, so clamp this shard's slice to its own width.
-            let shard_lanes = s.lanes();
+            let lo = shard * lanes_per_shard;
             let mut first: Option<(usize, VerifyError)> = None;
             'chunks: for (chunk_idx, chunk) in vectors.chunks(width).enumerate() {
-                let lo = (shard * lanes_per_shard).min(chunk.len());
-                let hi = (shard * lanes_per_shard + shard_lanes).min(chunk.len());
-                let slice = &chunk[lo..hi];
-                if slice.is_empty() {
-                    continue; // the final partial chunk may not reach this shard
-                }
+                // The final partial chunk may not reach this shard.
+                let Some(slice) = chunk.chunks(lanes_per_shard).nth(shard) else {
+                    continue;
+                };
                 drive_chunk(s, slice);
                 s.eval();
                 for (lane, inputs) in slice.iter().enumerate() {
@@ -465,7 +461,6 @@ mod tests {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads,
-                ..ShardPolicy::single()
             };
             for m in [Mnemonic::Add, Mnemonic::Lw, Mnemonic::Beq] {
                 functional_verify_with(&block(m), policy).unwrap_or_else(|e| panic!("{m}: {e}"));
@@ -485,7 +480,6 @@ mod tests {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads: 2,
-                ..ShardPolicy::single()
             },
         )
         .unwrap_err();
@@ -493,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn verification_is_schedule_pool_and_par_level_independent() {
+    fn verification_is_thread_count_independent() {
         // The shard-thread count — sequential on the caller, or claimed
         // off a shared counter in whatever order the threads race — is a
         // pure performance knob: verdicts and first failing vectors cannot
@@ -503,7 +497,6 @@ mod tests {
                 shards: 3,
                 lanes_per_shard: 64,
                 threads,
-                ..ShardPolicy::single()
             };
             functional_verify_with(&block(Mnemonic::Xor), policy)
                 .unwrap_or_else(|e| panic!("x{threads}: {e}"));

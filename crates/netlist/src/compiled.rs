@@ -625,19 +625,6 @@ impl CompiledSim {
         CompiledSim::from_parts(netlist, prog, lanes)
     }
 
-    /// A fresh simulator (reset state, zero counters) over the same
-    /// compiled program and netlist, with a possibly different lane
-    /// count. No recompilation: both [`Arc`]s are shared. The eval mode
-    /// is copied over. `ShardedSim` uses this to shape a
-    /// partial trailing lane block without paying a second levelization.
-    pub(crate) fn reshaped(&self, lanes: usize) -> CompiledSim {
-        let mut sim =
-            CompiledSim::from_parts(Arc::clone(&self.netlist), Arc::clone(&self.prog), lanes);
-        sim.jit_options = self.jit_options.clone();
-        sim.set_eval_mode(self.mode);
-        sim
-    }
-
     /// Shared constructor body: allocates the K-word state arena for
     /// `lanes` over an already-compiled `prog`.
     ///
@@ -779,24 +766,9 @@ impl CompiledSim {
     }
 
     /// The first lane word of one net (bit `l` = lane `l`'s value for
-    /// lanes 0..64). Shorthand for `lane_word_at(net, 0)`.
+    /// lanes 0..64). Bits beyond the active lane count hold garbage.
     pub fn lane_word(&self, net: NetId) -> u64 {
         self.values[net as usize * self.lane_words]
-    }
-
-    /// One word of a net's lane block: bit `b` = lane `word * 64 + b`'s
-    /// value. Bits beyond the active lane count hold garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word >= lane_words`.
-    pub fn lane_word_at(&self, net: NetId, word: usize) -> u64 {
-        assert!(
-            word < self.lane_words,
-            "word {word} out of range (lane_words = {})",
-            self.lane_words
-        );
-        self.values[net as usize * self.lane_words + word]
     }
 
     /// Words per lane block (`lanes.div_ceil(64)`): the stride of the
@@ -1764,7 +1736,6 @@ mod tests {
                 shards: 3,
                 lanes_per_shard: 4,
                 threads: 1,
-                ..crate::sharded::ShardPolicy::single()
             },
         );
         for shard in sharded.shards() {
@@ -1920,7 +1891,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_never_promotes_wide_or_parallel_sims() {
+    fn auto_never_promotes_wide_sims() {
         // Multi-word lane blocks stay on the interpreter, which beats
         // native code there: lane width is the only promotion gate.
         let nl = mixed_test_circuit();

@@ -10,7 +10,6 @@
 //! | variable | values | default | consumers |
 //! | --- | --- | --- | --- |
 //! | `GATE_SIM_THREADS` | positive integer | auto | [`crate::ShardPolicy::auto`], CI property sweeps |
-//! | `GATE_SIM_LANE_WORDS` | `1..=`[`MAX_LANE_WORDS`] | 4 | [`crate::ShardPolicy`] lane-block fusion width |
 //! | `GATE_SIM_PROGRAM_CACHE` | `0/1/true/false/on/off` | on | the process-wide [`crate::cache::ProgramCache`]; off recompiles every construction |
 //! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: unset lets [`crate::EvalMode::Auto`] promote ≤64-lane simulators to native code after [`crate::AUTO_NATIVE_AFTER_SETTLES`] settles; `1` makes [`crate::EvalMode::Jit`] the default eval mode (native from the first settle, every width); `0` disables codegen entirely (no promotion; explicit `Jit` falls back to the interpreter) |
 //! | `GATE_SIM_FAILPOINTS` | `<seed>:<site>=<rule>[@<arg>],...` | unset | [`crate::failpoints`] chaos schedules (parsed there, not here) — **only with the `failpoints` cargo feature**; in default builds the variable is ignored and the sites compile to nothing |
@@ -18,11 +17,9 @@
 //! The same table, with prose semantics, lives in the README's
 //! "Environment knobs" section — keep the two in sync.
 //!
-//! The historical entry points (`netlist::env_threads`,
-//! `netlist::env_lane_words`) remain as re-exports, so existing callers
-//! and the CI matrix scripts keep working unchanged.
-
-use crate::compiled::MAX_LANE_WORDS;
+//! The historical entry point `netlist::env_threads` remains as a
+//! re-export, so existing callers and the CI matrix scripts keep working
+//! unchanged.
 
 /// Thread-count override from the `GATE_SIM_THREADS` environment
 /// variable, used by [`crate::ShardPolicy::auto`] and the CI
@@ -37,24 +34,6 @@ pub fn threads() -> Option<usize> {
     match v.parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
         _ => panic!("GATE_SIM_THREADS={v} is not a positive integer"),
-    }
-}
-
-/// Lane-block width override from the `GATE_SIM_LANE_WORDS` environment
-/// variable: the default [`crate::ShardPolicy`] fusion width, in 64-lane
-/// words (`1..=`[`MAX_LANE_WORDS`]). `1` reproduces the historical
-/// one-`CompiledSim`-per-64-lanes sharding; the CI matrix runs the test
-/// suite at both `1` and `4`. Returns `None` when unset.
-///
-/// # Panics
-///
-/// Panics if the variable is set to anything but an integer in
-/// `1..=`[`MAX_LANE_WORDS`].
-pub fn lane_words() -> Option<usize> {
-    let v = non_empty("GATE_SIM_LANE_WORDS")?;
-    match v.parse::<usize>() {
-        Ok(n) if (1..=MAX_LANE_WORDS).contains(&n) => Some(n),
-        _ => panic!("GATE_SIM_LANE_WORDS={v} is not an integer in 1..={MAX_LANE_WORDS}"),
     }
 }
 

@@ -414,4 +414,15 @@ mod tests {
         assert_eq!(fire("jit::map"), None);
         clear();
     }
+
+    /// The default build carries no chaos: a plan arming a cache and a
+    /// JIT site with `always` still never fires.
+    #[cfg(not(feature = "failpoints"))]
+    #[test]
+    fn fire_is_inert_without_the_feature() {
+        configure(Plan::parse("1:cache::miss=always,jit::map=always"));
+        assert_eq!(fire("cache::miss"), None);
+        assert_eq!(fire("jit::map"), None);
+        clear();
+    }
 }

@@ -80,7 +80,7 @@
 //! b.output_bus("y", &x);
 //! let nl = b.finish();
 //! let mut wide = CompiledSim::with_lanes(&nl, 128); // one 2-word lane block
-//! let mut sharded = ShardedSim::with_policy(&nl, ShardPolicy { shards: 2, lanes_per_shard: 64, threads: 2, ..ShardPolicy::single() });
+//! let mut sharded = ShardedSim::with_policy(&nl, ShardPolicy { shards: 2, lanes_per_shard: 64, threads: 2 });
 //! wide.set_bus("x", 0b1010);
 //! SimBackend::set_bus(&mut sharded, "x", 0b1010);
 //! wide.eval();
@@ -113,11 +113,6 @@ pub use sim::{EvalStats, Sim, SimBackend};
 /// Historical entry point for [`env::threads`] (the `GATE_SIM_THREADS`
 /// knob); all the `GATE_SIM_*` parsing now lives in [`mod@env`].
 pub use env::threads as env_threads;
-
-/// Historical entry point for [`env::lane_words`] (the
-/// `GATE_SIM_LANE_WORDS` knob); all the `GATE_SIM_*` parsing now lives
-/// in [`mod@env`].
-pub use env::lane_words as env_lane_words;
 
 use std::collections::HashMap;
 

@@ -245,9 +245,8 @@ pub fn check_equivalence(
 }
 
 /// [`check_equivalence`] with an explicit shard policy: each settle packs
-/// `policy.total_lanes()` random vectors (up to `lane_words * 64` per
-/// fused lane block) and the shards of
-/// both netlists settle one after another on the calling thread.
+/// `policy.total_lanes()` random vectors and the shards of both netlists
+/// settle one after another on the calling thread.
 ///
 /// The random vector sequence depends only on `seed` and
 /// `policy.total_lanes()` — never on the thread count — so the verdict
@@ -286,9 +285,7 @@ pub fn check_equivalence_with(
     let mut sa = ShardedSim::with_policy(a, policy);
     let mut sb = ShardedSim::with_policy(b, policy);
     let width = policy.total_lanes();
-    // Physical lanes per shard after lane-block fusion (both sims share
-    // the policy, so their physical shapes agree).
-    let lanes_per_shard = sa.lanes_per_shard();
+    let lanes_per_shard = policy.lanes_per_shard;
     let mut remaining = samples;
     // values[port index][lane], allocated once — port names are recovered
     // from `a.inputs()` order only on the rare mismatch.
@@ -313,10 +310,10 @@ pub fn check_equivalence_with(
             let Some(port_b) = b.output(&port.name) else {
                 continue;
             };
-            // Word-compare shard by shard, one `u64` of the lane block at
-            // a time, across all active lanes at once (numeric equality:
-            // the common bits must match and the wider port's extra bits
-            // must be zero); only on a mismatch do we pay for per-lane
+            // Word-compare shard by shard (each shard is one `u64` lane
+            // word) across all active lanes at once (numeric equality: the
+            // common bits must match and the wider port's extra bits must
+            // be zero); only on a mismatch do we pay for per-lane
             // reconstruction of the failing assignment.
             let common = port.nets.len().min(port_b.nets.len());
             let diverged = sa.shards().iter().zip(sb.shards()).enumerate().any(
@@ -327,27 +324,17 @@ pub fn check_equivalence_with(
                     if active == 0 {
                         return false;
                     }
-                    (0..shard_a.lane_words()).any(|w| {
-                        let in_word = active
-                            .saturating_sub(w * crate::compiled::LANES_PER_WORD)
-                            .min(crate::compiled::LANES_PER_WORD);
-                        if in_word == 0 {
-                            return false;
-                        }
-                        let lane_mask = crate::compiled::word_lane_mask(in_word);
-                        port.nets[..common].iter().zip(&port_b.nets[..common]).any(
-                            |(&net_a, &net_b)| {
-                                (shard_a.lane_word_at(net_a, w) ^ shard_b.lane_word_at(net_b, w))
-                                    & lane_mask
-                                    != 0
-                            },
-                        ) || port.nets[common..]
+                    let lane_mask = crate::compiled::word_lane_mask(active);
+                    port.nets[..common].iter().zip(&port_b.nets[..common]).any(
+                        |(&net_a, &net_b)| {
+                            (shard_a.lane_word(net_a) ^ shard_b.lane_word(net_b)) & lane_mask != 0
+                        },
+                    ) || port.nets[common..]
+                        .iter()
+                        .any(|&n| shard_a.lane_word(n) & lane_mask != 0)
+                        || port_b.nets[common..]
                             .iter()
-                            .any(|&n| shard_a.lane_word_at(n, w) & lane_mask != 0)
-                            || port_b.nets[common..]
-                                .iter()
-                                .any(|&n| shard_b.lane_word_at(n, w) & lane_mask != 0)
-                    })
+                            .any(|&n| shard_b.lane_word(n) & lane_mask != 0)
                 },
             );
             if diverged {
@@ -451,7 +438,6 @@ mod tests {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads,
-                ..ShardPolicy::single()
             };
             // 4x64 = 256 vectors per settle; the verdicts must not depend
             // on the thread count.
@@ -464,7 +450,6 @@ mod tests {
             shards: 3,
             lanes_per_shard: 64,
             threads: 2,
-            ..ShardPolicy::single()
         };
         check_equivalence_with(&good, &opt, 130, 9, policy).unwrap();
     }

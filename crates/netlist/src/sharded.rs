@@ -10,18 +10,14 @@
 //! by the cross-backend property tests in
 //! `crates/netlist/tests/properties.rs`.
 //!
-//! Since the compiled backend grew K-word lane blocks, full-width (64
-//! lane) logical shards *fuse*: [`ShardPolicy::lane_words`] consecutive
-//! shards become one wide `CompiledSim` of up to `lane_words * 64` lanes
-//! — one compile, one state arena, one settle walk for the whole block.
-//! A policy asking for `4 x 64` lanes therefore runs one 256-lane sim
-//! instead of 4 sims paying 4 level walks; the thread count is capped at
-//! the number of blocks left. Shards narrower than a full word never
-//! fuse.
+//! Every shard is its own one-word `CompiledSim` of
+//! [`ShardPolicy::lanes_per_shard`] lanes, compiled once and cloned, so
+//! all shards share one program and one netlist [`Arc`]. A single wide
+//! lane block (up to 512 lanes in one settle walk) is a plain
+//! [`CompiledSim::with_lanes_arc`], not a sharded sim.
 //!
-//! Lane numbering is global: a [`ShardedSim`] over `T` total lanes in
-//! physical blocks of `B` puts global lane `g` in block `g / B` at local
-//! lane `g % B` (only the trailing block may be narrower). Toggle merging
+//! Lane numbering is global: a [`ShardedSim`] with `L` lanes per shard
+//! puts global lane `g` in shard `g / L` at local lane `g % L`. Toggle merging
 //! is exact because the compiled backend's popcount accounting is
 //! per-lane independent — the merged per-net count is simply the sum over
 //! shards (see `docs/simulation.md` § "Toggle accounting").
@@ -38,45 +34,28 @@
 //! `par_shards` hands the shards out through [`pool::claim_map`]: idle
 //! threads claim the next shard index off a single atomic counter.
 
-use crate::compiled::{CompiledSim, EvalMode, LANES_PER_WORD, MAX_LANE_WORDS};
+use crate::compiled::{CompiledSim, EvalMode, LANES_PER_WORD};
 use crate::pool;
 use crate::sim::{EvalStats, SimBackend};
 use crate::{NetId, Netlist};
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-/// Default lane-block fusion width when `GATE_SIM_LANE_WORDS` is unset:
-/// 4 words = 256 lanes per block, the widest monomorphized kernel.
-pub const DEFAULT_LANE_WORDS: usize = 4;
-
 /// How a stimulus batch is split into shards and scheduled onto threads.
 ///
-/// `shards * lanes_per_shard` is the total lane count; `threads` and
-/// `lane_words` only control how those lanes evaluate (how many OS
-/// threads claim shards, and how many full-width shards fuse into one
-/// wide lane block) and never affect simulation values or toggle counts.
+/// `shards * lanes_per_shard` is the total lane count; `threads` only
+/// controls how many OS threads claim shards and never affects
+/// simulation values or toggle counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
-    /// Number of logical [`CompiledSim`] shards.
+    /// Number of [`CompiledSim`] shards.
     pub shards: usize,
-    /// Stimulus lanes per logical shard (1..=[`LANES_PER_WORD`]).
+    /// Stimulus lanes per shard (1..=[`LANES_PER_WORD`]).
     pub lanes_per_shard: usize,
     /// Threads [`ShardedSim::par_shards`] spreads shards over (clamped
-    /// to the physical shard count after lane-block fusion); per-settle
-    /// [`ShardedSim::eval`] always runs on the calling thread.
+    /// to the shard count); per-settle [`ShardedSim::eval`] always runs
+    /// on the calling thread.
     pub threads: usize,
-    /// Lane-block fusion width in 64-lane words
-    /// (1..=[`MAX_LANE_WORDS`]): up to `lane_words` consecutive
-    /// *full-width* (64-lane) logical shards fuse into one wide
-    /// [`CompiledSim`] so one settle walk covers the whole block; `1`
-    /// reproduces the historical one-sim-per-64-lanes layout exactly.
-    /// Shards narrower than 64 lanes never fuse. Values and toggle
-    /// counts are bit-identical for every width; only
-    /// [`crate::sim::EvalStats`] work counters may differ (a wide block
-    /// re-evaluates an op when *any* of its lanes changed). Defaults to
-    /// the `GATE_SIM_LANE_WORDS` environment override
-    /// ([`crate::env_lane_words`]), falling back to 4.
-    pub lane_words: usize,
 }
 
 impl ShardPolicy {
@@ -87,18 +66,15 @@ impl ShardPolicy {
             shards: 1,
             lanes_per_shard: LANES_PER_WORD,
             threads: 1,
-            lane_words: crate::env_lane_words().unwrap_or(DEFAULT_LANE_WORDS),
         }
     }
 
-    /// `n` full-width shards, one thread each (fusion permitting — see
-    /// [`ShardPolicy::lane_words`]).
+    /// `n` full-width shards, one thread each.
     pub fn threads(n: usize) -> ShardPolicy {
         ShardPolicy {
             shards: n.max(1),
             lanes_per_shard: LANES_PER_WORD,
             threads: n.max(1),
-            ..ShardPolicy::single()
         }
     }
 
@@ -131,8 +107,6 @@ impl Default for ShardPolicy {
 #[derive(Debug)]
 pub struct ShardedSim {
     shards: Vec<CompiledSim>,
-    /// Physical lanes per shard after fusion (only the trailing shard may
-    /// hold fewer).
     lanes_per_shard: usize,
     /// Total stimulus lanes (`policy.shards * policy.lanes_per_shard`).
     total_lanes: usize,
@@ -182,46 +156,13 @@ impl ShardedSim {
             "policy.lanes_per_shard must be in 1..={LANES_PER_WORD}, got {}",
             policy.lanes_per_shard
         );
-        assert!(
-            (1..=MAX_LANE_WORDS).contains(&policy.lane_words),
-            "policy.lane_words must be in 1..={MAX_LANE_WORDS}, got {}",
-            policy.lane_words
-        );
-        let total_lanes = policy.shards * policy.lanes_per_shard;
-        // Lane-block fusion: full-width logical shards regroup into wide
-        // physical blocks of `lane_words * 64` lanes (one compile, one
-        // state arena, one settle walk per block); narrower shards are
-        // not word-aligned and keep their requested shape.
-        let block_lanes = if policy.lanes_per_shard == LANES_PER_WORD && policy.lane_words > 1 {
-            policy.lane_words * LANES_PER_WORD
-        } else {
-            policy.lanes_per_shard
-        };
-        let shard_lanes: Vec<usize> = (0..total_lanes.div_ceil(block_lanes))
-            .map(|i| (total_lanes - i * block_lanes).min(block_lanes))
-            .collect();
-        // Blocks are identical at reset: levelize/compile once, clone (or
-        // reshape, for a partial trailing block — both share the compiled
-        // program and the netlist Arc).
-        let first = CompiledSim::with_lanes_arc(netlist, shard_lanes[0]);
-        let shards: Vec<CompiledSim> = shard_lanes
-            .iter()
-            .map(|&l| {
-                if l == shard_lanes[0] {
-                    first.clone()
-                } else {
-                    first.reshaped(l)
-                }
-            })
-            .collect();
+        // Shards are identical at reset: levelize/compile once and clone
+        // (clones share the compiled program and the netlist Arc).
+        let first = CompiledSim::with_lanes_arc(netlist, policy.lanes_per_shard);
         let mut sim = ShardedSim {
-            shards,
-            // `shard_lanes[0]`, not `block_lanes`: when `total_lanes` is
-            // smaller than a full fusion block the only shard is narrower
-            // than the block cap, and `lanes_per_shard()` must report the
-            // width callers can actually drive.
-            lanes_per_shard: shard_lanes[0],
-            total_lanes,
+            shards: vec![first; policy.shards],
+            lanes_per_shard: policy.lanes_per_shard,
+            total_lanes: policy.total_lanes(),
             threads: 1,
             merged_toggles: OnceCell::new(),
         };
@@ -251,20 +192,17 @@ impl ShardedSim {
         self.shards[0].netlist()
     }
 
-    /// The physical shard simulators, in lane order (read access for
-    /// inspection). With lane-block fusion these are *wide* sims — see
-    /// [`ShardPolicy::lane_words`].
+    /// The shard simulators, in lane order (read access for inspection).
     pub fn shards(&self) -> &[CompiledSim] {
         &self.shards
     }
 
-    /// Number of physical shards (lane blocks) after fusion.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Stimulus lanes per physical shard (the trailing shard may hold
-    /// fewer; see [`CompiledSim::lanes`][SimBackend::lanes] per shard).
+    /// Stimulus lanes per shard.
     pub fn lanes_per_shard(&self) -> usize {
         self.lanes_per_shard
     }
@@ -488,7 +426,6 @@ mod tests {
                     shards: 4,
                     lanes_per_shard: 1,
                     threads,
-                    ..ShardPolicy::single()
                 },
             );
             for _ in 0..20 {
@@ -512,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_matches_static_on_uneven_loads() {
+    fn uneven_shard_loads_match_one_thread() {
         // Deliberately uneven per-shard loads: shard i settles (i + 1) * 4
         // times inside one par_shards scope. Stealing rebalances the heavy
         // shards across threads, but state, toggles, and results must be
@@ -526,7 +463,6 @@ mod tests {
                     shards: 6,
                     lanes_per_shard: 2,
                     threads,
-                    ..ShardPolicy::single()
                 },
             );
             let settles = sim.par_shards(|i, s| {
@@ -559,7 +495,6 @@ mod tests {
                 shards: 9,
                 lanes_per_shard: 1,
                 threads: 3,
-                ..ShardPolicy::single()
             },
         );
         let claims = AtomicUsize::new(0);
@@ -583,7 +518,6 @@ mod tests {
                     shards: 3,
                     lanes_per_shard: 2,
                     threads,
-                    ..ShardPolicy::single()
                 },
             );
             for _ in 0..13 {
@@ -614,7 +548,6 @@ mod tests {
                 shards: 2,
                 lanes_per_shard: 4,
                 threads: 2,
-                ..ShardPolicy::single()
             },
         );
         assert_eq!(SimBackend::lanes(&sim), 8);
@@ -643,7 +576,6 @@ mod tests {
                 shards: 5,
                 lanes_per_shard: 1,
                 threads: 3,
-                ..ShardPolicy::single()
             },
         );
         // Each shard runs a different number of settles inside one scope.
@@ -675,7 +607,6 @@ mod tests {
                 shards: 1,
                 lanes_per_shard: 1,
                 threads: 1,
-                ..ShardPolicy::single()
             },
         );
         for _ in 0..17 {
@@ -699,7 +630,6 @@ mod tests {
                 shards: 2,
                 lanes_per_shard: 2,
                 threads: 1,
-                ..ShardPolicy::single()
             },
         );
         let _ = sim.get_bus_lane("count", 4);
@@ -717,7 +647,6 @@ mod tests {
                 shards: 4,
                 lanes_per_shard: 64,
                 threads: 4,
-                lane_words: 1,
             },
         );
         sim.set_eval_mode(EvalMode::Auto);
@@ -747,73 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn full_width_shards_fuse_into_lane_blocks() {
-        let nl = counter(4);
-        let sim = ShardedSim::with_policy(
-            &nl,
-            ShardPolicy {
-                shards: 5,
-                lanes_per_shard: 64,
-                threads: 4,
-                lane_words: 4,
-            },
-        );
-        // 5 x 64 lanes fuse into a 256-lane block plus a 64-lane tail.
-        assert_eq!(sim.shard_count(), 2);
-        assert_eq!(sim.lanes_per_shard(), 256);
-        assert_eq!(SimBackend::lanes(&sim), 320);
-        assert_eq!(SimBackend::lanes(&sim.shards()[0]), 256);
-        assert_eq!(SimBackend::lanes(&sim.shards()[1]), 64);
-        // Fusion left two blocks, so only two of the four threads apply.
-        assert_eq!(sim.thread_count(), 2);
-        // Narrow shards never fuse.
-        let narrow = ShardedSim::with_policy(
-            &nl,
-            ShardPolicy {
-                shards: 6,
-                lanes_per_shard: 2,
-                threads: 1,
-                lane_words: 4,
-            },
-        );
-        assert_eq!(narrow.shard_count(), 6);
-        assert_eq!(narrow.lanes_per_shard(), 2);
-    }
-
-    #[test]
-    fn fused_lane_blocks_match_unfused_shards() {
-        let nl = counter(6);
-        let run = |lane_words: usize, threads: usize| {
-            let mut sim = ShardedSim::with_policy(
-                &nl,
-                ShardPolicy {
-                    shards: 4,
-                    lanes_per_shard: 64,
-                    threads,
-                    lane_words,
-                },
-            );
-            for _ in 0..9 {
-                sim.eval();
-                sim.step();
-            }
-            sim.eval();
-            let outs: Vec<u64> = (0..256).map(|l| sim.get_bus_lane("count", l)).collect();
-            (outs, sim.toggles().to_vec(), sim.cycles())
-        };
-        let reference = run(1, 1);
-        for lane_words in [2, 4, 8] {
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    run(lane_words, threads),
-                    reference,
-                    "lane_words = {lane_words}, threads = {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let nl = counter(2);
@@ -823,7 +685,6 @@ mod tests {
                 shards: 0,
                 lanes_per_shard: 1,
                 threads: 1,
-                ..ShardPolicy::single()
             },
         );
     }

@@ -112,7 +112,6 @@ fn ambient_chaos_is_bit_identical_across_backends() {
                 shards: 2,
                 lanes_per_shard: 2,
                 threads: 2,
-                ..ShardPolicy::single()
             },
         );
 

@@ -66,7 +66,7 @@ fn counter(bits: usize) -> Netlist {
 }
 
 /// A sharded simulator over `threads` two-lane shards on `threads`
-/// threads (narrow shards never fuse, so every thread gets a shard).
+/// threads, so every thread gets a shard.
 fn sharded(nl: &Netlist, threads: usize) -> ShardedSim {
     ShardedSim::with_policy(
         nl,
@@ -74,7 +74,6 @@ fn sharded(nl: &Netlist, threads: usize) -> ShardedSim {
             shards: threads,
             lanes_per_shard: 2,
             threads,
-            ..ShardPolicy::single()
         },
     )
 }
@@ -219,7 +218,6 @@ fn sequential_policies_keep_no_workers() {
             shards: 2,
             lanes_per_shard: 2,
             threads: 1,
-            ..ShardPolicy::single()
         },
     );
     let ran_on = |sim: &mut ShardedSim| {

@@ -234,7 +234,7 @@ proptest! {
             .map(|&threads| {
                 ShardedSim::with_policy(
                     &nl,
-                    ShardPolicy { shards: 4, lanes_per_shard: 2, threads, ..ShardPolicy::single() },
+                    ShardPolicy { shards: 4, lanes_per_shard: 2, threads },
                 )
             })
             .collect();
@@ -295,7 +295,7 @@ proptest! {
         for threads in [1usize, 2] {
             let mut sharded = ShardedSim::with_policy(
                 &nl,
-                ShardPolicy { shards: 2, lanes_per_shard: 64, threads, ..ShardPolicy::single() },
+                ShardPolicy { shards: 2, lanes_per_shard: 64, threads },
             );
             let values: Vec<u64> = stimuli.iter().map(|&s| s as u64).collect();
             sharded.set_bus_lanes("in", &values);
@@ -333,7 +333,7 @@ proptest! {
         const LANES: usize = 2;
         let mut sharded = ShardedSim::with_policy(
             &nl,
-            ShardPolicy { shards: SHARDS, lanes_per_shard: LANES, threads: 2, ..ShardPolicy::single() },
+            ShardPolicy { shards: SHARDS, lanes_per_shard: LANES, threads: 2 },
         );
         let mut refs: Vec<CompiledSim> =
             (0..SHARDS).map(|_| CompiledSim::with_lanes(&nl, LANES)).collect();
@@ -397,7 +397,7 @@ proptest! {
         let mut auto_mode = CompiledSim::new(&nl); // EvalMode::Auto default
         let mut sharded = ShardedSim::with_policy(
             &nl,
-            ShardPolicy { shards: 2, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
+            ShardPolicy { shards: 2, lanes_per_shard: 2, threads: 2 },
         );
         sharded.set_eval_mode(EvalMode::EventDriven);
         for (t, &s) in stimuli.iter().enumerate() {
@@ -505,7 +505,6 @@ proptest! {
                     shards: 5,
                     lanes_per_shard: 2,
                     threads,
-                    ..ShardPolicy::single()
                 },
             );
             let cycles = sim.par_shards(|i, s| {
@@ -540,7 +539,7 @@ proptest! {
         let run = |resize: bool| {
             let mut sim = ShardedSim::with_policy(
                 &nl,
-                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 1, ..ShardPolicy::single() },
+                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 1 },
             );
             let mut outs = Vec::new();
             for (t, &s) in stimuli.iter().enumerate() {
@@ -575,11 +574,11 @@ proptest! {
         let mut comp = CompiledSim::new(&nl);
         let mut narrow = ShardedSim::with_policy(
             &nl,
-            ShardPolicy { shards: 3, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
+            ShardPolicy { shards: 3, lanes_per_shard: 2, threads: 2 },
         );
         let mut wide = ShardedSim::with_policy(
             &nl,
-            ShardPolicy { shards: 5, lanes_per_shard: 64, threads: 2, lane_words: 2 },
+            ShardPolicy { shards: 5, lanes_per_shard: 64, threads: 2 },
         );
         for &s in &stimuli {
             int.set_bus("in", s as u32);
@@ -624,7 +623,7 @@ proptest! {
         let sharded_run = || {
             let mut sim = ShardedSim::with_policy(
                 &nl,
-                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
+                ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 2 },
             );
             let settles = sim.par_shards(|i, s| {
                 for (t, &v) in stimuli.iter().enumerate() {
@@ -1032,17 +1031,17 @@ proptest! {
     }
 
     /// [`ShardedSim::set_eval_mode`] forwards [`EvalMode::Jit`] to every
-    /// shard (including a reshaped partial trailing block): per-lane
-    /// results and merged toggle counts match the full-sweep schedule.
+    /// shard: per-lane results and merged toggle counts match the
+    /// full-sweep schedule.
     #[test]
     fn sharded_jit_mode_matches_full_sweep(
         recipe in proptest::collection::vec(any::<u8>(), 6..80),
         stimuli in proptest::collection::vec(any::<u8>(), 2..10),
     ) {
         let nl = sequential_circuit_from_recipe(&recipe);
-        // 3 shards × 40 lanes: forces a fused multi-word block plus a
-        // partial trailing shape through `reshaped`.
-        let policy = ShardPolicy { shards: 3, lanes_per_shard: 40, threads: 2, ..ShardPolicy::single() };
+        // 3 shards × 40 lanes: three partial-word shards, each switched
+        // to `Jit` by the one `set_eval_mode` call.
+        let policy = ShardPolicy { shards: 3, lanes_per_shard: 40, threads: 2 };
         let run = |mode: EvalMode| {
             let mut sim = ShardedSim::with_policy(&nl, policy);
             sim.set_eval_mode(mode);

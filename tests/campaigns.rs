@@ -2,10 +2,9 @@
 //! must be bit-identical to the scalar MCY loop for every block in the
 //! library, at every lane width and thread count.
 //!
-//! The CI test matrix runs this suite under
-//! `GATE_SIM_LANE_WORDS={1,4} x GATE_SIM_THREADS={1,2,4}`; the tests read
-//! those knobs (like the rest of the suite) so each leg checks a
-//! different campaign shape against the same scalar reference.
+//! The CI test matrix runs this suite under `GATE_SIM_THREADS={1,2,4}`;
+//! the tests read that knob (like the rest of the suite) so each leg
+//! checks a different thread count against the same scalar reference.
 
 use hwlib::campaign::{lane_mutation_coverage, library_mutation_coverage, CampaignConfig};
 use hwlib::mutate::mutation_coverage;
@@ -16,7 +15,7 @@ fn env_campaign_config() -> CampaignConfig {
     CampaignConfig {
         limit: 6,
         seed: 0xc0ff_ee11,
-        lanes: LANES_PER_WORD * netlist::env_lane_words().unwrap_or(4),
+        lanes: LANES_PER_WORD * 4,
         threads: netlist::env_threads().unwrap_or(2),
     }
 }
