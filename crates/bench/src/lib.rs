@@ -3,8 +3,10 @@
 //! Each `src/bin/figN.rs` / `src/bin/tableN.rs` binary prints the rows of
 //! the corresponding exhibit; this library holds the common pipeline:
 //! compile workload → extract subset → generate RISSP → measure activity on
-//! the gate-level core → run the FlexIC flow.  See `EXPERIMENTS.md` at the
-//! repository root for paper-vs-measured values.
+//! the gate-level core → run the FlexIC flow.  Each bin ends with
+//! "summary vs paper" lines; `perfbench/golden/` holds every bin's
+//! expected stdout byte for byte, and the README's CI paragraph describes
+//! the `exhibits` job that diffs against it.
 
 use flexic::tech::Tech;
 use flexic::DesignMetrics;
@@ -12,12 +14,15 @@ use hwlib::HwLibrary;
 use netlist::compiled::MAX_TOTAL_LANES;
 use netlist::pool;
 use netlist::stats::GateCounts;
-use rissp::processor::{BatchedGateLevelCpu, GateLevelCpu};
+use rissp::processor::BatchedGateLevelCpu;
 use rissp::profile::InstructionSubset;
 use rissp::Rissp;
 use serv_model::{serv_gate_counts, ServTiming, SERV_ACTIVITY, SERV_CRITICAL_PATH_NS};
+use std::sync::Arc;
 use workloads::Workload;
 use xcc::OptLevel;
+
+pub mod activity;
 
 /// Gate-level simulation window used for switching-activity measurement.
 pub const ACTIVITY_CYCLES: u64 = 1500;
@@ -66,18 +71,18 @@ pub struct CharacterisedDesign {
 
 /// Builds the RISSP for one workload (compiled at `-O2`, as §4.2 fixes) and
 /// measures its switching activity by running the actual application
-/// through the gates for [`ACTIVITY_CYCLES`] cycles.
+/// through the gates for [`ACTIVITY_CYCLES`] cycles
+/// ([`activity::activity_run`]: the sequential run's counts, settled 64
+/// cycles at a time).
 pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> CharacterisedDesign {
     let image = w.compile(OptLevel::O2).expect("workload compiles");
     let subset = InstructionSubset::from_words(&image.words);
     let rissp = Rissp::generate(lib, &subset);
-    let mut cpu = GateLevelCpu::new(&rissp, 0);
-    cpu.load_words(0, &image.words);
-    for (base, words) in &image.data_segments {
-        cpu.load_words(*base, words);
-    }
-    let _ = cpu.run(ACTIVITY_CYCLES);
-    let activity = flexic::power::measured_activity(cpu.sim());
+    // A clone, not the generated netlist itself: the process-wide program
+    // cache keeps the simulated netlist, and a clone carries no spare
+    // capacity from construction.
+    let core = Arc::new(rissp.core.clone());
+    let activity = activity::activity_run(&core, &image, ACTIVITY_CYCLES).activity();
     CharacterisedDesign {
         name: format!("RISSP-{}", w.name),
         distinct: subset.len(),
