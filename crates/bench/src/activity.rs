@@ -16,8 +16,8 @@
 //! sequential [`GateLevelCpu`] instead. Exactness follows by induction on
 //! cycles: a lane driven exactly as the sequential run drives that cycle
 //! settles to the same words, so it counts the same toggles. The rules
-//! (phase-0 recount, frozen padding, checks) are in `docs/simulation.md`
-//! § "Time-parallel activity runs".
+//! (phase-0 recount, frozen padding, checks, one simulator for many
+//! images) are in `docs/simulation.md` § "Time-parallel activity runs".
 
 use hwlib::ports;
 use netlist::compiled::{CompiledSim, EvalMode, PortId, LANES_PER_WORD};
@@ -34,16 +34,17 @@ const LANES: usize = LANES_PER_WORD;
 
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of [`activity_run`] calls that ran the sequential
-/// [`GateLevelCpu`] because the prediction failed (an emulator fault, or a
-/// lane whose gate outputs disagreed with it). The results are exact
-/// either way; this says which engine produced them.
+/// Process-wide count of [`activity_run`] images that ran on the
+/// sequential [`GateLevelCpu`] because the prediction failed (an emulator
+/// fault, or a lane whose gate outputs disagreed with it). The results
+/// are exact either way; this says which engine produced them.
 pub fn fallbacks() -> u64 {
     FALLBACKS.load(Ordering::Relaxed)
 }
 
-/// The raw switching-activity counts of one run, as
-/// [`GateLevelCpu::run`] plus its simulator would report them.
+/// The raw switching-activity counts of one or more runs on one core, as
+/// [`GateLevelCpu::run`] plus its simulator would report them (summed
+/// over the runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivityRun {
     /// Clock cycles stepped (the halting cycle counts; a faulting one does
@@ -63,24 +64,43 @@ impl ActivityRun {
     }
 }
 
-/// Runs `image` from PC 0 on `core` for at most `max_cycles` cycles and
-/// returns its switching-activity counts, bit-identical to
-/// [`GateLevelCpu::run`] on a fresh CPU with the image loaded.
+/// Runs each of `images` from PC 0 on `core` for at most `max_cycles`
+/// cycles and returns their switching-activity counts summed over the
+/// images: each image's counts are bit-identical to [`GateLevelCpu::run`]
+/// on a fresh CPU with that image loaded.
 ///
-/// Settles 64 cycles per batch when the emulator's prediction holds on
-/// every lane; otherwise runs the sequential CPU and bumps
-/// [`fallbacks`].
+/// One 64-lane simulator of `core` settles every image, so the core is
+/// emitted once per call. Each image settles 64 cycles per batch when the
+/// emulator's prediction holds on every lane; otherwise that image runs
+/// on the sequential CPU and bumps [`fallbacks`].
 ///
 /// # Panics
 ///
 /// Panics if the netlist does not expose the core's ports.
-pub fn activity_run(core: &Arc<Netlist>, image: &CompiledProgram, max_cycles: u64) -> ActivityRun {
-    predict(image, max_cycles)
-        .and_then(|cycles| time_parallel(core, &cycles))
-        .unwrap_or_else(|| {
-            FALLBACKS.fetch_add(1, Ordering::Relaxed);
-            sequential(core, image, max_cycles)
-        })
+pub fn activity_run(
+    core: &Arc<Netlist>,
+    images: &[CompiledProgram],
+    max_cycles: u64,
+) -> ActivityRun {
+    let mut sim = CompiledSim::with_lanes_arc(Arc::clone(core), LANES);
+    sim.set_eval_mode(EvalMode::Jit);
+    let p = Ports::resolve(&sim, core);
+    let mut total = ActivityRun {
+        cycles: 0,
+        toggle_total: 0,
+        nets: sim.toggles().len(),
+    };
+    for image in images {
+        let run = predict(image, max_cycles)
+            .and_then(|cycles| time_parallel(&mut sim, &p, &cycles))
+            .unwrap_or_else(|| {
+                FALLBACKS.fetch_add(1, Ordering::Relaxed);
+                sequential(core, image, max_cycles)
+            });
+        total.cycles += run.cycles;
+        total.toggle_total += run.toggle_total;
+    }
+    total
 }
 
 /// The reference: one sequential gate-level run.
@@ -161,10 +181,12 @@ struct Ports {
     rd_data: PortId,
     dmem_wmask: PortId,
     dmem_wdata: PortId,
+    /// The PC flip-flops, bit 0 first.
+    pc: Vec<NetId>,
 }
 
 impl Ports {
-    fn resolve(sim: &CompiledSim) -> Ports {
+    fn resolve(sim: &CompiledSim, core: &Netlist) -> Ports {
         let output = |n| sim.output_port(n);
         Ports {
             inputs: [
@@ -185,6 +207,11 @@ impl Ports {
             rd_data: output(ports::RD_DATA),
             dmem_wmask: output(ports::DMEM_WMASK),
             dmem_wdata: output(ports::DMEM_WDATA),
+            pc: core
+                .output(ports::PC)
+                .expect("core exposes pc")
+                .nets
+                .clone(),
         }
     }
 }
@@ -204,17 +231,14 @@ fn lanes_match(
         .all(|(&g, c)| want(c).is_none_or(|w| w == g))
 }
 
-/// Settles `cycles` 64 to a block; `None` on the first lane whose outputs
-/// miss the prediction.
-fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
-    let mut sim = CompiledSim::with_lanes_arc(Arc::clone(core), LANES);
-    sim.set_eval_mode(EvalMode::Jit);
-    let p = Ports::resolve(&sim);
-    let pc_nets = core
-        .output(ports::PC)
-        .expect("core exposes pc")
-        .nets
-        .clone();
+/// Settles `cycles` 64 to a block on `sim`; `None` on the first lane
+/// whose outputs miss the prediction.
+///
+/// `sim` may have settled another image before: every batch sets all
+/// lanes' PC flops and all four input ports before its phase-0 settle,
+/// whose simulator count is discarded, and phases 1–3 diff within the
+/// batch, so nothing left from an earlier run reaches the counts.
+fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<ActivityRun> {
     let nets = sim.toggles().len();
     let toggle_sum = |sim: &CompiledSim| sim.toggles().iter().sum::<u64>();
 
@@ -231,7 +255,7 @@ fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
 
         // Phase 0: the PC flops, with the previous cycle's inputs.
         for (j, c) in batch.iter().enumerate() {
-            for (i, &net) in pc_nets.iter().enumerate() {
+            for (i, &net) in p.pc.iter().enumerate() {
                 sim.set_ff_lane(net, j, (c.rec.pc >> i) & 1 == 1);
             }
         }
@@ -245,13 +269,13 @@ fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
         for (net, w) in v0.iter_mut().enumerate() {
             *w = sim.lane_word(net as NetId);
         }
-        let phase0_total = toggle_sum(&sim);
+        let phase0_total = toggle_sum(sim);
 
         // Phase 1: instruction fetch.
         sim.set_port_lanes(p.inputs[0], &inputs(0));
         sim.eval();
-        if !(lanes_match(&sim, p.rs1_addr, &batch, |c| Some(c.rec.rs1_addr.into()))
-            && lanes_match(&sim, p.rs2_addr, &batch, |c| Some(c.rec.rs2_addr.into())))
+        if !(lanes_match(sim, p.rs1_addr, &batch, |c| Some(c.rec.rs1_addr.into()))
+            && lanes_match(sim, p.rs2_addr, &batch, |c| Some(c.rec.rs2_addr.into())))
         {
             return None;
         }
@@ -260,8 +284,8 @@ fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
         sim.set_port_lanes(p.inputs[1], &inputs(1));
         sim.set_port_lanes(p.inputs[2], &inputs(2));
         sim.eval();
-        if !(lanes_match(&sim, p.dmem_re, &batch, |c| Some(c.load.into()))
-            && lanes_match(&sim, p.dmem_addr, &batch, |c| {
+        if !(lanes_match(sim, p.dmem_re, &batch, |c| Some(c.load.into()))
+            && lanes_match(sim, p.dmem_addr, &batch, |c| {
                 c.load.then_some(c.rec.mem_addr.into())
             }))
         {
@@ -272,20 +296,20 @@ fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
         sim.set_port_lanes(p.inputs[3], &inputs(3));
         sim.eval();
         let writes = |c: &Cycle| c.rec.mem_wmask != 0;
-        let commits = lanes_match(&sim, p.valid, &batch, |_| Some(1))
-            && lanes_match(&sim, p.next_pc, &batch, |c| Some(c.rec.next_pc.into()))
-            && lanes_match(&sim, p.rd_we, &batch, |c| Some(c.rec.rd_we.into()))
-            && lanes_match(&sim, p.rd_addr, &batch, |c| {
+        let commits = lanes_match(sim, p.valid, &batch, |_| Some(1))
+            && lanes_match(sim, p.next_pc, &batch, |c| Some(c.rec.next_pc.into()))
+            && lanes_match(sim, p.rd_we, &batch, |c| Some(c.rec.rd_we.into()))
+            && lanes_match(sim, p.rd_addr, &batch, |c| {
                 c.rec.rd_we.then_some(c.rec.rd_addr.into())
             })
-            && lanes_match(&sim, p.rd_data, &batch, |c| {
+            && lanes_match(sim, p.rd_data, &batch, |c| {
                 c.rec.rd_we.then_some(c.rec.rd_wdata.into())
             })
-            && lanes_match(&sim, p.dmem_wmask, &batch, |c| Some(c.rec.mem_wmask.into()))
-            && lanes_match(&sim, p.dmem_addr, &batch, |c| {
+            && lanes_match(sim, p.dmem_wmask, &batch, |c| Some(c.rec.mem_wmask.into()))
+            && lanes_match(sim, p.dmem_addr, &batch, |c| {
                 writes(c).then_some(c.rec.mem_addr.into())
             })
-            && lanes_match(&sim, p.dmem_wdata, &batch, |c| {
+            && lanes_match(sim, p.dmem_wdata, &batch, |c| {
                 writes(c).then_some(c.rec.mem_wdata.into())
             });
         if !commits {
@@ -295,8 +319,9 @@ fn time_parallel(core: &Arc<Netlist>, cycles: &[Cycle]) -> Option<ActivityRun> {
         // Phases 1–3 diff against the same lane's previous phase, as in
         // the sequential run; phase 0 diffs against the previous *cycle*'s
         // phase 3, one lane down (lane 63 carries into the next batch).
-        // The very first settle counts nothing (`CompiledSim::eval`).
-        toggle_total += toggle_sum(&sim) - phase0_total;
+        // The sequential run's very first settle counts nothing
+        // (`CompiledSim::eval`), so this image's cycle 0 is masked.
+        toggle_total += toggle_sum(sim) - phase0_total;
         let mask = if b == 0 { !1 } else { !0 };
         for (net, (&w0, c)) in v0.iter().zip(carry.iter_mut()).enumerate() {
             let w3 = sim.lane_word(net as NetId);

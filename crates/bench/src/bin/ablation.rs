@@ -1,4 +1,4 @@
-//! Ablation study of the RISSP design choices called out in DESIGN.md:
+//! Ablation study of three RISSP design choices from the paper's §3:
 //!
 //! 1. **Synthesis off** — stitch ModularEX without the redundancy-removal
 //!    pass (§3.3 argues synthesis recovers cross-block sharing; this

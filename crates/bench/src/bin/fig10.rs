@@ -1,12 +1,8 @@
 //! Figure 10: full physical implementation at 300 kHz of the three
 //! extreme-edge RISSPs plus the two baselines — die dimensions, area,
-//! flip-flop fraction and power. Pass `--threads N` to characterise the
-//! edge applications on N threads (results are thread-count
-//! independent).
+//! flip-flop fraction and power.
 
-use bench::{
-    characterise_rv32e, characterise_serv, characterise_workloads, header, threads_from_args,
-};
+use bench::{characterise_rv32e, characterise_serv, characterise_workload, header};
 use flexic::physical::implement;
 use flexic::tech::Tech;
 use hwlib::HwLibrary;
@@ -15,7 +11,6 @@ fn main() {
     header("Figure 10 — FlexIC physical implementation at 300 kHz");
     let t = Tech::flexic_gen();
     let lib = HwLibrary::build_full();
-    let threads = threads_from_args();
 
     let mut layouts = Vec::new();
     let rv32e = characterise_rv32e(&lib, &t);
@@ -24,7 +19,7 @@ fn main() {
         .into_iter()
         .map(|name| workloads::by_name(name).expect("edge app"))
         .collect();
-    for d in characterise_workloads(&lib, &edge, &t, threads) {
+    for d in edge.iter().map(|w| characterise_workload(&lib, w, &t)) {
         layouts.push(implement(&d.metrics, &t, Some(d.distinct)));
     }
     let serv = characterise_serv(&workloads::by_name("crc32").expect("crc32"));

@@ -4,12 +4,8 @@
 //!
 //! One binary regenerates all four figures because they share the expensive
 //! pipeline (RISSP generation + gate-level activity measurement + sweep).
-//! Pass `--threads N` to characterise the 25 workloads on N threads (the
-//! numbers are identical for every thread count).
 
-use bench::{
-    characterise_rv32e, characterise_serv, characterise_workloads, header, threads_from_args,
-};
+use bench::{characterise_rv32e, characterise_serv, characterise_workload, header};
 use flexic::sweep::{energy_per_instruction_nj, frequency_sweep};
 use flexic::tech::Tech;
 use hwlib::HwLibrary;
@@ -18,7 +14,6 @@ fn main() {
     header("Figures 6–9 — fmax, average area, average power, energy per instruction");
     let t = Tech::flexic_gen();
     let lib = HwLibrary::build_full();
-    let threads = threads_from_args();
 
     println!(
         "{:<22} {:>4} {:>10} {:>12} {:>11} {:>8} {:>10}",
@@ -26,7 +21,10 @@ fn main() {
     );
 
     let mut risp_results = Vec::new();
-    for d in characterise_workloads(&lib, &workloads::all(), &t, threads) {
+    for d in workloads::all()
+        .iter()
+        .map(|w| characterise_workload(&lib, w, &t))
+    {
         let sweep = frequency_sweep(&d.metrics);
         let epi = energy_per_instruction_nj(&d.metrics, &sweep);
         println!(

@@ -2,10 +2,11 @@
 //! ([`bench::activity::activity_run`]): on every workload the paper
 //! pipeline characterises, and on seeded random programs, its counts and
 //! activity f64 equal the sequential `GateLevelCpu::run` reduced by
-//! `flexic::power::measured_activity`, with no fallback; on a sabotaged
-//! library and on a core missing an instruction the program uses, it
-//! falls back to that sequential run and says so in
-//! [`bench::activity::fallbacks`].
+//! `flexic::power::measured_activity`, with no fallback; the whole suite
+//! in one call on the full-ISA core equals one `BatchedGateLevelCpu` run
+//! of it; on a sabotaged library and on a core missing an instruction the
+//! program uses, it falls back to that sequential run and says so in
+//! [`bench::activity::fallbacks`], image by image.
 
 use bench::activity::{activity_run, fallbacks, ActivityRun};
 use bench::ACTIVITY_CYCLES;
@@ -13,9 +14,10 @@ use hwlib::HwLibrary;
 use netlist::Netlist;
 use riscv_isa::Mnemonic;
 use rissp::campaign::{random_program, sabotage_rd_data};
-use rissp::processor::{ExecError, GateLevelCpu};
+use rissp::processor::{BatchedGateLevelCpu, ExecError, GateLevelCpu};
 use rissp::profile::InstructionSubset;
 use rissp::Rissp;
+use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard};
 use xcc::{CompiledProgram, OptLevel};
 
@@ -57,7 +59,7 @@ fn assert_exact(
     max_cycles: u64,
     what: &str,
 ) -> (Result<u64, ExecError>, ActivityRun) {
-    let got = activity_run(core, image, max_cycles);
+    let got = activity_run(core, slice::from_ref(image), max_cycles);
     let (result, want, alpha) = sequential(core, image, max_cycles);
     assert_eq!(got, want, "{what}: counts");
     assert_eq!(
@@ -73,11 +75,15 @@ fn core_for(lib: &HwLibrary, subset: &InstructionSubset) -> Arc<Netlist> {
     Arc::new(Rissp::generate(lib, subset).core)
 }
 
-fn crc32() -> CompiledProgram {
-    workloads::by_name("crc32")
-        .expect("crc32")
+fn workload(name: &str) -> CompiledProgram {
+    workloads::by_name(name)
+        .expect(name)
         .compile(OptLevel::O2)
         .expect("compiles")
+}
+
+fn crc32() -> CompiledProgram {
+    workload("crc32")
 }
 
 #[test]
@@ -160,4 +166,79 @@ fn a_missing_instruction_falls_back_to_the_faulting_sequential_run() {
         "{result:?}"
     );
     assert_eq!(fallbacks(), before + 1);
+}
+
+#[test]
+fn the_suite_on_the_full_isa_core_matches_one_batched_run_without_fallback() {
+    let _serial = serial();
+    let lib = HwLibrary::build_full();
+    let rissp = Rissp::generate_full_isa(&lib);
+    let images: Vec<_> = workloads::all()
+        .iter()
+        .map(|w| w.compile(OptLevel::O2).expect("compiles"))
+        .collect();
+
+    // The reference: one workload per lane of one batched CPU, the α
+    // normalised by the committed cycles of every lane.
+    let mut cpu = BatchedGateLevelCpu::new(&rissp, &vec![0; images.len()]);
+    for (lane, image) in images.iter().enumerate() {
+        for (base, words) in image.segments() {
+            cpu.load_words(lane, base, words);
+        }
+    }
+    let _ = cpu.run(ACTIVITY_CYCLES);
+    let toggles = cpu.sim().toggles();
+    let want = ActivityRun {
+        cycles: cpu.committed_cycles(),
+        toggle_total: toggles.iter().sum(),
+        nets: toggles.len(),
+    };
+    let alpha = flexic::power::activity_from_counts(want.toggle_total, want.nets, want.cycles, 1);
+
+    let before = fallbacks();
+    let got = activity_run(&Arc::new(rissp.core.clone()), &images, ACTIVITY_CYCLES);
+    assert_eq!(got, want);
+    assert_eq!(
+        got.activity().to_bits(),
+        alpha.to_bits(),
+        "activity {} vs {alpha}",
+        got.activity()
+    );
+    assert_eq!(fallbacks(), before, "a workload fell back");
+}
+
+#[test]
+fn a_fallback_between_images_leaves_the_others_exact() {
+    let _serial = serial();
+    let lib = HwLibrary::build_full();
+    // crc32 runs `xor`, armpit does not: on the union core without it,
+    // only crc32 misses the prediction, and armpit runs again on the
+    // simulator crc32's aborted batch left behind.
+    let (a, b) = (workload("armpit"), crc32());
+    let (sa, sb) = (
+        InstructionSubset::from_words(&a.words),
+        InstructionSubset::from_words(&b.words),
+    );
+    assert!(sb.contains(Mnemonic::Xor) && !sa.contains(Mnemonic::Xor));
+    let subset: InstructionSubset = sa
+        .union(&sb)
+        .iter()
+        .filter(|&m| m != Mnemonic::Xor)
+        .collect();
+    let core = core_for(&lib, &subset);
+    let images = [a.clone(), b, a];
+
+    let before = fallbacks();
+    let got = activity_run(&core, &images, ACTIVITY_CYCLES);
+    assert_eq!(fallbacks(), before + 1);
+    let runs: Vec<_> = images
+        .iter()
+        .map(|image| sequential(&core, image, ACTIVITY_CYCLES).1)
+        .collect();
+    let want = ActivityRun {
+        cycles: runs.iter().map(|r| r.cycles).sum(),
+        toggle_total: runs.iter().map(|r| r.toggle_total).sum(),
+        nets: runs[0].nets,
+    };
+    assert_eq!(got, want);
 }
