@@ -24,6 +24,12 @@ fn main() {
     }
     let serv = characterise_serv(&workloads::by_name("crc32").expect("crc32"));
     layouts.push(implement(&serv.metrics, &t, None));
+    // A fallback changes no number, only the speed: report it on stderr,
+    // off the golden stdout.
+    let fallbacks = bench::activity::fallbacks();
+    if fallbacks != 0 {
+        eprintln!("activity fallbacks: {fallbacks}");
+    }
 
     println!(
         "{:<18} {:>9} {:>9} {:>10} {:>7} {:>9} {:>10} {:>6}",

@@ -55,6 +55,12 @@ fn main() {
     );
 
     let serv = characterise_serv(&workloads::by_name("crc32").expect("crc32"));
+    // A fallback changes no number, only the speed: report it on stderr,
+    // off the golden stdout.
+    let fallbacks = bench::activity::fallbacks();
+    if fallbacks != 0 {
+        eprintln!("activity fallbacks: {fallbacks}");
+    }
     let serv_sweep = frequency_sweep(&serv.metrics);
     let serv_epi = energy_per_instruction_nj(&serv.metrics, &serv_sweep);
     println!(

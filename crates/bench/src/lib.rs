@@ -38,8 +38,8 @@ pub struct CharacterisedDesign {
 /// Builds the RISSP for one workload (compiled at `-O2`, as §4.2 fixes) and
 /// measures its switching activity by running the actual application
 /// through the gates for [`ACTIVITY_CYCLES`] cycles
-/// ([`activity::activity_run`]: the sequential run's counts, settled 64
-/// cycles at a time).
+/// ([`activity::activity_run`]: the sequential run's counts, settled as
+/// 64 contiguous segments of cycles, one per lane).
 pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> CharacterisedDesign {
     let image = w.compile(OptLevel::O2).expect("workload compiles");
     let subset = InstructionSubset::from_words(&image.words);

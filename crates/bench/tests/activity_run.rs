@@ -1,12 +1,14 @@
 //! Exactness of the time-parallel activity engine
 //! ([`bench::activity::activity_run`]): on every workload the paper
-//! pipeline characterises, and on seeded random programs, its counts and
-//! activity f64 equal the sequential `GateLevelCpu::run` reduced by
+//! pipeline characterises, on seeded random programs, and at budgets that
+//! give every segment shape, its counts and activity f64 equal the
+//! sequential `GateLevelCpu::run` reduced by
 //! `flexic::power::measured_activity`, with no fallback; the whole suite
 //! in one call on the full-ISA core equals one `BatchedGateLevelCpu` run
 //! of it; on a sabotaged library and on a core missing an instruction the
 //! program uses, it falls back to that sequential run and says so in
-//! [`bench::activity::fallbacks`], image by image.
+//! [`bench::activity::fallbacks`], image by image, but not for a sabotage
+//! the sequential run never reads.
 
 use bench::activity::{activity_run, fallbacks, ActivityRun};
 use bench::ACTIVITY_CYCLES;
@@ -126,13 +128,48 @@ fn random_programs_match_the_sequential_run_without_fallback() {
         }
     }
     assert_eq!(fallbacks(), before, "a random program fell back");
-    // The seeds must cover a halt inside the first batch and partly
-    // filled tail batches.
+    // The seeds must cover a halt inside one batch (idle lanes) and
+    // padded last segments.
     assert!(halts.iter().any(|&c| c < 64), "halts: {halts:?}");
     assert!(
         halts.iter().any(|&c| c > 64 && c % 64 != 0),
         "halts: {halts:?}"
     );
+}
+
+#[test]
+fn every_budget_shape_matches_the_sequential_run() {
+    let _serial = serial();
+    let lib = HwLibrary::build_full();
+    let before = fallbacks();
+    // crc32 hits every budget without halting, so its last cycle's next
+    // PC moves on: one batch, idle lanes, a padded last lane, and pad
+    // lanes that must stay on the last PC.
+    let image = crc32();
+    let core = core_for(&lib, &InstructionSubset::from_words(&image.words));
+    for budget in [1, 2, 63, 64, 65, 127, 128, 129, 1000, 4097] {
+        let (result, _) = assert_exact(&core, &image, budget, &format!("crc32 at {budget}"));
+        assert_eq!(result, Err(ExecError::StepLimit { cycles: budget }));
+    }
+    // A halting program on both sides of its halt.
+    let (image, halt) = (0..64)
+        .map(|seed| xcc::compile(&random_program(seed), OptLevel::O1).expect("compiles"))
+        .find_map(|image| {
+            let core = core_for(&lib, &InstructionSubset::from_words(&image.words));
+            match sequential(&core, &image, ACTIVITY_CYCLES).0 {
+                Ok(cycles) if cycles > 129 && cycles % 64 != 0 => Some((image, cycles)),
+                _ => None,
+            }
+        })
+        .expect("a random program halts after 129 cycles");
+    let core = core_for(&lib, &InstructionSubset::from_words(&image.words));
+    for budget in [halt - 1, halt, halt + 1, 4097] {
+        let (result, run) =
+            assert_exact(&core, &image, budget, &format!("halt {halt} at {budget}"));
+        assert_eq!(run.cycles, budget.min(halt));
+        assert_eq!(result.is_ok(), budget >= halt, "{result:?}");
+    }
+    assert_eq!(fallbacks(), before, "a budget fell back");
 }
 
 #[test]
@@ -148,6 +185,23 @@ fn a_sabotaged_block_falls_back_to_the_sequential_run() {
     let before = fallbacks();
     let _ = assert_exact(&core, &image, ACTIVITY_CYCLES, "sabotaged addi");
     assert_eq!(fallbacks(), before + 1);
+}
+
+#[test]
+fn a_sabotage_the_sequential_run_never_reads_does_not_fall_back() {
+    let _serial = serial();
+    // `sw` writes no register, so the sequential run never reads its
+    // `rd_data`: the lane checks must not either.
+    let mut lib = HwLibrary::build_full();
+    let bad = sabotage_rd_data(lib.block(Mnemonic::Sw));
+    lib.replace_block(bad);
+    let image = crc32();
+    let subset = InstructionSubset::from_words(&image.words);
+    assert!(subset.contains(Mnemonic::Sw));
+    let core = core_for(&lib, &subset);
+    let before = fallbacks();
+    let _ = assert_exact(&core, &image, ACTIVITY_CYCLES, "sabotaged sw rd_data");
+    assert_eq!(fallbacks(), before);
 }
 
 #[test]
