@@ -213,7 +213,11 @@ fn predict(image: &CompiledProgram, max_cycles: u64) -> Option<Vec<Cycle>> {
     let mut emu = Emulator::new();
     image.load(&mut emu);
     emu.enable_trace();
-    emu.run(max_cycles).ok()?;
+    for _ in 0..max_cycles {
+        if emu.step().ok()? {
+            break;
+        }
+    }
     emu.take_trace()
         .records()
         .iter()
@@ -231,8 +235,8 @@ fn predict(image: &CompiledProgram, max_cycles: u64) -> Option<Vec<Cycle>> {
 /// their nets, bit 0 first.
 struct Ports {
     /// `insn`, `rs1_data`, `rs2_data`, `dmem_rdata`, in
-    /// [`Cycle::input`] order.
-    inputs: [PortId; 4],
+    /// [`Cycle::input`] order, each with its width in bits.
+    inputs: [(PortId, usize); 4],
     /// The PC flip-flops.
     pc: Vec<NetId>,
     rs1_addr: Vec<NetId>,
@@ -263,7 +267,14 @@ impl Ports {
                 ports::RS2_DATA,
                 ports::DMEM_RDATA,
             ]
-            .map(|n| sim.input_port(n)),
+            .map(|n| {
+                let width = core
+                    .input(n)
+                    .unwrap_or_else(|| panic!("no input port `{n}`"))
+                    .nets
+                    .len();
+                (sim.input_port(n), width)
+            }),
             pc: output(ports::PC),
             rs1_addr: output(ports::RS1_ADDR),
             rs2_addr: output(ports::RS2_ADDR),
@@ -297,6 +308,14 @@ fn transpose(a: &mut [u64; 64]) {
         j >>= 1;
         m ^= m << j;
     }
+}
+
+/// Drives input `k` of `p.inputs` with one value per lane: one transpose
+/// of the 64 lanes' values, then one word per port bit.
+fn drive(sim: &mut CompiledSim, p: &Ports, k: usize, mut values: [u64; LANES]) {
+    let (port, width) = p.inputs[k];
+    transpose(&mut values);
+    sim.set_port_words(port, &values[..width]);
 }
 
 /// The lanes in `care` on which a port's lane words `got` (bit 0 first)
@@ -356,10 +375,9 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
     for j in 0..LANES {
         set_pc(sim, j, at(j * seg).pc());
     }
-    for (k, &port) in p.inputs.iter().enumerate() {
-        let prev: [u64; LANES] =
-            array::from_fn(|j| (j * seg).checked_sub(1).map_or(0, |t| at(t).input[k]));
-        sim.set_port_lanes(port, &prev);
+    for k in 0..p.inputs.len() {
+        let prev = array::from_fn(|j| (j * seg).checked_sub(1).map_or(0, |t| at(t).input[k]));
+        drive(sim, p, k, prev);
     }
     sim.eval();
     let v0: Vec<u64> = (0..nets).map(|net| sim.lane_word(net as NetId)).collect();
@@ -394,7 +412,7 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
         let stores = bits(MEM_WMASK).iter().fold(0, |m, &w| m | w);
 
         // Phase 1: instruction fetch, at the PC the flops hold.
-        sim.set_port_lanes(p.inputs[0], &inputs(0));
+        drive(sim, p, 0, inputs(0));
         sim.eval();
         if !holds(
             sim,
@@ -408,8 +426,8 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
         }
 
         // Phase 2: register file read.
-        sim.set_port_lanes(p.inputs[1], &inputs(1));
-        sim.set_port_lanes(p.inputs[2], &inputs(2));
+        drive(sim, p, 1, inputs(1));
+        drive(sim, p, 2, inputs(2));
         sim.eval();
         if !holds(
             sim,
@@ -419,7 +437,7 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
         }
 
         // Phase 3: data memory read, then the commit.
-        sim.set_port_lanes(p.inputs[3], &inputs(3));
+        drive(sim, p, 3, inputs(3));
         sim.eval();
         if !holds(
             sim,

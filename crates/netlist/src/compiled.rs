@@ -1315,6 +1315,41 @@ impl CompiledSim {
         let total: u64 = self.toggles.iter().sum();
         total as f64 / (self.toggles.len() as f64 * self.cycles as f64 * self.lanes as f64)
     }
+
+    /// Drives a resolved input port from lane words: `words` holds
+    /// [`CompiledSim::lane_words`] words per port bit, bit 0's first
+    /// (bit `l` of a bit's word `w` is lane `64w + l`'s value). This is
+    /// [`CompiledSim::set_port_lanes`] with every lane given, after one
+    /// 64×64 transpose per word of lanes, and it marks the inputs dirty
+    /// the same way: only when a word changes. Bits past the last lane
+    /// are stored as given and, as in every lane word, belong to no lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port net is not an input or `words.len()` is not the
+    /// port width times `lane_words`.
+    #[inline]
+    pub fn set_port_words(&mut self, port: PortId, words: &[u64]) {
+        let port = &self.netlist.inputs()[port.0];
+        let k = self.lane_words;
+        assert_eq!(
+            words.len(),
+            port.nets.len() * k,
+            "port words must be the port width times the lane words"
+        );
+        for (&net, block) in port.nets.iter().zip(words.chunks_exact(k)) {
+            match self.netlist.gates()[net as usize] {
+                Gate::Input(idx) => {
+                    let base = idx as usize * k;
+                    if self.input_values[base..base + k] != *block {
+                        self.input_values[base..base + k].copy_from_slice(block);
+                        self.inputs_dirty = true;
+                    }
+                }
+                ref g => panic!("net {net} is not an input: {g:?}"),
+            }
+        }
+    }
 }
 
 impl SimBackend for CompiledSim {
