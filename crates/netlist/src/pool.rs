@@ -123,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_every_tid_exactly_once() {
+    fn claims_every_item_exactly_once() {
         for threads in [2usize, 3, 4] {
             for len in [1usize, 2, 5, 17] {
                 let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
@@ -188,7 +188,7 @@ mod tests {
     /// included — by the time `claim_map` returns: no detached thread
     /// outlives the call.
     #[test]
-    fn drop_joins_synchronously_after_a_job() {
+    fn joins_every_helper_before_returning() {
         static LIVE: AtomicUsize = AtomicUsize::new(0);
         struct Census;
         impl Drop for Census {
@@ -275,7 +275,7 @@ mod tests {
     /// Several participants panicking at once re-raise exactly one
     /// payload, unmangled, and the next call runs normally.
     #[test]
-    fn run_with_returns_typed_worker_panic() {
+    fn simultaneous_panics_reraise_one_payload() {
         let payload = catch_unwind(AssertUnwindSafe(|| {
             one_item_each::<()>(3, |i| panic!("typed failure from item {i}"))
         }))

@@ -13,6 +13,11 @@
 //! spans are left alone because `[..](..)` inside backticks on one line
 //! is rare enough to handle by not writing it, and only inline-style
 //! links are supported. Keep the docs to that subset.
+//!
+//! It also checks the cargo command lines the prose gives: every
+//! `--bin`, `--example` and `--bench` flag in those files and
+//! in `.claude/skills/*/SKILL.md` must name a target that exists. Those
+//! commands live in fenced blocks, so this scan skips no fence.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -167,6 +172,115 @@ fn every_relative_link_and_anchor_resolves() {
         failures.is_empty(),
         "broken documentation links:\n{}",
         failures.join("\n")
+    );
+}
+
+/// Extract `(flag, target name, line number)` for every `--bin`,
+/// `--example` and `--bench` flag, in either `--flag NAME` or
+/// `--flag=NAME` form, fenced blocks included. Backticks before the
+/// flag are ignored, and the name is the run of identifier characters
+/// after it, so trailing backticks and punctuation drop out.
+fn target_flags(text: &str) -> Vec<(&'static str, String, usize)> {
+    let mut out = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let mut words = line.split_whitespace();
+        while let Some(word) = words.next() {
+            for flag in ["--bin", "--example", "--bench"] {
+                let arg = match word.trim_start_matches('`').strip_prefix(flag) {
+                    Some("") => words.clone().next(),
+                    Some(rest) => rest.strip_prefix('='),
+                    None => None,
+                };
+                let Some(arg) = arg else { continue };
+                let name: String = arg
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '-')
+                    .collect();
+                out.push((flag, name, lineno + 1));
+            }
+        }
+    }
+    out
+}
+
+/// The `name` of every `[[bench]]` table in the workspace manifests;
+/// cargo requires one in each such table.
+fn declared_benches() -> Vec<String> {
+    let root = repo_root();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ directory exists");
+    let manifests = std::iter::once(root.join("Cargo.toml"))
+        .chain(crates.map(|e| e.expect("readable crates/ entry").path().join("Cargo.toml")));
+    let mut names = Vec::new();
+    for manifest in manifests.filter(|m| m.exists()) {
+        let text = std::fs::read_to_string(&manifest)
+            .unwrap_or_else(|e| panic!("read {}: {e}", manifest.display()));
+        for table in text.split("[[bench]]").skip(1) {
+            let name = table.lines().find_map(|line| {
+                line.trim()
+                    .strip_prefix("name")?
+                    .trim_start()
+                    .strip_prefix('=')
+            });
+            names.extend(name.map(|n| n.trim().trim_matches('"').to_string()));
+        }
+    }
+    names
+}
+
+#[test]
+fn every_cargo_target_named_in_the_docs_exists() {
+    let root = repo_root();
+    let mut files = doc_files();
+    if let Ok(skills) = std::fs::read_dir(root.join(".claude/skills")) {
+        let mut found: Vec<_> = skills
+            .map(|e| e.expect("readable skills entry").path().join("SKILL.md"))
+            .filter(|p| p.exists())
+            .collect();
+        found.sort();
+        files.extend(found);
+    }
+    let benches = declared_benches();
+    let mut failures = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for (flag, name, line) in target_flags(&text) {
+            let exists = match flag {
+                "--bin" => root
+                    .join(format!("crates/bench/src/bin/{name}.rs"))
+                    .exists(),
+                "--example" => root.join(format!("examples/{name}.rs")).exists(),
+                _ => benches.contains(&name),
+            };
+            if !exists {
+                failures.push(format!(
+                    "{}:{line}: `{flag} {name}` names no such target",
+                    file.display()
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "documented commands name missing cargo targets:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn target_flags_are_read_in_both_forms() {
+    let text = "```sh\ncargo run -p bench --bin fig5 --bin=table2`\n```\n`--example quickstart`.\n";
+    let got: Vec<_> = target_flags(text)
+        .into_iter()
+        .map(|(flag, name, line)| format!("{flag} {name} @{line}"))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "--bin fig5 @2",
+            "--bin table2 @2",
+            "--example quickstart @4"
+        ]
     );
 }
 
