@@ -38,7 +38,7 @@ fn main() {
             InstructionSubset::from_names(names.iter().copied())
         };
         let unopt = build_core(&lib, &subset);
-        let rissp = Rissp::generate(&lib, &subset);
+        let rissp = Rissp::generate_swept(&lib, &subset);
         let before = GateCounts::of(&unopt).nand2_equivalent();
         let after = GateCounts::of(&rissp.core).nand2_equivalent();
         println!(
@@ -114,7 +114,7 @@ fn main() {
     let mut prev_area = 0.0;
     for (label, members) in groups {
         subset.extend(members);
-        let rissp = Rissp::generate(&lib, &subset);
+        let rissp = Rissp::generate_swept(&lib, &subset);
         let area = GateCounts::of(&rissp.core).nand2_equivalent();
         let cp = sta::critical_path_ns(&rissp.core, &t);
         println!(

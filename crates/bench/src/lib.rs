@@ -43,17 +43,13 @@ pub struct CharacterisedDesign {
 pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> CharacterisedDesign {
     let image = w.compile(OptLevel::O2).expect("workload compiles");
     let subset = InstructionSubset::from_words(&image.words);
-    let rissp = Rissp::generate(lib, &subset);
-    // A clone, not the generated netlist itself: the process-wide program
-    // cache keeps the simulated netlist, and a clone carries no spare
-    // capacity from construction.
-    let core = Arc::new(rissp.core.clone());
+    let core = Arc::new(Rissp::generate_swept(lib, &subset).core);
     let activity =
         activity::activity_run(&core, slice::from_ref(&image), ACTIVITY_CYCLES).activity();
     CharacterisedDesign {
         name: format!("RISSP-{}", w.name),
         distinct: subset.len(),
-        metrics: DesignMetrics::of_netlist(format!("RISSP-{}", w.name), &rissp.core, t, activity),
+        metrics: DesignMetrics::of_netlist(format!("RISSP-{}", w.name), &core, t, activity),
     }
 }
 
@@ -65,18 +61,16 @@ pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> Charact
 /// methodologically identical to [`characterise_workload`], just over the
 /// whole suite instead of one representative workload.
 pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech) -> CharacterisedDesign {
-    let rissp = Rissp::generate_full_isa(lib);
+    let core = Arc::new(Rissp::generate_swept(lib, &InstructionSubset::full_isa()).core);
     let images: Vec<_> = workloads::all()
         .iter()
         .map(|w| w.compile(OptLevel::O2).expect("workload compiles"))
         .collect();
-    // A clone, as in `characterise_workload`.
-    let core = Arc::new(rissp.core.clone());
     let activity = activity::activity_run(&core, &images, ACTIVITY_CYCLES).activity();
     CharacterisedDesign {
         name: "RISSP-RV32E".into(),
         distinct: riscv_isa::ALL_MNEMONICS.len(),
-        metrics: DesignMetrics::of_netlist("RISSP-RV32E", &rissp.core, t, activity),
+        metrics: DesignMetrics::of_netlist("RISSP-RV32E", &core, t, activity),
     }
 }
 

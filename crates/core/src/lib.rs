@@ -92,6 +92,36 @@ impl Rissp {
     pub fn generate_full_isa(library: &HwLibrary) -> Rissp {
         Rissp::generate(library, &InstructionSubset::full_isa())
     }
+
+    /// [`Rissp::generate`] with the redundancy removal done by one
+    /// renumbering pass, [`netlist::opt::sweep_consed`], in place of
+    /// [`synthesize`]. `build_core` stitches through the hash-consing
+    /// [`Builder`](netlist::Builder), which already shares and folds
+    /// everything, so only the dead logic is left to remove: the core and
+    /// the [`SynthReport`] are `==` to [`Rissp::generate`]'s, and the core
+    /// is allocated at its exact length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` is empty.
+    #[inline]
+    pub fn generate_swept(library: &HwLibrary, subset: &InstructionSubset) -> Rissp {
+        assert!(
+            !subset.is_empty(),
+            "cannot generate a RISSP for an empty subset"
+        );
+        let unoptimised = processor::build_core(library, subset);
+        let core = netlist::opt::sweep_consed(&unoptimised);
+        let synth = SynthReport {
+            gates_before: unoptimised.len(),
+            gates_after: core.len(),
+        };
+        Rissp {
+            subset: subset.clone(),
+            core,
+            synth,
+        }
+    }
 }
 
 #[cfg(test)]

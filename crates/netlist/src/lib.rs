@@ -286,8 +286,8 @@ impl Netlist {
 ///
 /// Identical gates are shared automatically; constant operands are folded at
 /// construction, so the blocks emitted by `hwlib` are already locally
-/// minimal, and the cross-block sharing that the paper delegates to the
-/// synthesis tool is recovered by [`opt::synthesize`].
+/// minimal; [`Builder::import`] does the cross-block sharing the paper
+/// leaves to synthesis, so [`opt::sweep_consed`] has only dead logic left.
 #[derive(Debug, Default)]
 pub struct Builder {
     netlist: Netlist,

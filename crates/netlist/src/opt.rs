@@ -1,16 +1,16 @@
 //! Netlist optimisation — the reproduction's "synthesis tool".
 //!
-//! The paper deliberately leaves all optimisation to synthesis: instruction
-//! hardware blocks are stitched naively and "the synthesis tool will
-//! optimize the gate netlists by maximizing the resource sharing" (§3.3).
-//! [`synthesize`] plays that role here: it re-builds the netlist through
-//! the hash-consing [`Builder`] (merging structurally identical logic and
-//! re-applying constant folding) and then sweeps logic unreachable from any
-//! output or DFF.  [`check_equivalence`] is the stand-in for the
-//! equivalence checking synthesis tools run after optimisation.
+//! The paper leaves all optimisation to synthesis, which "will optimize the
+//! gate netlists by maximizing the resource sharing" (§3.3). Here the
+//! hash-consing [`Builder`] already shares and folds while it stitches, so
+//! for a netlist it built only dead-logic removal is left, and
+//! [`sweep_consed`] does that by renumbering (lemma: the live gates stay
+//! distinct and unfoldable, so the result is `==` to [`sweep`]'s and to
+//! [`synthesize`]'s). [`synthesize`] re-conses netlists built otherwise;
+//! [`check_equivalence`] stands in for post-synthesis equivalence checks.
 
 use crate::sharded::{ShardPolicy, ShardedSim};
-use crate::{Builder, Gate, NetId, Netlist};
+use crate::{Builder, Gate, NetId, Netlist, Port};
 use std::collections::HashMap;
 
 /// Statistics from one [`synthesize`] run.
@@ -356,6 +356,115 @@ pub fn check_equivalence_with(
     Ok(())
 }
 
+/// [`sweep`] for a netlist the [`Builder`] made: one renumbering pass, no
+/// hashing.
+///
+/// Liveness is [`sweep`]'s: a gate is live when an output port or a live
+/// DFF's `d` input reaches it, and every input pin stays. The live gates
+/// are then renumbered:
+/// - the input nets first, in port order, as `Input(0)`, `Input(1)`, …;
+/// - then every live non-input gate, in its original order.
+///
+/// `And`/`Or`/`Xor` operands are re-sorted `(min, max)` as the [`Builder`]
+/// sorts them, because moving the inputs to the front can reverse two
+/// operands. Every `Vec` of the result is allocated at its final length,
+/// so a caller that keeps the netlist keeps no spare capacity.
+///
+/// **Lemma.** For a netlist built by the [`Builder`], the result is `==`
+/// to [`sweep`]'s. The builder left no two gates equal and no gate that
+/// one of its folding rules rewrites. Both facts depend only on each
+/// gate's kind, its operands' kinds and which of its operands are equal.
+/// Removing dead gates and renumbering injectively keeps all three, so the
+/// live gates stay distinct and unfoldable: [`sweep`]'s rebuild through a
+/// fresh [`Builder`] merges and folds nothing and hands out these ids. A
+/// netlist made some other way (a [`Netlist::with_gate_replaced`] mutant,
+/// or one with `Nand`/`Nor`/`Xnor` gates, which the builder never emits)
+/// gets the same liveness and numbering but no sharing or folding; use
+/// [`synthesize`] for it.
+#[inline]
+pub fn sweep_consed(netlist: &Netlist) -> Netlist {
+    let gates = netlist.gates();
+    let mut live = vec![false; gates.len()];
+    let mut stack: Vec<NetId> = netlist
+        .outputs()
+        .iter()
+        .flat_map(|p| p.nets.iter().copied())
+        .collect();
+    while let Some(id) = stack.pop() {
+        if std::mem::replace(&mut live[id as usize], true) {
+            continue;
+        }
+        let gate = gates[id as usize];
+        stack.extend(gate.fanin());
+        if let Gate::Dff { d, .. } = gate {
+            stack.push(d);
+        }
+    }
+    let mut map: Vec<NetId> = vec![NetId::MAX; gates.len()];
+    let mut next: NetId = 0;
+    for port in netlist.inputs() {
+        for &net in &port.nets {
+            map[net as usize] = next;
+            next += 1;
+        }
+    }
+    let input_bits = next;
+    let kept = |id: usize| live[id] && !matches!(gates[id], Gate::Input(_));
+    for id in (0..gates.len()).filter(|&id| kept(id)) {
+        map[id] = next;
+        next += 1;
+    }
+    let m = |x: NetId| map[x as usize];
+    let sorted = |x: NetId, y: NetId| {
+        let (x, y) = (m(x), m(y));
+        (x.min(y), x.max(y))
+    };
+    let mut out: Vec<Gate> = Vec::with_capacity(next as usize);
+    out.extend((0..input_bits).map(Gate::Input));
+    for id in (0..gates.len()).filter(|&id| kept(id)) {
+        out.push(match gates[id] {
+            Gate::Const(v) => Gate::Const(v),
+            Gate::Input(_) => unreachable!("input pins are renumbered first"),
+            Gate::Not(x) => Gate::Not(m(x)),
+            Gate::And(x, y) => {
+                let (x, y) = sorted(x, y);
+                Gate::And(x, y)
+            }
+            Gate::Or(x, y) => {
+                let (x, y) = sorted(x, y);
+                Gate::Or(x, y)
+            }
+            Gate::Xor(x, y) => {
+                let (x, y) = sorted(x, y);
+                Gate::Xor(x, y)
+            }
+            Gate::Nand(x, y) => Gate::Nand(m(x), m(y)),
+            Gate::Nor(x, y) => Gate::Nor(m(x), m(y)),
+            Gate::Xnor(x, y) => Gate::Xnor(m(x), m(y)),
+            Gate::Mux { sel, a, b } => Gate::Mux {
+                sel: m(sel),
+                a: m(a),
+                b: m(b),
+            },
+            Gate::Dff { d, init } => Gate::Dff { d: m(d), init },
+        });
+    }
+    let renumber = |ports: &[Port]| -> Vec<Port> {
+        ports
+            .iter()
+            .map(|p| Port {
+                name: p.name.clone(),
+                nets: p.nets.iter().map(|&n| m(n)).collect(),
+            })
+            .collect()
+    };
+    Netlist {
+        gates: out,
+        inputs: renumber(netlist.inputs()),
+        outputs: renumber(netlist.outputs()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,5 +573,20 @@ mod tests {
         let swept = sweep(&nl);
         assert!(swept.input("unused").is_some());
         assert_eq!(swept.input("unused").unwrap().nets.len(), 4);
+    }
+
+    #[test]
+    fn sweep_consed_allocates_exact_lengths() {
+        let nl = adder_with_waste();
+        let swept = sweep_consed(&nl);
+        assert_eq!(swept, sweep(&nl));
+        assert!(swept.len() < nl.len(), "the dead subtractor is gone");
+        assert_eq!(swept.gates.capacity(), swept.len());
+        for ports in [&swept.inputs, &swept.outputs] {
+            assert_eq!(ports.capacity(), ports.len());
+            for port in ports {
+                assert_eq!(port.nets.capacity(), port.nets.len());
+            }
+        }
     }
 }

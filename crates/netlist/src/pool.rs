@@ -221,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_is_propagated_not_hung() {
+    fn helper_and_caller_panics_reach_the_caller() {
         let caller = std::thread::current().id();
         for helper_panics in [true, false] {
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -243,7 +243,7 @@ mod tests {
     /// assertion that swallows it — from a helper and from the caller
     /// itself, for `&str` and formatted `String` payloads.
     #[test]
-    fn worker_panic_payload_reaches_submitter_verbatim() {
+    fn panic_payload_reaches_the_caller_verbatim() {
         let caller = std::thread::current().id();
         for helper_panics in [true, false] {
             for formatted in [false, true] {
@@ -308,7 +308,7 @@ mod tests {
     /// A nested call also preserves the original payload, and the
     /// other participants keep claiming items after one panics.
     #[test]
-    fn scoped_fallback_preserves_panic_payload() {
+    fn nested_call_preserves_panic_payload() {
         let ran = AtomicUsize::new(0);
         let nested = claim_map(2, &mut [0, 1], |outer, _| {
             (outer == 0).then(|| {

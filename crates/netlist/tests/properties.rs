@@ -94,6 +94,68 @@ fn sequential_circuit_from_recipe(recipe: &[u8]) -> Netlist {
     b.finish()
 }
 
+/// A random [`Builder`] netlist that moves when renumbered: input ports
+/// are declared between gates (some never read), constants and DFF chains
+/// are mixed in (some dead), and only three nets are observed, so much of
+/// the logic is dead.
+fn interleaved_circuit_from_recipe(recipe: &[u8]) -> Netlist {
+    let mut b = Builder::new();
+    let mut nets = vec![b.constant(recipe[0] & 1 == 1)];
+    nets.extend(b.input_bus("in0", 2));
+    let mut ffs = Vec::new();
+    for (k, chunk) in recipe.chunks(3).enumerate() {
+        let (op, i, j) = (
+            chunk[0] % 11,
+            chunk.get(1).copied().unwrap_or(0),
+            chunk.get(2).copied().unwrap_or(1),
+        );
+        let x = nets[i as usize % nets.len()];
+        let y = nets[j as usize % nets.len()];
+        let n = match op {
+            0 => b.and(x, y),
+            1 => b.or(x, y),
+            2 => b.xor(x, y),
+            3 => b.nand(x, y),
+            4 => b.xnor(x, y),
+            5 => b.not(x),
+            6 => b.mux(x, y, nets[(i as usize + 1) % nets.len()]),
+            7 => b.constant(i & 1 == 1),
+            8 => {
+                let ff = b.dff(i & 1 == 1);
+                ffs.push(ff);
+                ff
+            }
+            _ => {
+                let bus = b.input_bus(&format!("in{}", k + 1), 1 + i as usize % 3);
+                if j & 1 == 1 {
+                    // An unused input port.
+                    continue;
+                }
+                nets.extend(&bus[1..]);
+                bus[0]
+            }
+        };
+        nets.push(n);
+    }
+    // Every other DFF extends a chain from the previous one; the rest
+    // latch a recipe-chosen net.
+    for (k, &ff) in ffs.iter().enumerate() {
+        let pick = recipe[k % recipe.len()] as usize;
+        let d = if k % 2 == 1 {
+            ffs[k - 1]
+        } else {
+            nets[(pick * 7 + k) % nets.len()]
+        };
+        b.connect_dff(ff, d);
+    }
+    let last = nets.len() - 1;
+    b.output_bus("out", &[nets[last], nets[last / 2]]);
+    if let Some(&ff) = ffs.last() {
+        b.output("state", ff);
+    }
+    b.finish()
+}
+
 proptest! {
     /// The synthesis pass preserves behaviour on arbitrary random circuits.
     #[test]
@@ -105,6 +167,19 @@ proptest! {
         let (opt, report) = netlist::opt::synthesize(&nl);
         prop_assert!(report.gates_after <= report.gates_before);
         prop_assert!(netlist::opt::check_equivalence(&nl, &opt, 24, seed).is_ok());
+    }
+
+    /// `sweep_consed` renumbers a `Builder` netlist to exactly what
+    /// `sweep`'s rebuild through a fresh `Builder` gives, and `synthesize`'s
+    /// re-cons pass adds nothing on top of `sweep`.
+    #[test]
+    fn sweep_consed_matches_sweep_on_random_builder_netlists(
+        recipe in proptest::collection::vec(any::<u8>(), 3..150),
+    ) {
+        let nl = interleaved_circuit_from_recipe(&recipe);
+        let swept = netlist::opt::sweep(&nl);
+        prop_assert_eq!(&netlist::opt::sweep_consed(&nl), &swept);
+        prop_assert_eq!(&netlist::opt::synthesize(&nl).0, &swept);
     }
 
     /// Gate ids are always topologically ordered (fan-in < gate id).

@@ -106,3 +106,31 @@ fn every_rissp_is_smaller_than_the_full_isa_core() {
         );
     }
 }
+
+/// The one-pass generator the exhibits use gives the same core and
+/// `SynthReport` as `synthesize`'s re-cons and sweep, on every `-O2`
+/// workload subset, the full ISA and the union subsets a fuzz wave over
+/// seeds 0..8 builds its core from.
+#[test]
+fn generate_swept_matches_generate_on_exhibit_and_fuzz_subsets() {
+    let library = HwLibrary::build_full();
+    let mut subsets: Vec<InstructionSubset> = workloads::all()
+        .iter()
+        .map(|w| InstructionSubset::from_words(&w.compile(OptLevel::O2).unwrap().words))
+        .collect();
+    subsets.push(InstructionSubset::full_isa());
+    let mut union = InstructionSubset::new();
+    for seed in 0..8 {
+        let image = xcc::compile(&rissp::campaign::random_program(seed), OptLevel::O1).unwrap();
+        union = union.union(&InstructionSubset::from_words(&image.words));
+        subsets.push(union.clone());
+    }
+    for subset in &subsets {
+        let swept = Rissp::generate_swept(&library, subset);
+        let reference = Rissp::generate(&library, subset);
+        // Not `assert_eq!`: a core's `Debug` runs to ~100k gates.
+        assert!(swept.core == reference.core, "core differs for {subset}");
+        assert_eq!(swept.synth, reference.synth, "{subset}");
+        assert_eq!(swept.subset, reference.subset);
+    }
+}
