@@ -18,12 +18,14 @@
 //! bit, and any miss runs the sequential [`GateLevelCpu`] instead.
 //! Exactness follows by induction on cycles: a lane driven exactly as the
 //! sequential run drives that cycle settles to the same words, so it
-//! counts the same toggles. The rules (the seam recount, frozen pad
-//! lanes, checks, one simulator for many images) are in
-//! `docs/simulation.md` § "Time-parallel activity runs".
+//! counts the same toggles. From batch 1 on, each phase changes one
+//! source group only, so it may settle on that group's static fan-out
+//! cone instead of the whole program ([`Cones`]). The rules (the seam
+//! recount, frozen pad lanes, checks, cone settles, one simulator for many
+//! images) are in `docs/simulation.md` § "Time-parallel activity runs".
 
 use hwlib::ports;
-use netlist::compiled::{CompiledSim, EvalMode, PortId, LANES_PER_WORD};
+use netlist::compiled::{CompiledSim, Cone, EvalMode, PortId, LANES_PER_WORD};
 use netlist::{NetId, Netlist};
 use riscv_emu::{Emulator, RvfiRecord};
 use riscv_isa::Instruction;
@@ -36,7 +38,15 @@ use xcc::CompiledProgram;
 /// Lanes per simulator: one contiguous segment of a run per lane.
 const LANES: usize = LANES_PER_WORD;
 
+/// `E`, what emitting native code for one op costs in native settles of
+/// one op at 64 lanes. Over the 26 exhibit cores, emission ran 55 ns per
+/// op (46–49 ns in two reruns) and a native full settle 1.6 ns per op
+/// (x86-64, 2 vCPUs, one thread). A cone is emitted when the settles it
+/// saves repay its emission ([`Cones::choose`]).
+const EMIT_COST_IN_SETTLES: u64 = 34;
+
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
+static NATIVE_REFUSALS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of [`activity_run`] images that ran on the
 /// sequential [`GateLevelCpu`] because the prediction failed (an emulator
@@ -44,6 +54,14 @@ static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 /// are exact either way; this says which engine produced them.
 pub fn fallbacks() -> u64 {
     FALLBACKS.load(Ordering::Relaxed)
+}
+
+/// Process-wide count of [`activity_run`] calls whose full program or
+/// any chosen cone ran interpreted because codegen refused it (an
+/// unsupported host, a refused emission, or `GATE_SIM_JIT=0`). The
+/// results are exact either way; this says which engine produced them.
+pub fn native_refusals() -> u64 {
+    NATIVE_REFUSALS.load(Ordering::Relaxed)
 }
 
 /// The raw switching-activity counts of one or more runs on one core, as
@@ -73,11 +91,14 @@ impl ActivityRun {
 /// images: each image's counts are bit-identical to [`GateLevelCpu::run`]
 /// on a fresh CPU with that image loaded.
 ///
-/// One 64-lane simulator of `core` settles every image, so the core is
-/// emitted once per call. Each image settles as 64 contiguous segments,
-/// one per lane, when the emulator's prediction holds on every lane;
-/// otherwise that image runs on the sequential CPU and bumps
-/// [`fallbacks`].
+/// One 64-lane simulator of `core` settles every image, over a program
+/// compiled for this call alone (not through the process-wide program
+/// cache, so nothing of it outlives the call). Its phase cones and the
+/// full program are emitted at most once per call ([`Cones::choose`]);
+/// a refused emission bumps [`native_refusals`]. Each image settles as
+/// 64 contiguous segments, one per lane, when the emulator's prediction
+/// holds on every lane; otherwise that image runs on the sequential CPU
+/// and bumps [`fallbacks`].
 ///
 /// # Panics
 ///
@@ -87,9 +108,10 @@ pub fn activity_run(
     images: &[CompiledProgram],
     max_cycles: u64,
 ) -> ActivityRun {
-    let mut sim = CompiledSim::with_lanes_arc(Arc::clone(core), LANES);
-    sim.set_eval_mode(EvalMode::Jit);
+    let mut sim = CompiledSim::with_lanes_uncached(Arc::clone(core), LANES);
     let p = Ports::resolve(&sim, core);
+    let batches = images.len() as u64 * max_cycles.div_ceil(LANES as u64);
+    let cones = Cones::choose(&mut sim, &p, batches);
     let mut total = ActivityRun {
         cycles: 0,
         toggle_total: 0,
@@ -97,7 +119,7 @@ pub fn activity_run(
     };
     for image in images {
         let run = predict(image, max_cycles)
-            .and_then(|cycles| time_parallel(&mut sim, &p, &cycles))
+            .and_then(|cycles| time_parallel(&mut sim, &p, &cones, &cycles))
             .unwrap_or_else(|| {
                 FALLBACKS.fetch_add(1, Ordering::Relaxed);
                 sequential(core, image, max_cycles)
@@ -333,6 +355,86 @@ fn missed(got: impl IntoIterator<Item = u64>, want: &[u64], care: u64) -> u64 {
     }
 }
 
+/// The input ports each phase writes, as indices into [`Ports::inputs`].
+/// Phase 0 writes none: its change is the clock edge.
+const PHASE_INPUTS: [&[usize]; 4] = [&[], &[0], &[1, 2], &[3]];
+
+/// Each phase's static fan-out cone, or `None` where the phase settles
+/// with a full `eval`. Phase 0's cone covers the flip-flops, which on a
+/// RISSP core are the PC flops; it runs from batch 1 on, because batch 0's
+/// phase 0 writes every source and is always a full `eval`.
+///
+/// A cone settle is exact: each phase changes its own source group only,
+/// on a simulator the previous phase left settled, so every op outside
+/// the group's cone would store what it holds and count no toggle
+/// ([`CompiledSim::settle_cone`] asserts the preconditions).
+struct Cones([Option<Cone>; 4]);
+
+impl Cones {
+    /// The cones a call of at most `batches` batches settles on: a phase's
+    /// cone when `batches × (|P| − |cone|) ≥ E × |cone|`, that is when the
+    /// full-program settle work it saves over the call repays emitting it
+    /// (`P` the full program, `E` [`EMIT_COST_IN_SETTLES`]).
+    fn choose(sim: &mut CompiledSim, p: &Ports, batches: u64) -> Cones {
+        let ops = sim.program().len() as u64;
+        Cones::new(sim, p, |cone| {
+            let len = cone.len() as u64;
+            batches * (ops - len) >= EMIT_COST_IN_SETTLES * len
+        })
+    }
+
+    /// Cuts every phase's cone from `sim`'s program and emits those that
+    /// `keep` accepts. Then sets `sim` to native full sweeps when some
+    /// phase still sweeps the whole program, else to interpreted ones
+    /// (batch 0's phase 0 only), and bumps [`native_refusals`] when
+    /// codegen refuses the full program or a kept cone.
+    fn new(sim: &mut CompiledSim, p: &Ports, keep: impl Fn(&Cone) -> bool) -> Cones {
+        let cones = array::from_fn(|phase| {
+            let ports: Vec<PortId> = PHASE_INPUTS[phase].iter().map(|&k| p.inputs[k].0).collect();
+            let mut cone = sim.cone(&ports, phase == 0);
+            keep(&cone).then(|| {
+                // A refusal leaves the cone interpreted, counted below.
+                let _ = sim.emit_cone(&mut cone);
+                cone
+            })
+        });
+        let sweeps = cones.iter().any(Option::is_none);
+        sim.set_eval_mode(if sweeps {
+            EvalMode::Jit
+        } else {
+            EvalMode::FullSweep
+        });
+        if (sweeps && !sim.jit_active()) || cones.iter().flatten().any(|c| !c.is_native()) {
+            NATIVE_REFUSALS.fetch_add(1, Ordering::Relaxed);
+        }
+        Cones(cones)
+    }
+
+    /// Writes phase `phase`'s input ports with `batch`'s words, one lane
+    /// word per port bit, and settles: on the phase's cone if there is
+    /// one, else with a full `eval`.
+    fn settle(&self, sim: &mut CompiledSim, p: &Ports, phase: usize, batch: &[&Cycle; LANES]) {
+        let inputs = PHASE_INPUTS[phase];
+        let mut values = [[0; LANES]; 2];
+        let mut words: [&[u64]; 2] = [&[]; 2];
+        for ((words, values), &k) in words.iter_mut().zip(&mut values).zip(inputs) {
+            *values = array::from_fn(|j| batch[j].input[k]);
+            transpose(values);
+            *words = &values[..p.inputs[k].1];
+        }
+        let words = &words[..inputs.len()];
+        match &self.0[phase] {
+            Some(cone) => sim.settle_cone(cone, words),
+            None => {
+                for (&k, words) in inputs.iter().zip(words) {
+                    sim.set_port_words(p.inputs[k].0, words);
+                }
+                sim.eval();
+            }
+        }
+    }
+}
+
 /// Settles `cycles` as 64 contiguous segments on `sim`; `None` on the
 /// first lane whose outputs miss the prediction.
 ///
@@ -342,13 +444,19 @@ fn missed(got: impl IntoIterator<Item = u64>, want: &[u64], care: u64) -> u64 {
 /// cycle's inputs, so phase 0 is the sequential settle and the simulator
 /// counts every toggle but the seams: batch 0's phase 0, which diffs
 /// against lane `j − 1`'s last phase 3 and is recounted once at the end.
-/// Lanes past the last cycle are frozen copies of it.
+/// Lanes past the last cycle are frozen copies of it. Every phase but
+/// batch 0's phase 0 settles on its cone in `cones` where there is one.
 ///
 /// `sim` may have settled another image before: batch 0 sets every
 /// lane's PC flops and all four input ports before its phase-0 settle,
 /// whose simulator count is replaced by the seam recount, so nothing left
 /// from an earlier run reaches the counts.
-fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<ActivityRun> {
+fn time_parallel(
+    sim: &mut CompiledSim,
+    p: &Ports,
+    cones: &Cones,
+    cycles: &[Cycle],
+) -> Option<ActivityRun> {
     let nets = sim.toggles().len();
     let toggle_sum = |sim: &CompiledSim| sim.toggles().iter().sum::<u64>();
     let Some(last) = cycles.last() else {
@@ -385,15 +493,15 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
     let discarded = toggle_sum(sim);
 
     for b in 0..seg {
+        let batch: [&Cycle; LANES] = array::from_fn(|j| at(j * seg + b));
         if b > 0 {
             // Phase 0: the clock edge, then the re-forced frozen lanes.
             sim.step();
             for j in (n - b).div_ceil(seg)..LANES {
                 set_pc(sim, j, last.pc());
             }
-            sim.eval();
+            cones.settle(sim, p, 0, &batch);
         }
-        let batch: [&Cycle; LANES] = array::from_fn(|j| at(j * seg + b));
         let want: [[u64; LANES]; WORDS] = array::from_fn(|w| {
             let mut t = array::from_fn(|j| batch[j].want[w]);
             transpose(&mut t);
@@ -405,15 +513,13 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
                 missed(nets.iter().map(|&net| sim.lane_word(net)), bits(f), care) == 0
             })
         };
-        let inputs = |k: usize| -> [u64; LANES] { array::from_fn(|j| batch[j].input[k]) };
         let all = !0;
         let loads = bits(LOAD)[0];
         let writes_rd = bits(RD_WE)[0];
         let stores = bits(MEM_WMASK).iter().fold(0, |m, &w| m | w);
 
         // Phase 1: instruction fetch, at the PC the flops hold.
-        drive(sim, p, 0, inputs(0));
-        sim.eval();
+        cones.settle(sim, p, 1, &batch);
         if !holds(
             sim,
             &[
@@ -426,9 +532,7 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
         }
 
         // Phase 2: register file read.
-        drive(sim, p, 1, inputs(1));
-        drive(sim, p, 2, inputs(2));
-        sim.eval();
+        cones.settle(sim, p, 2, &batch);
         if !holds(
             sim,
             &[(&p.dmem_re, LOAD, all), (&p.dmem_addr, MEM_ADDR, loads)],
@@ -437,8 +541,7 @@ fn time_parallel(sim: &mut CompiledSim, p: &Ports, cycles: &[Cycle]) -> Option<A
         }
 
         // Phase 3: data memory read, then the commit.
-        drive(sim, p, 3, inputs(3));
-        sim.eval();
+        cones.settle(sim, p, 3, &batch);
         if !holds(
             sim,
             &[
@@ -540,6 +643,78 @@ mod tests {
         let care = !(1 << 40);
         assert_eq!(missed(got[..5].iter().copied(), &want[..5], care), 0);
         assert_eq!(missed(got[..5].iter().copied(), &want[..5], !0), 1 << 40);
+    }
+
+    /// How a test settles the phases: every cone on (in native code or
+    /// interpreted) or every cone off.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Forced {
+        Native,
+        Interpreted,
+        Off,
+    }
+
+    #[test]
+    fn every_budget_shape_matches_the_sequential_run_with_cones_forced_on_or_off() {
+        use hwlib::HwLibrary;
+        use rissp::campaign::random_program;
+        use rissp::profile::InstructionSubset;
+        use rissp::Rissp;
+        use xcc::OptLevel;
+
+        let lib = HwLibrary::build_full();
+        let core_for = |image: &CompiledProgram| {
+            Arc::new(Rissp::generate_swept(&lib, &InstructionSubset::from_words(&image.words)).core)
+        };
+        // The budgets of `every_budget_shape_matches_the_sequential_run`:
+        // crc32 runs past every one of them (one batch, idle lanes, a
+        // padded last lane, pad lanes held on the last PC), and a random
+        // program halts on either side of its budget.
+        let crc32 = workloads::by_name("crc32")
+            .expect("crc32")
+            .compile(OptLevel::O2)
+            .expect("compiles");
+        let (halting, halt) = (0..64)
+            .map(|seed| xcc::compile(&random_program(seed), OptLevel::O1).expect("compiles"))
+            .find_map(|image| {
+                let n = predict(&image, crate::ACTIVITY_CYCLES)?.len() as u64;
+                (n < crate::ACTIVITY_CYCLES && n > 129 && !n.is_multiple_of(64))
+                    .then_some((image, n))
+            })
+            .expect("a random program halts after 129 cycles");
+        let runs = [
+            (crc32, vec![1, 2, 63, 64, 65, 127, 128, 129, 1000, 4097]),
+            (halting, vec![halt - 1, halt, halt + 1, 4097]),
+        ];
+        for (image, budgets) in runs {
+            let core = core_for(&image);
+            for forced in [Forced::Native, Forced::Interpreted, Forced::Off] {
+                // One simulator and one set of cones for every budget, as
+                // `activity_run` settles many images.
+                // Codegen on or off whatever `GATE_SIM_JIT` says.
+                let mut sim = CompiledSim::with_lanes_uncached(Arc::clone(&core), LANES);
+                sim.set_jit_options(netlist::JitOptions {
+                    enabled: forced != Forced::Interpreted,
+                    ..netlist::JitOptions::default()
+                });
+                let p = Ports::resolve(&sim, &core);
+                let cones = Cones::new(&mut sim, &p, |_| forced != Forced::Off);
+                let native = forced == Forced::Native && netlist::jit::host_supported();
+                for cone in &cones.0 {
+                    assert_eq!(cone.is_some(), forced != Forced::Off);
+                    assert_eq!(cone.as_ref().is_some_and(Cone::is_native), native);
+                }
+                for &budget in &budgets {
+                    let cycles = predict(&image, budget).expect("the emulator predicts");
+                    let got = time_parallel(&mut sim, &p, &cones, &cycles);
+                    assert_eq!(
+                        got,
+                        Some(sequential(&core, &image, budget)),
+                        "{forced:?} at {budget} cycles"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

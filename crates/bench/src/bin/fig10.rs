@@ -24,11 +24,15 @@ fn main() {
     }
     let serv = characterise_serv(&workloads::by_name("crc32").expect("crc32"));
     layouts.push(implement(&serv.metrics, &t, None));
-    // A fallback changes no number, only the speed: report it on stderr,
-    // off the golden stdout.
+    // A fallback or a refused emission changes no number, only the speed:
+    // report it on stderr, off the golden stdout.
     let fallbacks = bench::activity::fallbacks();
     if fallbacks != 0 {
         eprintln!("activity fallbacks: {fallbacks}");
+    }
+    let refusals = bench::activity::native_refusals();
+    if refusals != 0 {
+        eprintln!("activity native refusals: {refusals}");
     }
 
     println!(

@@ -625,12 +625,12 @@ impl CompiledSim {
         CompiledSim::from_parts(netlist, prog, lanes)
     }
 
-    /// Shared constructor body: allocates the K-word state arena for
-    /// `lanes` over an already-compiled `prog`.
+    /// Shared constructor body: the `lanes` state arena over `prog`.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
+    #[inline]
     fn from_parts(netlist: Arc<Netlist>, prog: Arc<Program>, lanes: usize) -> CompiledSim {
         assert!(
             (1..=MAX_TOTAL_LANES).contains(&lanes),
@@ -1403,6 +1403,249 @@ impl SimBackend for CompiledSim {
 
     fn eval_stats(&self) -> EvalStats {
         CompiledSim::eval_stats(self)
+    }
+}
+
+/// The static fan-out cone of some of a program's sources: the
+/// level-ordered sub-stream of the ops that read those sources, directly
+/// or through other ops of the cone ([`CompiledSim::cone`]).
+///
+/// After a settled state, a write to those sources alone changes no net
+/// outside the cone: every op outside it reads only nets that kept their
+/// words, so it would store what it holds and count no toggle. So
+/// [`CompiledSim::settle_cone`] runs the cone's ops only, and leaves the
+/// values and toggles a full [`CompiledSim::eval`] would.
+///
+/// A cone belongs to the program and lane width it was cut from: its ops
+/// index that program's net and input arrays, so it settles only a
+/// simulator of that very [`Program`] (`Arc::ptr_eq`) at that width.
+pub struct Cone {
+    /// The program the cone was cut from (kept alive, so the pointer
+    /// [`CompiledSim::settle_cone`] compares cannot be reused).
+    source: Arc<Program>,
+    lane_words: usize,
+    /// The input ports the cone's settles write, in the caller's order.
+    ports: Vec<PortId>,
+    /// Whether the cone covers the flip-flops ([`OpCode::DffOut`]).
+    ffs: bool,
+    /// The cone's ops as a program over the source's nets: same net and
+    /// input counts, same levels and constants, only ever swept in full,
+    /// so it records no level dependencies and no flip-flops.
+    ops: Program,
+    /// Native code for `ops` ([`CompiledSim::emit_cone`]); `None` runs
+    /// the interpreter.
+    code: Option<crate::jit::JitProgram>,
+}
+
+impl Cone {
+    /// Ops in the cone.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when the cone holds no op.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// True when settles of this cone run emitted native code.
+    #[inline]
+    pub fn is_native(&self) -> bool {
+        self.code.is_some()
+    }
+}
+
+impl CompiledSim {
+    /// Like [`CompiledSim::with_lanes_arc`], but compiles a fresh
+    /// [`Program`] instead of going through the process-wide
+    /// [`crate::cache::ProgramCache`]: no cache entry holds the netlist or
+    /// the program, so they go with the simulator (and the program with
+    /// the last cone cut from it).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
+    #[inline]
+    pub fn with_lanes_uncached(netlist: Arc<Netlist>, lanes: usize) -> CompiledSim {
+        let prog = Arc::new(Program::compile(&netlist));
+        CompiledSim::from_parts(netlist, prog, lanes)
+    }
+
+    /// The static fan-out cone of the input ports `ports`, plus every
+    /// flip-flop when `ffs` is set ([`Cone`]), cut from this simulator's
+    /// program at its lane width. The cone is interpreted until
+    /// [`CompiledSim::emit_cone`] gives it native code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port net is not an input.
+    #[inline]
+    pub fn cone(&self, ports: &[PortId], ffs: bool) -> Cone {
+        let prog = &*self.prog;
+        let gates = self.netlist.gates();
+        // `hit[net]`: the net is a source of the cone or an op of it.
+        let mut hit = vec![false; prog.net_count];
+        for port in ports {
+            for &net in &self.netlist.inputs()[port.0].nets {
+                match gates[net as usize] {
+                    Gate::Input(_) => hit[net as usize] = true,
+                    ref g => panic!("net {net} is not an input: {g:?}"),
+                }
+            }
+        }
+        let mut ops = Program {
+            opcodes: Vec::new(),
+            dst: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
+            c: Vec::new(),
+            bounds: vec![0],
+            level_deps: Vec::new(),
+            dep_stride: 0,
+            consts: prog.consts.clone(),
+            dffs: Vec::new(),
+            net_count: prog.net_count,
+            input_count: prog.input_count,
+            jit: crate::jit::JitSlots::default(),
+        };
+        for level in 0..prog.levels() {
+            for i in prog.level_ops(level) {
+                let (a, b, c) = (prog.a[i] as usize, prog.b[i] as usize, prog.c[i] as usize);
+                let dst = prog.dst[i] as usize;
+                // Unused operand slots hold 0, a real net: read only the
+                // operands the opcode has.
+                let reads = match prog.opcodes[i] {
+                    OpCode::Input => hit[dst],
+                    OpCode::DffOut => ffs,
+                    OpCode::Not => hit[a],
+                    OpCode::Mux => hit[a] || hit[b] || hit[c],
+                    _ => hit[a] || hit[b],
+                };
+                if reads {
+                    hit[dst] = true;
+                    ops.opcodes.push(prog.opcodes[i]);
+                    ops.dst.push(prog.dst[i]);
+                    ops.a.push(prog.a[i]);
+                    ops.b.push(prog.b[i]);
+                    ops.c.push(prog.c[i]);
+                }
+            }
+            ops.bounds.push(ops.opcodes.len() as u32);
+        }
+        Cone {
+            source: Arc::clone(&self.prog),
+            lane_words: self.lane_words,
+            ports: ports.to_vec(),
+            ffs,
+            ops,
+            code: None,
+        }
+    }
+
+    /// Emits native code for `cone` through [`crate::jit::compile`] under
+    /// this simulator's [`crate::jit::JitOptions`]. On a refusal the cone
+    /// keeps (or goes back to) the interpreter, and the error says why.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone` was not cut from this simulator's program at its
+    /// lane width.
+    #[inline]
+    pub fn emit_cone(&self, cone: &mut Cone) -> Result<(), crate::jit::JitError> {
+        self.assert_owns(cone);
+        cone.code = None;
+        let code = crate::jit::compile(&cone.ops, self.lane_words, &self.jit_options)?;
+        cone.code = Some(code);
+        Ok(())
+    }
+
+    /// Writes `cone`'s input ports from lane words (`words[i]` for its
+    /// `i`-th port, as [`CompiledSim::set_port_words`] takes them) and
+    /// settles by running the cone's ops only: the values and toggles a
+    /// full [`CompiledSim::eval`] would leave. It counts one settle and the
+    /// cone's ops in [`EvalStats`], and no full sweep.
+    ///
+    /// Exact by construction: the simulator is settled before the write
+    /// (primed, no other input write pending, and no flip-flop write
+    /// pending unless the cone covers the flip-flops), so every op outside
+    /// the cone reads unchanged words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone` was not cut from this simulator's program at its
+    /// lane width (its ops index this simulator's arrays, native code
+    /// included), if the simulator has not settled once, if an input
+    /// write (or, for a cone without the flip-flops, a flip-flop write) is
+    /// still unsettled, or if `words` does not match the cone's ports.
+    #[inline]
+    pub fn settle_cone(&mut self, cone: &Cone, words: &[&[u64]]) {
+        self.assert_owns(cone);
+        assert!(
+            self.primed,
+            "a cone settles only a primed simulator: the first settle is a full eval"
+        );
+        assert!(
+            !self.inputs_dirty,
+            "an input write is still unsettled: a cone settle covers only its own ports"
+        );
+        assert!(
+            cone.ffs || !self.ffs_dirty,
+            "a flip-flop write is still unsettled and the cone does not cover the flip-flops"
+        );
+        assert_eq!(
+            words.len(),
+            cone.ports.len(),
+            "one lane-word slice per cone port"
+        );
+        for (&port, words) in cone.ports.iter().zip(words) {
+            self.set_port_words(port, words);
+        }
+        if let Some(code) = &cone.code {
+            // SAFETY: `&mut self` is exclusive, and `assert_owns` pinned
+            // the code's layout to these arrays: the cone's ops index the
+            // nets and inputs of this simulator's own program, at this
+            // lane width, and `from_parts` sized the arrays for both.
+            unsafe {
+                code.run(
+                    self.values.as_mut_ptr(),
+                    self.input_values.as_ptr(),
+                    self.ff_state.as_ptr(),
+                    self.toggles.as_mut_ptr(),
+                    self.lane_masks.as_ptr(),
+                );
+            }
+        } else {
+            let arrays = NetArrays {
+                values: self.values.as_mut_ptr(),
+                toggles: self.toggles.as_mut_ptr(),
+                stamp: self.changed_stamp.as_mut_ptr(),
+            };
+            let (inputs, ffs, masks) = (&self.input_values, &self.ff_state, &self.lane_masks);
+            // SAFETY: as above, and `0..len` is the cone's whole stream,
+            // level-ordered, so every operand is settled before it is read.
+            unsafe {
+                dispatch_lane_words!(
+                    masks.len(),
+                    exec_chunk_full_impl(&cone.ops, &arrays, inputs, ffs, masks, 0..cone.len())
+                );
+            }
+        }
+        self.inputs_dirty = false;
+        self.ffs_dirty = false;
+        self.stats.settles += 1;
+        self.stats.ops_executed += cone.len() as u64;
+    }
+
+    /// Panics unless `cone` was cut from this simulator's program at its
+    /// lane width: what makes running its ops on these arrays sound.
+    #[inline]
+    fn assert_owns(&self, cone: &Cone) {
+        assert!(
+            Arc::ptr_eq(&cone.source, &self.prog) && cone.lane_words == self.lane_words,
+            "a cone settles only the simulator program and lane width it was cut from"
+        );
     }
 }
 

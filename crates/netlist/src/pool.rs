@@ -144,7 +144,7 @@ mod tests {
     /// `n` threads over `n` items put every item on its own participant,
     /// the caller being one of them.
     #[test]
-    fn grows_on_demand_and_single_participant_runs_inline() {
+    fn one_thread_runs_on_the_caller_and_n_threads_on_n_participants() {
         let caller = std::thread::current().id();
         for (threads, len) in [(1, 5), (4, 1), (0, 3)] {
             let ran_on = claim_map(threads, &mut vec![(); len], |_, _| {
@@ -363,7 +363,7 @@ mod tests {
     /// Concurrent callers from many threads: every call sees exactly its
     /// own items, whatever the interleaving.
     #[test]
-    fn concurrent_submitters_each_get_exact_tids() {
+    fn concurrent_callers_each_see_exactly_their_own_items() {
         std::thread::scope(|scope| {
             for s in 0..6 {
                 scope.spawn(move || {
