@@ -20,7 +20,7 @@
 //! sequential run drives that cycle settles to the same words, so it
 //! counts the same toggles. From batch 1 on, each phase changes one
 //! source group only, so it may settle on that group's static fan-out
-//! cone instead of the whole program ([`Cones`]). The rules (the seam
+//! cone instead of the whole program (`Cones`). The rules (the seam
 //! recount, frozen pad lanes, checks, cone settles, one simulator for many
 //! images) are in `docs/simulation.md` § "Time-parallel activity runs".
 
@@ -94,7 +94,7 @@ impl ActivityRun {
 /// One 64-lane simulator of `core` settles every image, over a program
 /// compiled for this call alone (not through the process-wide program
 /// cache, so nothing of it outlives the call). Its phase cones and the
-/// full program are emitted at most once per call ([`Cones::choose`]);
+/// full program are emitted at most once per call (`Cones::choose`);
 /// a refused emission bumps [`native_refusals`]. Each image settles as
 /// 64 contiguous segments, one per lane, when the emulator's prediction
 /// holds on every lane; otherwise that image runs on the sequential CPU

@@ -14,7 +14,7 @@ use flexic::{sta, tech::Tech};
 use hwlib::HwLibrary;
 use netlist::stats::GateCounts;
 use riscv_isa::Mnemonic;
-use rissp::processor::build_core;
+use rissp::processor::build_core_stitched;
 use rissp::profile::InstructionSubset;
 use rissp::Rissp;
 
@@ -37,10 +37,10 @@ fn main() {
         } else {
             InstructionSubset::from_names(names.iter().copied())
         };
-        let unopt = build_core(&lib, &subset);
-        let rissp = Rissp::generate_swept(&lib, &subset);
+        let unopt = build_core_stitched(&lib, &subset);
+        let core = netlist::opt::sweep_consed(&unopt);
         let before = GateCounts::of(&unopt).nand2_equivalent();
-        let after = GateCounts::of(&rissp.core).nand2_equivalent();
+        let after = GateCounts::of(&core).nand2_equivalent();
         println!(
             "   {:>2} instructions: stitched {:>7.0} → synthesised {:>7.0} NAND2 ({:>4.1}% removed)",
             subset.len(),

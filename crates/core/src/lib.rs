@@ -93,10 +93,10 @@ impl Rissp {
         Rissp::generate(library, &InstructionSubset::full_isa())
     }
 
-    /// [`Rissp::generate`] with the redundancy removal done by one
-    /// renumbering pass, [`netlist::opt::sweep_consed`], in place of
-    /// [`synthesize`]. `build_core` stitches through the hash-consing
-    /// [`Builder`](netlist::Builder), which already shares and folds
+    /// [`Rissp::generate`] in one pre-sized builder and one renumbering
+    /// pass: [`processor::build_core_stitched`] in place of `build_core`,
+    /// [`netlist::opt::sweep_consed`] in place of [`synthesize`]. The
+    /// hash-consing [`Builder`](netlist::Builder) already shares and folds
     /// everything, so only the dead logic is left to remove: the core and
     /// the [`SynthReport`] are `==` to [`Rissp::generate`]'s, and the core
     /// is allocated at its exact length.
@@ -110,7 +110,7 @@ impl Rissp {
             !subset.is_empty(),
             "cannot generate a RISSP for an empty subset"
         );
-        let unoptimised = processor::build_core(library, subset);
+        let unoptimised = processor::build_core_stitched(library, subset);
         let core = netlist::opt::sweep_consed(&unoptimised);
         let synth = SynthReport {
             gates_before: unoptimised.len(),

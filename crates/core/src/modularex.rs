@@ -1,11 +1,11 @@
 //! ModularEX: the switch-stitched modular execution unit (Step 2).
 //!
-//! The instruction hardware blocks of the subset are imported into one
-//! netlist; an automatically generated switch — "a simple case statement
-//! ... with N cases" (§3.2) — selects which block's outputs drive the
-//! shared interface.  Each block's `sel` output is its own full decode, so
-//! the switch reduces to a one-hot AND/OR mux layer, exactly the structure
-//! synthesis produces for a SystemVerilog `case`.
+//! [`stitch`] imports the subset's instruction hardware blocks into the
+//! caller's builder and adds an automatically generated switch — "a simple
+//! case statement ... with N cases" (§3.2) — that selects which block's
+//! outputs drive the shared interface; [`build_modularex`] does the same in
+//! a netlist of its own. Each block's `sel` output is its own full decode,
+//! so the switch is the one-hot AND/OR mux layer synthesis makes of a `case`.
 
 use hwlib::{ports, HwLibrary};
 use netlist::{Builder, NetId, Netlist};
@@ -71,6 +71,57 @@ pub fn build_modularex(library: &HwLibrary, subset: &InstructionSubset) -> Netli
     let valid = netlist::bus::tree_or(&mut b, &sels);
     b.output("valid", valid);
     b.finish()
+}
+
+/// Stitches ModularEX for `subset` straight into the caller's builder: the
+/// blocks are imported with their input ports bound to `bindings`, and the
+/// switch and `valid` are built there, so no intermediate netlist exists.
+///
+/// Returns the outputs in [`build_modularex`]'s order, [`ports::OUTPUTS`]
+/// without `sel` and then `valid`, without declaring them as ports. With
+/// the five input buses declared first and bound, then these outputs
+/// declared, the builder finishes `==` to [`build_modularex`]'s netlist.
+///
+/// # Panics
+///
+/// Panics if `subset` is empty or `bindings` lacks a block input port.
+#[inline]
+pub fn stitch(
+    b: &mut Builder,
+    library: &HwLibrary,
+    subset: &InstructionSubset,
+    bindings: &HashMap<&str, Vec<NetId>>,
+) -> Vec<(&'static str, Vec<NetId>)> {
+    assert!(!subset.is_empty(), "ModularEX needs at least one block");
+    let mut selected: Vec<(NetId, HashMap<String, Vec<NetId>>)> = Vec::new();
+    for m in subset.iter() {
+        let by_name: HashMap<String, Vec<NetId>> = b
+            .import(&library.block(m).netlist, bindings)
+            .into_iter()
+            .collect();
+        selected.push((by_name[ports::SEL][0], by_name));
+    }
+
+    // The switch, as in `build_modularex`: per output bit, OR over the
+    // blocks of (sel_i AND out_i), in the same order so every fold and
+    // hash-cons hit is the same.
+    let mut outs = Vec::with_capacity(ports::OUTPUTS.len());
+    for (name, width) in ports::OUTPUTS {
+        if name == ports::SEL {
+            continue;
+        }
+        let mut acc: Vec<NetId> = vec![b.zero(); width];
+        for (sel, by_name) in &selected {
+            for (bit, &net) in by_name[name].iter().enumerate() {
+                let gated = b.and(*sel, net);
+                acc[bit] = b.or(acc[bit], gated);
+            }
+        }
+        outs.push((name, acc));
+    }
+    let sels: Vec<NetId> = selected.iter().map(|(s, _)| *s).collect();
+    outs.push(("valid", vec![netlist::bus::tree_or(b, &sels)]));
+    outs
 }
 
 #[cfg(test)]

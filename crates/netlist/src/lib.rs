@@ -625,6 +625,23 @@ impl Builder {
     }
 }
 
+impl Builder {
+    /// Creates an empty builder with room for `gates` gates in the netlist
+    /// and in the hash-consing map. The capacity only saves regrowth: the
+    /// netlists built are `==` to [`Builder::new`]'s, and a low estimate
+    /// just lets the map grow.
+    #[inline]
+    pub fn with_capacity(gates: usize) -> Builder {
+        Builder {
+            netlist: Netlist {
+                gates: Vec::with_capacity(gates),
+                ..Netlist::default()
+            },
+            cache: HashMap::with_capacity(gates),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -289,7 +289,7 @@ mod tests {
     /// every call re-raises its own payload and the clean call still
     /// gets all of its participants.
     #[test]
-    fn repeated_panics_keep_the_pool_at_full_width() {
+    fn every_call_after_repeated_panics_runs_at_full_width() {
         let caller = std::thread::current().id();
         for round in 0..8 {
             let payload = catch_unwind(AssertUnwindSafe(|| {
@@ -334,7 +334,7 @@ mod tests {
     /// Calls are independent: B runs to completion while A is
     /// deliberately stalled mid-item.
     #[test]
-    fn a_job_completes_while_another_is_stalled() {
+    fn a_call_completes_while_another_is_stalled() {
         let gate_open = AtomicBool::new(false);
         let a_running = AtomicUsize::new(0);
         std::thread::scope(|scope| {

@@ -6,12 +6,19 @@
 #   scripts/perfbench-layout.sh <base> [<head>]
 #
 # <head> defaults to HEAD; pass "$(git stash create)" to compare the
-# uncommitted changes to tracked files. The binary embeds its checkout's
-# absolute source paths, so both revisions are checked out into one
-# temporary source path (through a private index, leaving the caller's
-# checkout and index alone) and built into one target directory:
-# $CARGO_TARGET_DIR if set, else a temporary one. Only the files that
-# differ are rewritten for the second build, so it is incremental.
+# uncommitted changes to tracked files. Both revisions are checked out
+# into one fixed source path, /tmp/perfbench-layout/src (through a
+# private index, leaving the caller's checkout and index alone), and
+# built into one target directory: $CARGO_TARGET_DIR if set, else a
+# temporary one. Only the files that differ are rewritten for the second
+# build, so it is incremental. The path is fixed because the binary
+# depends on it twice over: it embeds its source paths, which both builds
+# remap to `.` (`--remap-path-prefix`, appended to $RUSTFLAGS), and cargo
+# hashes the absolute path of every crate perfbench links from outside
+# its own workspace into that crate's `-C metadata`, which names its
+# symbols and so orders code in every loaded section; no flag remaps
+# that. So a revision's section hashes are the same in every run and can
+# be compared across runs. A lock makes concurrent runs take turns.
 #
 # Prints the sha256 prefix of each identical section, a `::warning::`
 # line for each section that differs and for a moved `calib::run`, and
@@ -27,13 +34,18 @@ repo=$(git rev-parse --show-toplevel) || exit 2
 base=$(git -C "$repo" rev-parse --verify "$1^{commit}") || exit 2
 head=$(git -C "$repo" rev-parse --verify "${2:-HEAD}^{commit}") || exit 2
 
+mkdir -p /tmp/perfbench-layout || exit 2
+exec 9>/tmp/perfbench-layout/lock
+flock 9 || exit 2
+src=/tmp/perfbench-layout/src
+rm -rf "$src"
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-src="$tmp/src"
+trap 'rm -rf "$tmp" "$src"' EXIT
 out="$tmp/out"
 mkdir -p "$src" "$out"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$tmp/target}"
 export GIT_INDEX_FILE="$tmp/index"
+export RUSTFLAGS="${RUSTFLAGS:+$RUSTFLAGS }--remap-path-prefix=$src=."
 
 # build <name> <read-tree args...>: moves the source path to a revision
 # and copies the driver it builds to $out/<name>.

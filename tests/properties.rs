@@ -145,3 +145,69 @@ fn mutation_coverage_holds_for_sampled_blocks() {
         assert_eq!(report.killed, report.observable, "{m}: {report:?}");
     }
 }
+
+/// The subset whose bits are set in `mask`, over `ALL_MNEMONICS`.
+fn subset_of(mask: u64) -> rissp::profile::InstructionSubset {
+    ALL_MNEMONICS
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| (mask >> i) & 1 == 1)
+        .map(|(_, &m)| m)
+        .collect()
+}
+
+/// ModularEX stitched into `b`: the five block input buses, then
+/// `modularex::stitch`, then its outputs as ports.
+fn stitched_modularex(
+    mut b: netlist::Builder,
+    library: &hwlib::HwLibrary,
+    subset: &rissp::profile::InstructionSubset,
+) -> netlist::Netlist {
+    use hwlib::ports;
+    let mut bindings = std::collections::HashMap::new();
+    for name in [
+        ports::PC,
+        ports::INSN,
+        ports::RS1_DATA,
+        ports::RS2_DATA,
+        ports::DMEM_RDATA,
+    ] {
+        bindings.insert(name, b.input_bus(name, 32));
+    }
+    for (name, nets) in rissp::modularex::stitch(&mut b, library, subset, &bindings) {
+        b.output_bus(name, &nets);
+    }
+    b.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Stitching ModularEX straight into the core's pre-sized builder gives
+    /// the core that building ModularEX on its own and importing it gives;
+    /// and the switch stitched into a fresh builder of any capacity is the
+    /// ModularEX netlist itself.
+    #[test]
+    fn stitched_core_and_modularex_match_the_imported_ones(mask in 1u64..1 << 37) {
+        use std::sync::OnceLock;
+        static LIBRARY: OnceLock<hwlib::HwLibrary> = OnceLock::new();
+        let library = LIBRARY.get_or_init(hwlib::HwLibrary::build_full);
+        let subset = subset_of(mask);
+        // Not `prop_assert_eq!`: a core's `Debug` runs to ~100k gates.
+        prop_assert!(
+            rissp::processor::build_core_stitched(library, &subset)
+                == rissp::processor::build_core(library, &subset),
+            "core differs for {}", subset
+        );
+        let modularex = rissp::modularex::build_modularex(library, &subset);
+        let block_gates: usize = subset.iter().map(|m| library.block(m).netlist.len()).sum();
+        prop_assert!(stitched_modularex(netlist::Builder::new(), library, &subset) == modularex);
+        for capacity in [0, block_gates / 16, 4 * block_gates] {
+            prop_assert!(
+                stitched_modularex(netlist::Builder::with_capacity(capacity), library, &subset)
+                    == modularex,
+                "capacity {} for {}", capacity, subset
+            );
+        }
+    }
+}
