@@ -664,7 +664,7 @@ mod tests {
 
         let lib = HwLibrary::build_full();
         let core_for = |image: &CompiledProgram| {
-            Arc::new(Rissp::generate_swept(&lib, &InstructionSubset::from_words(&image.words)).core)
+            Arc::new(Rissp::generate(&lib, &InstructionSubset::from_words(&image.words)).core)
         };
         // The budgets of `every_budget_shape_matches_the_sequential_run`:
         // crc32 runs past every one of them (one batch, idle lanes, a

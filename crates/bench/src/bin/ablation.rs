@@ -14,7 +14,7 @@ use flexic::{sta, tech::Tech};
 use hwlib::HwLibrary;
 use netlist::stats::GateCounts;
 use riscv_isa::Mnemonic;
-use rissp::processor::build_core_stitched;
+use rissp::processor::build_core;
 use rissp::profile::InstructionSubset;
 use rissp::Rissp;
 
@@ -37,8 +37,8 @@ fn main() {
         } else {
             InstructionSubset::from_names(names.iter().copied())
         };
-        let unopt = build_core_stitched(&lib, &subset);
-        let core = netlist::opt::sweep_consed(&unopt);
+        let unopt = build_core(&lib, &subset);
+        let core = netlist::opt::sweep(&unopt);
         let before = GateCounts::of(&unopt).nand2_equivalent();
         let after = GateCounts::of(&core).nand2_equivalent();
         println!(
@@ -114,7 +114,7 @@ fn main() {
     let mut prev_area = 0.0;
     for (label, members) in groups {
         subset.extend(members);
-        let rissp = Rissp::generate_swept(&lib, &subset);
+        let rissp = Rissp::generate(&lib, &subset);
         let area = GateCounts::of(&rissp.core).nand2_equivalent();
         let cp = sta::critical_path_ns(&rissp.core, &t);
         println!(

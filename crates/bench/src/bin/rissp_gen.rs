@@ -80,7 +80,7 @@ fn main() {
 
     println!("subset: {subset}");
     let lib = HwLibrary::build_full();
-    let rissp = Rissp::generate_swept(&lib, &subset);
+    let rissp = Rissp::generate(&lib, &subset);
     let counts = GateCounts::of(&rissp.core);
     println!(
         "generated RISSP-{name}: {} gates / {:.0} NAND2-equivalents ({} FFs, {:.1}% FF area)",

@@ -43,7 +43,7 @@ pub struct CharacterisedDesign {
 pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> CharacterisedDesign {
     let image = w.compile(OptLevel::O2).expect("workload compiles");
     let subset = InstructionSubset::from_words(&image.words);
-    let core = Arc::new(Rissp::generate_swept(lib, &subset).core);
+    let core = Arc::new(Rissp::generate(lib, &subset).core);
     let activity =
         activity::activity_run(&core, slice::from_ref(&image), ACTIVITY_CYCLES).activity();
     CharacterisedDesign {
@@ -61,7 +61,7 @@ pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> Charact
 /// methodologically identical to [`characterise_workload`], just over the
 /// whole suite instead of one representative workload.
 pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech) -> CharacterisedDesign {
-    let core = Arc::new(Rissp::generate_swept(lib, &InstructionSubset::full_isa()).core);
+    let core = Arc::new(Rissp::generate(lib, &InstructionSubset::full_isa()).core);
     let images: Vec<_> = workloads::all()
         .iter()
         .map(|w| w.compile(OptLevel::O2).expect("workload compiles"))

@@ -47,7 +47,7 @@ pub mod riscof;
 pub mod rvfi;
 
 use hwlib::HwLibrary;
-use netlist::opt::{synthesize, SynthReport};
+use netlist::opt::{sweep, SynthReport};
 use netlist::Netlist;
 use profile::InstructionSubset;
 
@@ -67,8 +67,11 @@ pub struct Rissp {
 
 impl Rissp {
     /// Generates a RISSP for `subset` from the pre-verified library
-    /// (Steps 2–3 of the methodology), running the synthesis optimiser over
-    /// the stitched design.
+    /// (Steps 2–3 of the methodology): [`processor::build_core`] stitches
+    /// the design in one hash-consing [`Builder`](netlist::Builder), which
+    /// already shares and folds everything, so [`sweep`] removing the dead
+    /// logic is the whole synthesis pass. The core is allocated at its
+    /// exact length.
     ///
     /// # Panics
     ///
@@ -79,7 +82,11 @@ impl Rissp {
             "cannot generate a RISSP for an empty subset"
         );
         let unoptimised = processor::build_core(library, subset);
-        let (core, synth) = synthesize(&unoptimised);
+        let core = sweep(&unoptimised);
+        let synth = SynthReport {
+            gates_before: unoptimised.len(),
+            gates_after: core.len(),
+        };
         Rissp {
             subset: subset.clone(),
             core,
@@ -91,36 +98,6 @@ impl Rissp {
     /// RV32E ISA (`RISSP-RV32E` in the paper's evaluation).
     pub fn generate_full_isa(library: &HwLibrary) -> Rissp {
         Rissp::generate(library, &InstructionSubset::full_isa())
-    }
-
-    /// [`Rissp::generate`] in one pre-sized builder and one renumbering
-    /// pass: [`processor::build_core_stitched`] in place of `build_core`,
-    /// [`netlist::opt::sweep_consed`] in place of [`synthesize`]. The
-    /// hash-consing [`Builder`](netlist::Builder) already shares and folds
-    /// everything, so only the dead logic is left to remove: the core and
-    /// the [`SynthReport`] are `==` to [`Rissp::generate`]'s, and the core
-    /// is allocated at its exact length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` is empty.
-    #[inline]
-    pub fn generate_swept(library: &HwLibrary, subset: &InstructionSubset) -> Rissp {
-        assert!(
-            !subset.is_empty(),
-            "cannot generate a RISSP for an empty subset"
-        );
-        let unoptimised = processor::build_core_stitched(library, subset);
-        let core = netlist::opt::sweep_consed(&unoptimised);
-        let synth = SynthReport {
-            gates_before: unoptimised.len(),
-            gates_after: core.len(),
-        };
-        Rissp {
-            subset: subset.clone(),
-            core,
-            synth,
-        }
     }
 }
 

@@ -3,8 +3,8 @@
 //! [`stitch`] imports the subset's instruction hardware blocks into the
 //! caller's builder and adds an automatically generated switch — "a simple
 //! case statement ... with N cases" (§3.2) — that selects which block's
-//! outputs drive the shared interface; [`build_modularex`] does the same in
-//! a netlist of its own. Each block's `sel` output is its own full decode,
+//! outputs drive the shared interface; [`build_modularex`] wraps it in a
+//! netlist of its own. Each block's `sel` output is its own full decode,
 //! so the switch is the one-hot AND/OR mux layer synthesis makes of a `case`.
 
 use hwlib::{ports, HwLibrary};
@@ -13,7 +13,8 @@ use std::collections::HashMap;
 
 use crate::profile::InstructionSubset;
 
-/// Builds the ModularEX netlist for `subset`.
+/// Builds the ModularEX netlist for `subset`: the five block input buses,
+/// [`stitch`] and its outputs as ports, in a builder of its own.
 ///
 /// Interface: the standard block ports (Table 2) plus a 1-bit `valid`
 /// output that asserts when the presented instruction decodes to *some*
@@ -24,52 +25,20 @@ use crate::profile::InstructionSubset;
 ///
 /// Panics if `subset` is empty.
 pub fn build_modularex(library: &HwLibrary, subset: &InstructionSubset) -> Netlist {
-    assert!(!subset.is_empty(), "ModularEX needs at least one block");
     let mut b = Builder::new();
-    let pc = b.input_bus(ports::PC, 32);
-    let insn = b.input_bus(ports::INSN, 32);
-    let rs1_data = b.input_bus(ports::RS1_DATA, 32);
-    let rs2_data = b.input_bus(ports::RS2_DATA, 32);
-    let dmem_rdata = b.input_bus(ports::DMEM_RDATA, 32);
-
     let mut bindings: HashMap<&str, Vec<NetId>> = HashMap::new();
-    bindings.insert(ports::PC, pc);
-    bindings.insert(ports::INSN, insn);
-    bindings.insert(ports::RS1_DATA, rs1_data);
-    bindings.insert(ports::RS2_DATA, rs2_data);
-    bindings.insert(ports::DMEM_RDATA, dmem_rdata);
-
-    // Import every block and collect (sel, outputs-by-name).
-    let mut selected: Vec<(NetId, HashMap<String, Vec<NetId>>)> = Vec::new();
-    for m in subset.iter() {
-        let block = library.block(m);
-        let outs = b.import(&block.netlist, &bindings);
-        let by_name: HashMap<String, Vec<NetId>> = outs.into_iter().collect();
-        let sel = by_name[ports::SEL][0];
-        selected.push((sel, by_name));
+    for name in [
+        ports::PC,
+        ports::INSN,
+        ports::RS1_DATA,
+        ports::RS2_DATA,
+        ports::DMEM_RDATA,
+    ] {
+        bindings.insert(name, b.input_bus(name, 32));
     }
-
-    // The switch: for every output bus, OR together (sel_i AND out_i).
-    // Blocks already zero their unused outputs, but gating with sel is what
-    // the generated SystemVerilog case statement does, and it guarantees
-    // exactly one driver even for overlapping don't-care outputs.
-    for (name, width) in ports::OUTPUTS {
-        if name == ports::SEL {
-            continue;
-        }
-        let mut acc: Vec<NetId> = vec![b.zero(); width];
-        for (sel, outs) in &selected {
-            let nets = &outs[name];
-            for (bit, &net) in nets.iter().enumerate() {
-                let gated = b.and(*sel, net);
-                acc[bit] = b.or(acc[bit], gated);
-            }
-        }
-        b.output_bus(name, &acc);
+    for (name, nets) in stitch(&mut b, library, subset, &bindings) {
+        b.output_bus(name, &nets);
     }
-    let sels: Vec<NetId> = selected.iter().map(|(s, _)| *s).collect();
-    let valid = netlist::bus::tree_or(&mut b, &sels);
-    b.output("valid", valid);
     b.finish()
 }
 
@@ -77,15 +46,12 @@ pub fn build_modularex(library: &HwLibrary, subset: &InstructionSubset) -> Netli
 /// blocks are imported with their input ports bound to `bindings`, and the
 /// switch and `valid` are built there, so no intermediate netlist exists.
 ///
-/// Returns the outputs in [`build_modularex`]'s order, [`ports::OUTPUTS`]
-/// without `sel` and then `valid`, without declaring them as ports. With
-/// the five input buses declared first and bound, then these outputs
-/// declared, the builder finishes `==` to [`build_modularex`]'s netlist.
+/// Returns the outputs in [`ports::OUTPUTS`] order without `sel`, then
+/// `valid`, without declaring them as ports.
 ///
 /// # Panics
 ///
 /// Panics if `subset` is empty or `bindings` lacks a block input port.
-#[inline]
 pub fn stitch(
     b: &mut Builder,
     library: &HwLibrary,
@@ -102,9 +68,10 @@ pub fn stitch(
         selected.push((by_name[ports::SEL][0], by_name));
     }
 
-    // The switch, as in `build_modularex`: per output bit, OR over the
-    // blocks of (sel_i AND out_i), in the same order so every fold and
-    // hash-cons hit is the same.
+    // The switch: for every output bus, OR together (sel_i AND out_i).
+    // Blocks already zero their unused outputs, but gating with sel is what
+    // the generated SystemVerilog case statement does, and it guarantees
+    // exactly one driver even for overlapping don't-care outputs.
     let mut outs = Vec::with_capacity(ports::OUTPUTS.len());
     for (name, width) in ports::OUTPUTS {
         if name == ports::SEL {

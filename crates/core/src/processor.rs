@@ -23,10 +23,13 @@ use riscv_isa::semantics::Memory as _;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::modularex::build_modularex;
+use crate::modularex::stitch;
 use crate::profile::InstructionSubset;
 
-/// Builds the complete core netlist: ModularEX plus the fetch unit.
+/// Builds the complete core netlist: ModularEX plus the fetch unit, in one
+/// builder. [`stitch`] builds ModularEX straight into the core's
+/// [`Builder`], which is sized up front for the core's inputs and
+/// flip-flops plus every block's gates.
 ///
 /// Interface:
 /// * inputs — `insn`, `rs1_data`, `rs2_data`, `dmem_rdata`;
@@ -37,8 +40,8 @@ use crate::profile::InstructionSubset;
 ///
 /// Panics if `subset` is empty.
 pub fn build_core(library: &HwLibrary, subset: &InstructionSubset) -> Netlist {
-    let mex = build_modularex(library, subset);
-    let mut b = Builder::new();
+    let block_gates: usize = subset.iter().map(|m| library.block(m).netlist.len()).sum();
+    let mut b = Builder::with_capacity(160 + block_gates);
     let insn = b.input_bus(ports::INSN, 32);
     let rs1_data = b.input_bus(ports::RS1_DATA, 32);
     let rs2_data = b.input_bus(ports::RS2_DATA, 32);
@@ -53,15 +56,14 @@ pub fn build_core(library: &HwLibrary, subset: &InstructionSubset) -> Netlist {
     bindings.insert(ports::RS1_DATA, rs1_data);
     bindings.insert(ports::RS2_DATA, rs2_data);
     bindings.insert(ports::DMEM_RDATA, dmem_rdata);
-    let outs = build_modularex_into(&mut b, &mex, &bindings);
+    let outs = stitch(&mut b, library, subset, &bindings);
 
     // next_pc feeds the PC register.
-    let next_pc = outs
+    let (_, next_pc) = outs
         .iter()
-        .find(|(name, _)| name == ports::NEXT_PC)
-        .map(|(_, nets)| nets.clone())
+        .find(|(name, _)| *name == ports::NEXT_PC)
         .expect("ModularEX exposes next_pc");
-    for (ff, d) in pc.iter().zip(&next_pc) {
+    for (ff, d) in pc.iter().zip(next_pc) {
         b.connect_dff(*ff, *d);
     }
 
@@ -70,14 +72,6 @@ pub fn build_core(library: &HwLibrary, subset: &InstructionSubset) -> Netlist {
         b.output_bus(name, nets);
     }
     b.finish()
-}
-
-fn build_modularex_into(
-    b: &mut Builder,
-    mex: &Netlist,
-    bindings: &HashMap<&str, Vec<NetId>>,
-) -> Vec<(String, Vec<NetId>)> {
-    b.import(mex, bindings)
 }
 
 /// An execution fault at gate level.
@@ -663,54 +657,6 @@ impl BatchedGateLevelCpu {
             })
             .collect()
     }
-}
-
-/// [`build_core`] in one builder: [`stitch`](crate::modularex::stitch)
-/// builds ModularEX straight into the core's [`Builder`], which is sized
-/// up front for the core's inputs and flip-flops plus every block's gates.
-///
-/// The result is `==` to [`build_core`]'s: that function's import of the
-/// intermediate ModularEX netlist only replays its gates in order, under
-/// an id map that is one to one and keeps constants constant, so every
-/// fold and every hash-cons hit happens here in the same order.
-///
-/// # Panics
-///
-/// Panics if `subset` is empty.
-#[inline]
-pub fn build_core_stitched(library: &HwLibrary, subset: &InstructionSubset) -> Netlist {
-    let block_gates: usize = subset.iter().map(|m| library.block(m).netlist.len()).sum();
-    let mut b = Builder::with_capacity(160 + block_gates);
-    let insn = b.input_bus(ports::INSN, 32);
-    let rs1_data = b.input_bus(ports::RS1_DATA, 32);
-    let rs2_data = b.input_bus(ports::RS2_DATA, 32);
-    let dmem_rdata = b.input_bus(ports::DMEM_RDATA, 32);
-
-    // Fetch unit: the PC register (reset vector 0).
-    let pc: Vec<NetId> = (0..32).map(|_| b.dff(false)).collect();
-
-    let mut bindings: HashMap<&str, Vec<NetId>> = HashMap::new();
-    bindings.insert(ports::PC, pc.clone());
-    bindings.insert(ports::INSN, insn);
-    bindings.insert(ports::RS1_DATA, rs1_data);
-    bindings.insert(ports::RS2_DATA, rs2_data);
-    bindings.insert(ports::DMEM_RDATA, dmem_rdata);
-    let outs = crate::modularex::stitch(&mut b, library, subset, &bindings);
-
-    // next_pc feeds the PC register.
-    let (_, next_pc) = outs
-        .iter()
-        .find(|(name, _)| *name == ports::NEXT_PC)
-        .expect("ModularEX exposes next_pc");
-    for (ff, d) in pc.iter().zip(next_pc) {
-        b.connect_dff(*ff, *d);
-    }
-
-    b.output_bus("pc", &pc);
-    for (name, nets) in &outs {
-        b.output_bus(name, nets);
-    }
-    b.finish()
 }
 
 #[cfg(test)]

@@ -630,7 +630,6 @@ impl CompiledSim {
     /// # Panics
     ///
     /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
-    #[inline]
     fn from_parts(netlist: Arc<Netlist>, prog: Arc<Program>, lanes: usize) -> CompiledSim {
         assert!(
             (1..=MAX_TOTAL_LANES).contains(&lanes),

@@ -287,7 +287,7 @@ impl Netlist {
 /// Identical gates are shared automatically; constant operands are folded at
 /// construction, so the blocks emitted by `hwlib` are already locally
 /// minimal; [`Builder::import`] does the cross-block sharing the paper
-/// leaves to synthesis, so [`opt::sweep_consed`] has only dead logic left.
+/// leaves to synthesis, so [`opt::sweep`] has only dead logic left.
 #[derive(Debug, Default)]
 pub struct Builder {
     netlist: Netlist,
@@ -301,6 +301,20 @@ impl Builder {
     /// Creates an empty builder.
     pub fn new() -> Builder {
         Builder::default()
+    }
+
+    /// Creates an empty builder with room for `gates` gates in the netlist
+    /// and in the hash-consing map. The capacity only saves regrowth: the
+    /// netlists built are `==` to [`Builder::new`]'s, and a low estimate
+    /// just lets the map grow.
+    pub fn with_capacity(gates: usize) -> Builder {
+        Builder {
+            netlist: Netlist {
+                gates: Vec::with_capacity(gates),
+                ..Netlist::default()
+            },
+            cache: HashMap::with_capacity(gates),
+        }
     }
 
     fn push(&mut self, gate: Gate) -> NetId {
@@ -622,23 +636,6 @@ impl Builder {
             }
         }
         self.netlist
-    }
-}
-
-impl Builder {
-    /// Creates an empty builder with room for `gates` gates in the netlist
-    /// and in the hash-consing map. The capacity only saves regrowth: the
-    /// netlists built are `==` to [`Builder::new`]'s, and a low estimate
-    /// just lets the map grow.
-    #[inline]
-    pub fn with_capacity(gates: usize) -> Builder {
-        Builder {
-            netlist: Netlist {
-                gates: Vec::with_capacity(gates),
-                ..Netlist::default()
-            },
-            cache: HashMap::with_capacity(gates),
-        }
     }
 }
 

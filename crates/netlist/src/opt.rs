@@ -3,17 +3,18 @@
 //! The paper leaves all optimisation to synthesis, which "will optimize the
 //! gate netlists by maximizing the resource sharing" (§3.3). Here the
 //! hash-consing [`Builder`] already shares and folds while it stitches, so
-//! for a netlist it built only dead-logic removal is left, and
-//! [`sweep_consed`] does that by renumbering (lemma: the live gates stay
-//! distinct and unfoldable, so the result is `==` to [`sweep`]'s and to
-//! [`synthesize`]'s). [`synthesize`] re-conses netlists built otherwise;
-//! [`check_equivalence`] stands in for post-synthesis equivalence checks.
+//! for a netlist it built only dead-logic removal is left: [`sweep`] does
+//! that by renumbering. [`synthesize`] re-conses any netlist through a
+//! fresh [`Builder`] and then sweeps it; it is the reference [`sweep`] is
+//! tested against. [`check_equivalence`] stands in for post-synthesis
+//! equivalence checks.
 
 use crate::sharded::{ShardPolicy, ShardedSim};
 use crate::{Builder, Gate, NetId, Netlist, Port};
 use std::collections::HashMap;
 
-/// Statistics from one [`synthesize`] run.
+/// Gate counts around one optimisation run: [`synthesize`], or [`sweep`]
+/// of a [`Builder`] netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthReport {
     /// Gate count before optimisation.
@@ -33,7 +34,9 @@ impl SynthReport {
 }
 
 /// Rebuilds `netlist` with maximal structural sharing and dead-logic
-/// removal, preserving port names and order.
+/// removal, preserving port names and order: pass 1 re-conses every gate
+/// through a fresh [`Builder`], pass 2 is [`sweep`], which is exact on the
+/// [`Builder`] netlist pass 1 makes.
 pub fn synthesize(netlist: &Netlist) -> (Netlist, SynthReport) {
     // Pass 1: re-cons every gate through a fresh builder.
     let mut b = Builder::new();
@@ -102,7 +105,7 @@ pub fn synthesize(netlist: &Netlist) -> (Netlist, SynthReport) {
     }
     let consed = b.finish();
 
-    // Pass 2: sweep gates unreachable from outputs or DFF data inputs.
+    // Pass 2: sweep gates unreachable from outputs or live DFF data inputs.
     let swept = sweep(&consed);
     let report = SynthReport {
         gates_before: netlist.len(),
@@ -111,110 +114,111 @@ pub fn synthesize(netlist: &Netlist) -> (Netlist, SynthReport) {
     (swept, report)
 }
 
-/// Removes logic not reachable from any output port or DFF `d` input.
+/// Removes the logic of a [`Builder`] netlist that no output port
+/// reaches: one renumbering pass, no hashing.
+///
+/// A gate is live when an output port or a live DFF's `d` input reaches
+/// it, and every input pin stays. The live gates are renumbered:
+/// - the input nets first, in port order, as `Input(0)`, `Input(1)`, …;
+/// - then every live non-input gate, in its original order.
+///
+/// `And`/`Or`/`Xor` operands are re-sorted `(min, max)` as the [`Builder`]
+/// sorts them, because moving the inputs to the front can reverse two
+/// operands. Every `Vec` of the result is allocated at its final length,
+/// so a caller that keeps the netlist keeps no spare capacity.
+///
+/// This is dead-logic removal only, and it is exact for a netlist the
+/// [`Builder`] made. **Lemma:** the result is then `==` to what
+/// rebuilding the live gates through a fresh [`Builder`] gives. The
+/// builder left no two gates equal and no gate that one of its folding
+/// rules rewrites. Both facts depend only on each gate's kind, its
+/// operands' kinds and which of its operands are equal. Removing dead
+/// gates and renumbering injectively keeps all three, so the live gates
+/// stay distinct and unfoldable. A netlist made some other way (a
+/// [`Netlist::with_gate_replaced`] mutant, or one with `Nand`/`Nor`/`Xnor`
+/// gates, which the builder never emits) gets the same liveness and
+/// numbering but no sharing or folding; use [`synthesize`] for it.
 pub fn sweep(netlist: &Netlist) -> Netlist {
-    let n = netlist.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<NetId> = Vec::new();
-    for port in netlist.outputs() {
-        stack.extend(&port.nets);
-    }
-    for (id, gate) in netlist.gates().iter().enumerate() {
-        if let Gate::Dff { d, .. } = gate {
-            // A DFF is a root only if its output is reachable; handled below
-            // by treating reachable DFFs' `d` as live.  Seed nothing here.
-            let _ = (id, d);
-        }
-    }
+    let gates = netlist.gates();
+    let mut live = vec![false; gates.len()];
+    let mut stack: Vec<NetId> = netlist
+        .outputs()
+        .iter()
+        .flat_map(|p| p.nets.iter().copied())
+        .collect();
     while let Some(id) = stack.pop() {
-        if live[id as usize] {
+        if std::mem::replace(&mut live[id as usize], true) {
             continue;
         }
-        live[id as usize] = true;
-        let gate = netlist.gates()[id as usize];
-        for f in gate.fanin() {
-            stack.push(f);
-        }
+        let gate = gates[id as usize];
+        stack.extend(gate.fanin());
         if let Gate::Dff { d, .. } = gate {
             stack.push(d);
         }
     }
-    // Inputs stay (they are the module's pins) even if unused.
+    let mut map: Vec<NetId> = vec![NetId::MAX; gates.len()];
+    let mut next: NetId = 0;
     for port in netlist.inputs() {
         for &net in &port.nets {
-            live[net as usize] = true;
+            map[net as usize] = next;
+            next += 1;
         }
     }
-    // Rebuild, keeping live gates in order.
-    let mut b = Builder::new();
-    let mut map: Vec<NetId> = vec![NetId::MAX; n];
-    let mut input_nets: HashMap<u32, NetId> = HashMap::new();
-    for port in netlist.inputs() {
-        let nets = b.input_bus(&port.name, port.nets.len());
-        for (&old, new) in port.nets.iter().zip(nets) {
-            if let Gate::Input(idx) = netlist.gates()[old as usize] {
-                input_nets.insert(idx, new);
-            }
-        }
+    let input_bits = next;
+    let kept = |id: usize| live[id] && !matches!(gates[id], Gate::Input(_));
+    for id in (0..gates.len()).filter(|&id| kept(id)) {
+        map[id] = next;
+        next += 1;
     }
-    let mut dff_fixups: Vec<(NetId, NetId)> = Vec::new();
-    for (id, gate) in netlist.gates().iter().enumerate() {
-        if !live[id] {
-            continue;
-        }
-        let new_id = match *gate {
-            Gate::Const(v) => b.constant(v),
-            Gate::Input(idx) => input_nets[&idx],
-            Gate::Not(x) => {
-                let x = map[x as usize];
-                b.not(x)
-            }
+    let m = |x: NetId| map[x as usize];
+    let sorted = |x: NetId, y: NetId| {
+        let (x, y) = (m(x), m(y));
+        (x.min(y), x.max(y))
+    };
+    let mut out: Vec<Gate> = Vec::with_capacity(next as usize);
+    out.extend((0..input_bits).map(Gate::Input));
+    for id in (0..gates.len()).filter(|&id| kept(id)) {
+        out.push(match gates[id] {
+            Gate::Const(v) => Gate::Const(v),
+            Gate::Input(_) => unreachable!("input pins are renumbered first"),
+            Gate::Not(x) => Gate::Not(m(x)),
             Gate::And(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.and(x, y)
+                let (x, y) = sorted(x, y);
+                Gate::And(x, y)
             }
             Gate::Or(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.or(x, y)
+                let (x, y) = sorted(x, y);
+                Gate::Or(x, y)
             }
             Gate::Xor(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.xor(x, y)
+                let (x, y) = sorted(x, y);
+                Gate::Xor(x, y)
             }
-            Gate::Nand(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.nand(x, y)
-            }
-            Gate::Nor(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.nor(x, y)
-            }
-            Gate::Xnor(x, y) => {
-                let (x, y) = (map[x as usize], map[y as usize]);
-                b.xnor(x, y)
-            }
-            Gate::Mux { sel, a, b: bb } => {
-                let (sel, a, bb) = (map[sel as usize], map[a as usize], map[bb as usize]);
-                b.mux(sel, a, bb)
-            }
-            Gate::Dff { d, init } => {
-                let ff = b.dff(init);
-                dff_fixups.push((ff, d));
-                ff
-            }
-        };
-        map[id] = new_id;
+            Gate::Nand(x, y) => Gate::Nand(m(x), m(y)),
+            Gate::Nor(x, y) => Gate::Nor(m(x), m(y)),
+            Gate::Xnor(x, y) => Gate::Xnor(m(x), m(y)),
+            Gate::Mux { sel, a, b } => Gate::Mux {
+                sel: m(sel),
+                a: m(a),
+                b: m(b),
+            },
+            Gate::Dff { d, init } => Gate::Dff { d: m(d), init },
+        });
     }
-    for (ff, old_d) in dff_fixups {
-        let d = map[old_d as usize];
-        assert_ne!(d, NetId::MAX, "live DFF feeds from dead logic");
-        b.connect_dff(ff, d);
+    let renumber = |ports: &[Port]| -> Vec<Port> {
+        ports
+            .iter()
+            .map(|p| Port {
+                name: p.name.clone(),
+                nets: p.nets.iter().map(|&n| m(n)).collect(),
+            })
+            .collect()
+    };
+    Netlist {
+        gates: out,
+        inputs: renumber(netlist.inputs()),
+        outputs: renumber(netlist.outputs()),
     }
-    for port in netlist.outputs() {
-        let nets: Vec<NetId> = port.nets.iter().map(|&n| map[n as usize]).collect();
-        b.output_bus(&port.name, &nets);
-    }
-    b.finish()
 }
 
 /// Randomised combinational equivalence check between two netlists with
@@ -356,115 +360,6 @@ pub fn check_equivalence_with(
     Ok(())
 }
 
-/// [`sweep`] for a netlist the [`Builder`] made: one renumbering pass, no
-/// hashing.
-///
-/// Liveness is [`sweep`]'s: a gate is live when an output port or a live
-/// DFF's `d` input reaches it, and every input pin stays. The live gates
-/// are then renumbered:
-/// - the input nets first, in port order, as `Input(0)`, `Input(1)`, …;
-/// - then every live non-input gate, in its original order.
-///
-/// `And`/`Or`/`Xor` operands are re-sorted `(min, max)` as the [`Builder`]
-/// sorts them, because moving the inputs to the front can reverse two
-/// operands. Every `Vec` of the result is allocated at its final length,
-/// so a caller that keeps the netlist keeps no spare capacity.
-///
-/// **Lemma.** For a netlist built by the [`Builder`], the result is `==`
-/// to [`sweep`]'s. The builder left no two gates equal and no gate that
-/// one of its folding rules rewrites. Both facts depend only on each
-/// gate's kind, its operands' kinds and which of its operands are equal.
-/// Removing dead gates and renumbering injectively keeps all three, so the
-/// live gates stay distinct and unfoldable: [`sweep`]'s rebuild through a
-/// fresh [`Builder`] merges and folds nothing and hands out these ids. A
-/// netlist made some other way (a [`Netlist::with_gate_replaced`] mutant,
-/// or one with `Nand`/`Nor`/`Xnor` gates, which the builder never emits)
-/// gets the same liveness and numbering but no sharing or folding; use
-/// [`synthesize`] for it.
-#[inline]
-pub fn sweep_consed(netlist: &Netlist) -> Netlist {
-    let gates = netlist.gates();
-    let mut live = vec![false; gates.len()];
-    let mut stack: Vec<NetId> = netlist
-        .outputs()
-        .iter()
-        .flat_map(|p| p.nets.iter().copied())
-        .collect();
-    while let Some(id) = stack.pop() {
-        if std::mem::replace(&mut live[id as usize], true) {
-            continue;
-        }
-        let gate = gates[id as usize];
-        stack.extend(gate.fanin());
-        if let Gate::Dff { d, .. } = gate {
-            stack.push(d);
-        }
-    }
-    let mut map: Vec<NetId> = vec![NetId::MAX; gates.len()];
-    let mut next: NetId = 0;
-    for port in netlist.inputs() {
-        for &net in &port.nets {
-            map[net as usize] = next;
-            next += 1;
-        }
-    }
-    let input_bits = next;
-    let kept = |id: usize| live[id] && !matches!(gates[id], Gate::Input(_));
-    for id in (0..gates.len()).filter(|&id| kept(id)) {
-        map[id] = next;
-        next += 1;
-    }
-    let m = |x: NetId| map[x as usize];
-    let sorted = |x: NetId, y: NetId| {
-        let (x, y) = (m(x), m(y));
-        (x.min(y), x.max(y))
-    };
-    let mut out: Vec<Gate> = Vec::with_capacity(next as usize);
-    out.extend((0..input_bits).map(Gate::Input));
-    for id in (0..gates.len()).filter(|&id| kept(id)) {
-        out.push(match gates[id] {
-            Gate::Const(v) => Gate::Const(v),
-            Gate::Input(_) => unreachable!("input pins are renumbered first"),
-            Gate::Not(x) => Gate::Not(m(x)),
-            Gate::And(x, y) => {
-                let (x, y) = sorted(x, y);
-                Gate::And(x, y)
-            }
-            Gate::Or(x, y) => {
-                let (x, y) = sorted(x, y);
-                Gate::Or(x, y)
-            }
-            Gate::Xor(x, y) => {
-                let (x, y) = sorted(x, y);
-                Gate::Xor(x, y)
-            }
-            Gate::Nand(x, y) => Gate::Nand(m(x), m(y)),
-            Gate::Nor(x, y) => Gate::Nor(m(x), m(y)),
-            Gate::Xnor(x, y) => Gate::Xnor(m(x), m(y)),
-            Gate::Mux { sel, a, b } => Gate::Mux {
-                sel: m(sel),
-                a: m(a),
-                b: m(b),
-            },
-            Gate::Dff { d, init } => Gate::Dff { d: m(d), init },
-        });
-    }
-    let renumber = |ports: &[Port]| -> Vec<Port> {
-        ports
-            .iter()
-            .map(|p| Port {
-                name: p.name.clone(),
-                nets: p.nets.iter().map(|&n| m(n)).collect(),
-            })
-            .collect()
-    };
-    Netlist {
-        gates: out,
-        inputs: renumber(netlist.inputs()),
-        outputs: renumber(netlist.outputs()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,10 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_consed_allocates_exact_lengths() {
+    fn sweep_allocates_exact_lengths() {
         let nl = adder_with_waste();
-        let swept = sweep_consed(&nl);
-        assert_eq!(swept, sweep(&nl));
+        let swept = sweep(&nl);
+        assert_eq!(swept, synthesize(&nl).0);
         assert!(swept.len() < nl.len(), "the dead subtractor is gone");
         assert_eq!(swept.gates.capacity(), swept.len());
         for ports in [&swept.inputs, &swept.outputs] {

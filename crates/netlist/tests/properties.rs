@@ -169,17 +169,16 @@ proptest! {
         prop_assert!(netlist::opt::check_equivalence(&nl, &opt, 24, seed).is_ok());
     }
 
-    /// `sweep_consed` renumbers a `Builder` netlist to exactly what
-    /// `sweep`'s rebuild through a fresh `Builder` gives, and `synthesize`'s
-    /// re-cons pass adds nothing on top of `sweep`.
+    /// `sweep` of a `Builder` netlist is what `synthesize`'s re-cons and
+    /// sweep give, and re-consing a swept netlist is a fixed point.
     #[test]
-    fn sweep_consed_matches_sweep_on_random_builder_netlists(
+    fn sweep_matches_synthesize_on_random_builder_netlists(
         recipe in proptest::collection::vec(any::<u8>(), 3..150),
     ) {
         let nl = interleaved_circuit_from_recipe(&recipe);
         let swept = netlist::opt::sweep(&nl);
-        prop_assert_eq!(&netlist::opt::sweep_consed(&nl), &swept);
         prop_assert_eq!(&netlist::opt::synthesize(&nl).0, &swept);
+        prop_assert_eq!(&netlist::opt::synthesize(&swept).0, &swept);
     }
 
     /// Gate ids are always topologically ordered (fan-in < gate id).

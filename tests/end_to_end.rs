@@ -107,12 +107,72 @@ fn every_rissp_is_smaller_than_the_full_isa_core() {
     }
 }
 
-/// The one-pass generator the exhibits use gives the same core and
-/// `SynthReport` as `synthesize`'s re-cons and sweep, on every `-O2`
-/// workload subset, the full ISA and the union subsets a fuzz wave over
-/// seeds 0..8 builds its core from.
+/// One digest per subset of [`generated_cores_match_frozen_digest`], in its
+/// order, recorded from the generator before it was folded into one path.
+const FROZEN_DIGESTS: [u64; 34] = [
+    // The 25 `-O2` workload subsets, in `workloads::all()` order.
+    0xb5b6057010206633,
+    0xccd9bbc2b73f8592,
+    0x651e9108d226cffc,
+    0xd69087838d199331,
+    0x070b99af68c799a7,
+    0x485e9218f9a47802,
+    0x00927585be5a5d97,
+    0x651e9108d226cffc,
+    0x2cface6d52815c05,
+    0x89fad7285507ea1e,
+    0x4b264f303808bc6d,
+    0xd3a7064ee8de56a7,
+    0x425049dad7127f9d,
+    0x8e786d57ed565cac,
+    0xc5e24c9c828df7db,
+    0x7ebe7402bc2154f7,
+    0xcf0acb0aeb2d90ad,
+    0x8525f9ee074f4a86,
+    0x6f2c62e204ee5f13,
+    0x30793025ae4b6835,
+    0x6718940109bf98cf,
+    0x25fb7c482d939ad5,
+    0x5be25e2522552540,
+    0xcd9a49b9baec668c,
+    0x4c742e7d77c62548,
+    // The full ISA.
+    0xfb7b9316238d62a7,
+    // The fuzz union subsets, seeds 0..1 through 0..8.
+    0xa5996c4c3d30cfb1,
+    0x7881b6601cdfdec8,
+    0x3a6b7df45a5df2c1,
+    0x3a6b7df45a5df2c1,
+    0x9982d0b76f67e4e3,
+    0x9982d0b76f67e4e3,
+    0x9982d0b76f67e4e3,
+    0x88bf79a91b8baf14,
+];
+
+/// FNV-1a over whatever a `Hash` impl feeds it: a digest that does not
+/// depend on `std`'s randomly seeded hasher.
+struct Fnv1a(u64);
+
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The generator's output is frozen: on every `-O2` workload subset, the
+/// full ISA and the union subsets a fuzz wave over seeds 0..8 builds its
+/// core from, the core and its `SynthReport` hash to the digests the
+/// generator gave before it was folded into one path, and re-consing the
+/// core through `synthesize` is a fixed point.
 #[test]
-fn generate_swept_matches_generate_on_exhibit_and_fuzz_subsets() {
+fn generated_cores_match_frozen_digest() {
+    use std::hash::{Hash, Hasher};
     let library = HwLibrary::build_full();
     let mut subsets: Vec<InstructionSubset> = workloads::all()
         .iter()
@@ -125,12 +185,22 @@ fn generate_swept_matches_generate_on_exhibit_and_fuzz_subsets() {
         union = union.union(&InstructionSubset::from_words(&image.words));
         subsets.push(union.clone());
     }
-    for subset in &subsets {
-        let swept = Rissp::generate_swept(&library, subset);
-        let reference = Rissp::generate(&library, subset);
-        // Not `assert_eq!`: a core's `Debug` runs to ~100k gates.
-        assert!(swept.core == reference.core, "core differs for {subset}");
-        assert_eq!(swept.synth, reference.synth, "{subset}");
-        assert_eq!(swept.subset, reference.subset);
-    }
+    let digests: Vec<u64> = subsets
+        .iter()
+        .map(|subset| {
+            let rissp = Rissp::generate(&library, subset);
+            assert_eq!(&rissp.subset, subset);
+            // Not `assert_eq!`: a core's `Debug` runs to ~100k gates.
+            assert!(
+                netlist::opt::synthesize(&rissp.core).0 == rissp.core,
+                "re-consing the core for {subset} changed it"
+            );
+            let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+            rissp.core.hash(&mut h);
+            rissp.synth.gates_before.hash(&mut h);
+            rissp.synth.gates_after.hash(&mut h);
+            h.finish()
+        })
+        .collect();
+    assert_eq!(digests, FROZEN_DIGESTS);
 }
