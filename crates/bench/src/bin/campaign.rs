@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Every runner is seeded and deterministic; see `docs/campaigns.md` for
-//! the campaign semantics (lane↔mutant mapping, divergence contract,
+//! the campaign semantics (fault dropping on cones, divergence contract,
 //! seed pinning, checkpoint formats). The exit status distinguishes the
 //! ways a run can stop:
 //!
@@ -143,10 +143,12 @@ fn main() {
 }
 
 /// The bounded CI sweep: every runner with pinned seeds, sized to finish
-/// well under a minute on a shared runner.
+/// well under a minute on a shared runner. The mutation leg takes every
+/// mutant of every block (no block has more than 1024), so each push
+/// checks the whole library against the MCY admission bar.
 fn smoke() -> i32 {
     let mutation_cfg = CampaignConfig {
-        limit: 8,
+        limit: 1024,
         seed: 0xca3b_a161,
         ..CampaignConfig::default()
     };

@@ -1,46 +1,47 @@
-//! Lane-parallel mutation-coverage campaigns (the MCY step at scale).
+//! Mutation-coverage campaigns by fault dropping on fan-out cones (the MCY
+//! step at scale).
 //!
 //! [`mutate::mutation_coverage`](crate::mutate::mutation_coverage) runs one
-//! mutant at a time through the interpreted [`netlist::Sim`] — fine for a
-//! handful of blocks, hopeless for "millions of scenarios". This module
-//! drives the same MCY loop through the batched backends: up to
-//! `lanes - 1` mutants of a block settle *simultaneously*, one mutant per
-//! stimulus lane of a single [`CompiledSim`], with the last lane reserved
-//! as the unmutated reference.
+//! mutant at a time through the interpreted [`netlist::Sim`], settling the
+//! whole faulty netlist on every vector — fine for a handful of blocks,
+//! hopeless for "millions of scenarios". This module reaches the same
+//! verdicts by parallel-pattern single-fault propagation (PPSFP;
+//! Waicukauski et al., "Fault Simulation for Structured VLSI", 1985):
 //!
-//! # Lane ↔ mutant mapping
+//! 1. **Golden pass, once per block.** The unmutated netlist settles 64
+//!    vectors per word ([`Gate::eval_word`], vectors in the lanes), once
+//!    for the observability probes and once for the full testbench; the
+//!    `block_semantics` results are transposed into lane words per
+//!    compared output bit.
+//! 2. **One cone per mutant.** Only the mutated net's static fan-out cone
+//!    is evaluated, in id order, the faulty gate first; every operand
+//!    outside the cone is read from the golden words. A mutant is
+//!    dropped at its first distinguishing probe word (observable) and at
+//!    its first killing testbench word (killed).
 //!
-//! A chunk of mutants is compiled into one *instrumented* netlist: every
-//! mutated net's driver is wrapped in an injection mux
+//! # Exactness
 //!
-//! ```text
-//! value(net) = mux(__mut{i}, original_gate, mutated_gate)
-//! ```
-//!
-//! where `__mut{i}` is a fresh 1-bit input asserted **only on lane `i`**.
-//! Lane `i` therefore computes exactly the function of
-//! [`Netlist::with_gate_replaced`] applied for mutant `i` alone, while the
-//! reference lane (all selects low) computes the original block — so one
-//! broadcast settle evaluates the whole chunk against one stimulus.
-//! Mutants of the *same* net chain their muxes in mutant order; at most
-//! one select is high per lane, so the chain resolves to the single
-//! requested fault.
-//!
-//! The verdicts — which mutants are observable and which of those the
-//! architecture testbench kills — are **bit-identical** to the scalar
-//! [`mutate::mutation_coverage`](crate::mutate::mutation_coverage) loop
-//! for every lane width and thread count (`tests/campaigns.rs` pins this
-//! across the whole block library), because both paths compare the same
-//! output ports on the same vector sets; only the evaluation schedule
-//! changes.
+//! A mutant replaces one gate, so every net outside that gate's fan-out
+//! cone keeps its golden value on every vector; evaluating the cone in
+//! topological (id) order over the golden words therefore yields exactly
+//! the values a full settle of
+//! [`Netlist::with_gate_replaced`](netlist::Netlist::with_gate_replaced)
+//! would. Observability compares the compared output bits inside the cone
+//! with golden (those outside cannot differ). Kill compares every
+//! compared output bit with the semantics words: an in-cone bit takes the
+//! cone's value, an out-of-cone bit the golden value. The compared
+//! ports are exactly the ten [`BlockOutputs`] fields, never `sel`, under
+//! each word's valid-lane mask — so the verdicts are **bit-identical** to
+//! the scalar loop's (`tests/campaigns.rs` pins this across the whole
+//! block library).
 
-use crate::mutate::{mutants_of, observability_probes, CoverageReport, Mutant, Mutation};
-use crate::verify::{arch_test_vectors, read_outputs_lane};
-use crate::{HwLibrary, InstrBlock};
-use netlist::compiled::{CompiledSim, LANES_PER_WORD, MAX_TOTAL_LANES};
+use crate::mutate::{mutation_sites, observability_probes, CoverageReport, Mutant, Mutation};
+use crate::verify::arch_test_vectors;
+use crate::{ports, HwLibrary, InstrBlock};
+use netlist::compiled::{word_lane_mask, LANES_PER_WORD, MAX_TOTAL_LANES};
 use netlist::pool;
 use netlist::{Builder, Gate, NetId, Netlist};
-use riscv_isa::semantics::{block_semantics, BlockInputs};
+use riscv_isa::semantics::{block_semantics, BlockInputs, BlockOutputs};
 use riscv_isa::Mnemonic;
 use std::collections::BTreeMap;
 use std::fs;
@@ -51,14 +52,16 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Mutants sampled per block (the `limit` of
-    /// [`mutants_of`]).
+    /// [`mutation_sites`]).
     pub limit: usize,
     /// Mutant-sampling seed, shared by every block (each block's mutant
     /// set still differs because its netlist differs).
     pub seed: u64,
-    /// Stimulus lanes per settle: `lanes - 1` mutants evaluate per chunk
-    /// and the last lane carries the unmutated reference. Clamped to
-    /// [`MAX_TOTAL_LANES`].
+    /// The chunk and checkpoint grain: a block's mutants are evaluated
+    /// and checkpointed `lanes - 1` at a time. Clamped to
+    /// [`MAX_TOTAL_LANES`], so chunk counts match the campaigns that
+    /// settled one chunk per lane block. No simulator settles this many
+    /// lanes: the golden pass packs 64 vectors per word.
     pub lanes: usize,
     /// Threads for the library-wide sweep (blocks are claimed off a
     /// shared counter, [`pool::claim_map`]). `1` runs on the caller.
@@ -87,13 +90,14 @@ pub struct BlockCoverage {
 
 /// Builds the instrumented netlist for one chunk of mutants: every mutated
 /// net's driver is wrapped in `mux(__mut{i}, original, mutated)` with a
-/// fresh 1-bit `__mut{i}` input per mutant.
+/// fresh 1-bit `__mut{i}` input per mutant, so lane `i` with only
+/// `__mut{i}` high computes exactly the mutant-`i` netlist and a lane with
+/// all selects low computes the original block.
 ///
-/// The rebuild walks the gate arena in topological (id) order through a
-/// fresh [`Builder`], so hash-consing and constant folding re-apply; that
-/// cannot change any lane's I/O function — lane `i` with only `__mut{i}`
-/// high computes exactly the mutant-`i` netlist, and a lane with all
-/// selects low computes the original block.
+/// The campaigns no longer use this (they evaluate fan-out cones); it is
+/// kept only for the callers that measure or cache-test an instrumented
+/// netlist: the `hwlib.instrument_ms` row of `perfbench`'s walk and
+/// `tests/service_cache.rs`.
 ///
 /// # Panics
 ///
@@ -116,26 +120,20 @@ pub fn instrument(netlist: &Netlist, mutants: &[&Mutant]) -> Netlist {
         .map(|i| b.input(&format!("__mut{i}")))
         .collect();
 
-    for (id, gate) in netlist.gates().iter().enumerate() {
-        let m = |n: NetId| map[n as usize];
-        let mut new = match *gate {
-            Gate::Input(_) => continue, // mapped with its port above
-            Gate::Const(v) => b.constant(v),
-            Gate::Not(x) => b.not(m(x)),
-            Gate::And(x, y) => b.and(m(x), m(y)),
-            Gate::Or(x, y) => b.or(m(x), m(y)),
-            Gate::Xor(x, y) => b.xor(m(x), m(y)),
-            Gate::Nand(x, y) => b.nand(m(x), m(y)),
-            Gate::Nor(x, y) => b.nor(m(x), m(y)),
-            Gate::Xnor(x, y) => b.xnor(m(x), m(y)),
-            Gate::Mux { sel, a, b: bb } => b.mux(m(sel), m(a), m(bb)),
-            Gate::Dff { .. } => panic!("instrument: instruction blocks are combinational"),
-        };
+    for (id, &gate) in netlist.gates().iter().enumerate() {
+        if let Gate::Input(_) = gate {
+            continue; // mapped with its port above
+        }
+        let mut new = emit(&mut b, gate, &map);
         for (i, mutant) in mutants.iter().enumerate() {
             if mutant.net as usize != id {
                 continue;
             }
-            let faulty = mutated_value(&mut b, gate, mutant.mutation, &map);
+            let faulty = mutant
+                .mutation
+                .apply(gate)
+                .expect("a mutant's mutation applies to its gate");
+            let faulty = emit(&mut b, faulty, &map);
             // sel high (lane i) selects the faulty value.
             new = b.mux(sels[i], new, faulty);
         }
@@ -149,153 +147,432 @@ pub fn instrument(netlist: &Netlist, mutants: &[&Mutant]) -> Netlist {
     b.finish()
 }
 
-/// Emits the faulty replacement value for one mutation of `gate`, with
-/// fan-ins remapped into the instrumented netlist.
-fn mutated_value(b: &mut Builder, gate: &Gate, mutation: Mutation, map: &[NetId]) -> NetId {
+/// Re-emits one logic gate through `b`, with fan-ins remapped by `map`.
+fn emit(b: &mut Builder, gate: Gate, map: &[NetId]) -> NetId {
     let m = |n: NetId| map[n as usize];
-    match mutation {
-        Mutation::StuckAtZero => b.zero(),
-        Mutation::StuckAtOne => b.one(),
-        Mutation::FlipKind => match *gate {
-            Gate::And(x, y) => b.or(m(x), m(y)),
-            Gate::Or(x, y) => b.and(m(x), m(y)),
-            Gate::Xor(x, y) => b.xnor(m(x), m(y)),
-            Gate::Xnor(x, y) => b.xor(m(x), m(y)),
-            Gate::Nand(x, y) => b.nor(m(x), m(y)),
-            Gate::Nor(x, y) => b.nand(m(x), m(y)),
-            ref g => panic!("FlipKind has no flip for {g:?}"),
-        },
-        Mutation::SwapMuxInputs => match *gate {
-            Gate::Mux { sel, a, b: bb } => b.mux(m(sel), m(bb), m(a)),
-            ref g => panic!("SwapMuxInputs on non-mux {g:?}"),
-        },
+    match gate {
+        Gate::Const(v) => b.constant(v),
+        Gate::Not(x) => b.not(m(x)),
+        Gate::And(x, y) => b.and(m(x), m(y)),
+        Gate::Or(x, y) => b.or(m(x), m(y)),
+        Gate::Xor(x, y) => b.xor(m(x), m(y)),
+        Gate::Nand(x, y) => b.nand(m(x), m(y)),
+        Gate::Nor(x, y) => b.nor(m(x), m(y)),
+        Gate::Xnor(x, y) => b.xnor(m(x), m(y)),
+        Gate::Mux { sel, a, b: bb } => b.mux(m(sel), m(a), m(bb)),
+        Gate::Input(_) | Gate::Dff { .. } => {
+            panic!("instrument: instruction blocks are combinational")
+        }
     }
 }
 
-/// Drives every input port of the block interface identically on all
-/// lanes (the injection selects are left untouched).
-fn broadcast(sim: &mut CompiledSim, inputs: &BlockInputs) {
-    sim.set_bus(crate::ports::PC, inputs.pc);
-    sim.set_bus(crate::ports::INSN, inputs.insn);
-    sim.set_bus(crate::ports::RS1_DATA, inputs.rs1_data);
-    sim.set_bus(crate::ports::RS2_DATA, inputs.rs2_data);
-    sim.set_bus(crate::ports::DMEM_RDATA, inputs.dmem_rdata);
+/// Reads one [`BlockOutputs`] field as a word.
+type OutputField = fn(&BlockOutputs) -> u32;
+
+/// Reads one [`BlockInputs`] field as a word.
+type InputField = fn(&BlockInputs) -> u32;
+
+/// The compared output ports — every [`BlockOutputs`] field, never `sel` —
+/// each with its field.
+const COMPARED: [(&str, OutputField); 10] = [
+    (ports::NEXT_PC, |o| o.next_pc),
+    (ports::RS1_ADDR, |o| o.rs1_addr.into()),
+    (ports::RS2_ADDR, |o| o.rs2_addr.into()),
+    (ports::RD_ADDR, |o| o.rd_addr.into()),
+    (ports::RD_DATA, |o| o.rd_data),
+    (ports::RD_WE, |o| o.rd_we.into()),
+    (ports::DMEM_ADDR, |o| o.dmem_addr),
+    (ports::DMEM_WDATA, |o| o.dmem_wdata),
+    (ports::DMEM_WMASK, |o| o.dmem_wmask.into()),
+    (ports::DMEM_RE, |o| o.dmem_re.into()),
+];
+
+/// The [`BlockInputs`] field an input port of the block interface reads.
+fn input_field(port: &str) -> InputField {
+    match port {
+        ports::PC => |i| i.pc,
+        ports::INSN => |i| i.insn,
+        ports::RS1_DATA => |i| i.rs1_data,
+        ports::RS2_DATA => |i| i.rs2_data,
+        ports::DMEM_RDATA => |i| i.dmem_rdata,
+        other => panic!("`{other}` is not a block input port"),
+    }
 }
 
-/// One block's prepared campaign: the mutant population plus the shared
-/// probe and testbench vector sets, ready to evaluate chunk by chunk.
-/// This is the unit both the one-shot sweep and the checkpoint-resume
-/// loop iterate over — a chunk's verdicts depend only on the chunk's own
-/// instrumented simulator, which is what makes resumption bit-identical.
+/// Transposes per-item bit rows into lane words, 64 items per word:
+/// `row(item, bits)` pushes one item's `width` bits, and entry
+/// `w * width + b` of the result holds bit `b` of items `64w..64w + 64`,
+/// item `64w + l` on lane `l`.
+fn transpose<T>(items: &[T], width: usize, mut row: impl FnMut(&T, &mut Vec<bool>)) -> Vec<u64> {
+    let mut words = vec![0u64; items.len().div_ceil(LANES_PER_WORD) * width];
+    let mut bits = Vec::with_capacity(width);
+    for (i, item) in items.iter().enumerate() {
+        bits.clear();
+        row(item, &mut bits);
+        debug_assert_eq!(bits.len(), width);
+        let (w, lane) = (i / LANES_PER_WORD, i % LANES_PER_WORD);
+        for (word, &bit) in words[w * width..].iter_mut().zip(&bits) {
+            *word |= u64::from(bit) << lane;
+        }
+    }
+    words
+}
+
+/// Pushes the low `width` bits of `value`, LSB first.
+fn push_bits(bits: &mut Vec<bool>, value: u32, width: usize) {
+    bits.extend((0..width).map(|j| (u64::from(value) >> j) & 1 == 1));
+}
+
+/// Rows of `u32`s, flattened: row `r` is `items[start[r]..start[r + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Groups `(row, item)` pairs by row, keeping their order within a row.
+    fn new(rows: usize, pairs: &[(u32, u32)]) -> Csr {
+        let mut start = vec![0u32; rows + 1];
+        for &(r, _) in pairs {
+            start[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut items = vec![0; pairs.len()];
+        for &(r, item) in pairs {
+            items[next[r as usize] as usize] = item;
+            next[r as usize] += 1;
+        }
+        Csr { start, items }
+    }
+
+    fn row(&self, r: u32) -> &[u32] {
+        &self.items[self.start[r as usize] as usize..self.start[r as usize + 1] as usize]
+    }
+}
+
+/// A combinational netlist prepared for single-fault evaluation on fan-out
+/// cones: the gate arena plus its fan-out lists.
+struct ConeSim<'n> {
+    gates: &'n [Gate],
+    fanout: Csr,
+}
+
+impl<'n> ConeSim<'n> {
+    fn new(netlist: &'n Netlist) -> ConeSim<'n> {
+        let gates = netlist.gates();
+        let edges: Vec<(u32, u32)> = gates
+            .iter()
+            .enumerate()
+            .flat_map(|(id, g)| g.fanin().map(move |f| (f, id as u32)))
+            .collect();
+        ConeSim {
+            gates,
+            fanout: Csr::new(gates.len(), &edges),
+        }
+    }
+
+    /// Settles the unmutated netlist on `words` lane words: entry
+    /// `w * bits + i` of `inputs` drives input bit `i` on word `w`, and
+    /// entry `w * len + id` of the result is net `id`'s word `w`.
+    fn settle(&self, inputs: &[u64], words: usize) -> Vec<u64> {
+        let (n, bits) = (self.gates.len(), inputs.len() / words.max(1));
+        let mut values = vec![0u64; words * n];
+        for (w, vals) in values.chunks_exact_mut(n).enumerate() {
+            for (id, gate) in self.gates.iter().enumerate() {
+                vals[id] = match *gate {
+                    Gate::Input(i) => inputs[w * bits + i as usize],
+                    ref g => g.eval_word(vals),
+                };
+            }
+        }
+        values
+    }
+
+    /// The static fan-out cone of `net` in id order, `net` first. `seen`
+    /// is all-false scratch of the netlist's length, and is left so.
+    fn cone(&self, net: NetId, seen: &mut [bool]) -> Vec<NetId> {
+        let mut cone = vec![net];
+        seen[net as usize] = true;
+        let mut next = 0;
+        while let Some(&id) = cone.get(next) {
+            for &f in self.fanout.row(id) {
+                if !seen[f as usize] {
+                    seen[f as usize] = true;
+                    cone.push(f);
+                }
+            }
+            next += 1;
+        }
+        for &id in &cone {
+            seen[id as usize] = false;
+        }
+        // Fan-outs have larger ids than their fan-ins: `net` sorts first.
+        cone.sort_unstable();
+        cone
+    }
+
+    /// Evaluates one word of the mutant that puts `faulty` in place of
+    /// `cone[0]`'s gate: `values` holds golden words, and afterwards the
+    /// mutant's words on the cone (and golden words everywhere else).
+    fn eval_cone(&self, faulty: Gate, cone: &[NetId], values: &mut [u64]) {
+        values[cone[0] as usize] = faulty.eval_word(values);
+        for &id in &cone[1..] {
+            values[id as usize] = self.gates[id as usize].eval_word(values);
+        }
+    }
+}
+
+/// One vector set settled on the unmutated block.
+struct Golden {
+    /// Entry `w * len + id`: net `id` on vectors `64w..64w + 64`.
+    values: Vec<u64>,
+    /// Valid lanes of each word (the last word may be partial).
+    valid: Vec<u64>,
+}
+
+impl Golden {
+    fn settle(sim: &ConeSim, netlist: &Netlist, vectors: &[BlockInputs]) -> Golden {
+        let fields: Vec<(InputField, usize)> = netlist
+            .inputs()
+            .iter()
+            .map(|p| (input_field(&p.name), p.nets.len()))
+            .collect();
+        let width = fields.iter().map(|&(_, w)| w).sum();
+        let inputs = transpose(vectors, width, |v, bits| {
+            for &(field, w) in &fields {
+                push_bits(bits, field(v), w);
+            }
+        });
+        let words = vectors.len().div_ceil(LANES_PER_WORD);
+        Golden {
+            values: sim.settle(&inputs, words),
+            valid: (0..words)
+                .map(|w| word_lane_mask((vectors.len() - w * LANES_PER_WORD).min(LANES_PER_WORD)))
+                .collect(),
+        }
+    }
+
+    fn words(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// Evaluates word `w` of the mutant that puts `faulty` in place of
+    /// `cone[0]`'s gate ([`ConeSim::eval_cone`]) in `work`, a copy of
+    /// `values`, and returns `diff(mutant, golden)` under the valid mask.
+    /// `work` holds the golden words again on return.
+    fn fault_word(
+        &self,
+        sim: &ConeSim,
+        work: &mut [u64],
+        w: usize,
+        faulty: Gate,
+        cone: &[NetId],
+        diff: impl FnOnce(&[u64], &[u64]) -> u64,
+    ) -> u64 {
+        let n = sim.gates.len();
+        let (vals, gold) = (
+            &mut work[w * n..(w + 1) * n],
+            &self.values[w * n..(w + 1) * n],
+        );
+        sim.eval_cone(faulty, cone, vals);
+        let d = diff(vals, gold) & self.valid[w];
+        for &id in cone {
+            vals[id as usize] = gold[id as usize];
+        }
+        d
+    }
+}
+
+/// Lanes where the compared outputs in `vals` miss one word's semantics
+/// words `spec`, valid or not.
+fn spec_miss(out_nets: &[NetId], vals: &[u64], spec: &[u64]) -> u64 {
+    out_nets
+        .iter()
+        .zip(spec)
+        .fold(0, |d, (&id, &bit)| d | (vals[id as usize] ^ bit))
+}
+
+/// One block's prepared campaign: its mutation sites plus the golden pass
+/// every chunk is evaluated against. This is the unit both the one-shot
+/// sweep and the checkpoint-resume loop iterate over — a chunk's verdicts
+/// depend only on the chunk's own sites and the block's golden pass,
+/// which is what makes resumption bit-identical.
 struct ChunkRunner<'b> {
-    block: &'b InstrBlock,
-    vectors: Vec<BlockInputs>,
-    probes: Vec<BlockInputs>,
-    mutants: Vec<Mutant>,
+    sim: ConeSim<'b>,
+    sites: Vec<(NetId, Mutation)>,
     lanes: usize,
+    /// The compared output bits each net drives (indices into a spec row).
+    drives: Csr,
+    /// The net driving each compared output bit.
+    out_nets: Vec<NetId>,
+    probes: Golden,
+    vectors: Golden,
+    /// Entry `w * bits + b`: compared bit `b` of the semantics on vector
+    /// word `w`.
+    spec: Vec<u64>,
+    /// Per vector word: valid lanes where the golden netlist itself
+    /// misses the semantics (zero on a verified block).
+    miss: Vec<u64>,
 }
 
 impl<'b> ChunkRunner<'b> {
     fn new(block: &'b InstrBlock, limit: usize, seed: u64, lanes: usize) -> ChunkRunner<'b> {
         let lanes = lanes.min(MAX_TOTAL_LANES);
         assert!(lanes >= 2, "lane_mutation_coverage needs >= 2 lanes");
+        let netlist = &block.netlist;
+        let sim = ConeSim::new(netlist);
         let vectors = arch_test_vectors(block.mnemonic);
-        let probes = observability_probes(&vectors);
-        let mutants = mutants_of(block, limit, seed);
+        let probes = Golden::settle(&sim, netlist, &observability_probes(&vectors));
+
+        let compared: Vec<(&str, OutputField, &[NetId])> = COMPARED
+            .iter()
+            .map(|&(name, field)| {
+                let port = netlist
+                    .output(name)
+                    .unwrap_or_else(|| panic!("{}: no output `{name}`", block.mnemonic));
+                (name, field, port.nets.as_slice())
+            })
+            .collect();
+        let out_nets: Vec<NetId> = compared
+            .iter()
+            .flat_map(|&(_, _, nets)| nets)
+            .copied()
+            .collect();
+        let bits = out_nets.len();
+        let spec = transpose(&vectors, bits, |v, row| {
+            let instr = riscv_isa::Instruction::decode(v.insn).expect("vector decodes");
+            let out = block_semantics(instr, v);
+            for &(name, field, nets) in &compared {
+                // A wider value would miss on every netlist; the testbench
+                // draws only registers the 4-bit address ports can name.
+                assert!(
+                    u64::from(field(&out)) >> nets.len() == 0,
+                    "{}: the semantics of `{name}` overflow the port",
+                    block.mnemonic
+                );
+                push_bits(row, field(&out), nets.len());
+            }
+        });
+        let golden = Golden::settle(&sim, netlist, &vectors);
+        let n = netlist.len();
+        let miss = (0..golden.words())
+            .map(|w| {
+                let spec = &spec[w * bits..(w + 1) * bits];
+                spec_miss(&out_nets, &golden.values[w * n..], spec) & golden.valid[w]
+            })
+            .collect();
+        let drives: Vec<(u32, u32)> = out_nets
+            .iter()
+            .enumerate()
+            .map(|(b, &id)| (id, b as u32))
+            .collect();
         ChunkRunner {
-            block,
-            vectors,
-            probes,
-            mutants,
+            sites: mutation_sites(block, limit, seed),
             lanes,
+            drives: Csr::new(n, &drives),
+            out_nets,
+            probes,
+            vectors: golden,
+            spec,
+            miss,
+            sim,
         }
     }
 
     /// Chunks this block's campaign spans (`lanes - 1` mutants each).
     fn chunk_count(&self) -> usize {
-        self.mutants.chunks(self.lanes - 1).count()
+        self.sites.len().div_ceil(self.lanes - 1)
     }
 
     /// Evaluates chunk `index`, returning its `(observable, killed)`
     /// counts.
     fn run_chunk(&self, index: usize) -> (usize, usize) {
         let chunk = self
-            .mutants
+            .sites
             .chunks(self.lanes - 1)
             .nth(index)
             .expect("chunk index in range");
-        let refs: Vec<&Mutant> = chunk.iter().collect();
-        let instrumented = instrument(&self.block.netlist, &refs);
-        let width = refs.len() + 1; // + reference lane
-        let reference = refs.len();
-        let mut sim = CompiledSim::with_lanes_arc(std::sync::Arc::new(instrumented), width);
-        // Assert each mutant's select on its own lane only. The selects
-        // never change again, so the per-chunk sweeps below are pure
-        // stimulus broadcasts.
-        for (i, _) in refs.iter().enumerate() {
-            let pattern: Vec<u64> = (0..width).map(|l| u64::from(l == i)).collect();
-            sim.set_bus_lanes(&format!("__mut{i}"), &pattern);
+        let mut seen = vec![false; self.sim.gates.len()];
+        let mut probe_work = self.probes.values.clone();
+        let mut vector_work = self.vectors.values.clone();
+        chunk.iter().fold((0, 0), |(o, k), &site| {
+            let (observable, killed) =
+                self.verdict(site, &mut seen, &mut probe_work, &mut vector_work);
+            (o + usize::from(observable), k + usize::from(killed))
+        })
+    }
+
+    /// One mutant's `(observable, killed)` verdict. `probe_work` and
+    /// `vector_work` hold the golden words on entry and on return.
+    fn verdict(
+        &self,
+        (net, mutation): (NetId, Mutation),
+        seen: &mut [bool],
+        probe_work: &mut [u64],
+        vector_work: &mut [u64],
+    ) -> (bool, bool) {
+        let faulty = mutation
+            .apply(self.sim.gates[net as usize])
+            .expect("a site names a mutation that applies");
+        let cone = self.sim.cone(net, seen);
+        // The compared bits inside the cone, as (net, bit) pairs: a mutant
+        // whose cone reaches none of them (only `sel`, say) can never
+        // change a compared output.
+        let outs: Vec<(usize, usize)> = cone
+            .iter()
+            .flat_map(|&id| {
+                self.drives
+                    .row(id)
+                    .iter()
+                    .map(move |&b| (id as usize, b as usize))
+            })
+            .collect();
+        if outs.is_empty() {
+            return (false, false);
+        }
+        let observable = (0..self.probes.words()).any(|w| {
+            self.probes
+                .fault_word(&self.sim, probe_work, w, faulty, &cone, |vals, gold| {
+                    outs.iter().fold(0, |d, &(id, _)| d | (vals[id] ^ gold[id]))
+                })
+                != 0
+        });
+        if !observable {
+            return (false, false);
         }
 
-        // MCY observability filter: a mutant is observable iff some probe
-        // vector distinguishes its lane from the reference lane.
-        let mut is_observable = vec![false; refs.len()];
-        for probe in &self.probes {
-            broadcast(&mut sim, probe);
-            sim.eval();
-            let golden = read_outputs_lane(&sim, reference);
-            for (i, seen) in is_observable.iter_mut().enumerate() {
-                if !*seen && read_outputs_lane(&sim, i) != golden {
-                    *seen = true;
-                }
-            }
-            if is_observable.iter().all(|&o| o) {
-                break;
-            }
-        }
-
-        // Kill check: an observable mutant is killed iff some testbench
-        // vector makes its lane differ from the golden semantics.
-        let mut is_killed = vec![false; refs.len()];
-        let mut open = is_observable.iter().filter(|&&o| o).count();
-        'vectors: for v in &self.vectors {
-            if open == 0 {
-                break;
-            }
-            let instr = riscv_isa::Instruction::decode(v.insn).expect("vector decodes");
-            let golden = block_semantics(instr, v);
-            broadcast(&mut sim, v);
-            sim.eval();
-            for i in 0..refs.len() {
-                if !is_observable[i] || is_killed[i] {
-                    continue;
-                }
-                if read_outputs_lane(&sim, i) != golden {
-                    is_killed[i] = true;
-                    open -= 1;
-                    if open == 0 {
-                        break 'vectors;
+        let bits = self.out_nets.len();
+        let killed = (0..self.vectors.words()).any(|w| {
+            let spec = &self.spec[w * bits..(w + 1) * bits];
+            self.vectors
+                .fault_word(&self.sim, vector_work, w, faulty, &cone, |vals, _| {
+                    if self.miss[w] == 0 {
+                        // Out-of-cone bits hold golden values, which match
+                        // the semantics on this word: only the cone can miss.
+                        outs.iter().fold(0, |d, &(id, b)| d | (vals[id] ^ spec[b]))
+                    } else {
+                        spec_miss(&self.out_nets, vals, spec)
                     }
-                }
-            }
-        }
-
-        (
-            is_observable.iter().filter(|&&o| o).count(),
-            is_killed.iter().filter(|&&k| k).count(),
-        )
+                })
+                != 0
+        });
+        (true, killed)
     }
 }
 
-/// Lane-parallel [`mutate::mutation_coverage`](crate::mutate::mutation_coverage):
+/// Cone-evaluated [`mutate::mutation_coverage`](crate::mutate::mutation_coverage):
 /// same mutants, same probes, same testbench vectors, same verdicts — but
-/// up to `lanes - 1` mutants settle per evaluation instead of one mutant
-/// per interpreted sweep.
+/// each mutant evaluates only its fan-out cone against one golden pass
+/// per block, 64 vectors per word, and stops at its first deciding word.
+/// `lanes` sets the chunk grain only (see [`CampaignConfig::lanes`]).
 ///
 /// # Panics
 ///
-/// Panics if `lanes < 2` after clamping (one mutant lane plus the
-/// reference lane is the minimum useful width).
+/// Panics if `lanes < 2` after clamping (a chunk holds `lanes - 1`
+/// mutants).
 pub fn lane_mutation_coverage(
     block: &InstrBlock,
     limit: usize,
@@ -303,21 +580,17 @@ pub fn lane_mutation_coverage(
     lanes: usize,
 ) -> CoverageReport {
     let runner = ChunkRunner::new(block, limit, seed, lanes);
-    let mut observable = 0;
-    let mut killed = 0;
-    for index in 0..runner.chunk_count() {
-        let (o, k) = runner.run_chunk(index);
-        observable += o;
-        killed += k;
-    }
+    let (observable, killed) = (0..runner.chunk_count())
+        .map(|index| runner.run_chunk(index))
+        .fold((0, 0), |(o, k), (co, ck)| (o + co, k + ck));
     CoverageReport {
-        generated: runner.mutants.len(),
+        generated: runner.sites.len(),
         observable,
         killed,
     }
 }
 
-/// Runs the lane-parallel MCY loop over every block in the library, with
+/// Runs the cone-evaluated MCY loop over every block in the library, with
 /// blocks claimed off a shared counter by `cfg.threads` threads
 /// ([`pool::claim_map`]). Results are in deterministic mnemonic order and
 /// independent of the thread count (each block's campaign is
@@ -337,8 +610,8 @@ pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<B
 /// Per-block resume state: how many chunks of the block's mutant
 /// population have been fully evaluated and the verdict counts they
 /// accumulated. A chunk's verdicts depend only on that chunk's own
-/// instrumented simulator (see `ChunkRunner`), so replaying the
-/// remaining chunks after a restart yields the same totals as an
+/// mutation sites and the block's golden pass (see `ChunkRunner`), so
+/// replaying the remaining chunks after a restart yields the same totals as an
 /// uninterrupted sweep, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockProgress {
@@ -567,8 +840,8 @@ pub enum SweepOutcome {
 /// binary.
 ///
 /// Unlike the plain sweep this walks blocks sequentially (checkpoint
-/// writes serialize the block loop); the lane parallelism *within* each
-/// chunk is unchanged, which is where the actual speedup lives.
+/// writes serialize the block loop); each chunk is evaluated exactly as
+/// in the plain sweep.
 ///
 /// # Errors
 ///
@@ -602,7 +875,7 @@ pub fn library_mutation_coverage_checkpointed(
             continue;
         }
         let runner = ChunkRunner::new(block, cfg.limit, cfg.seed, cfg.lanes);
-        progress.generated = runner.mutants.len();
+        progress.generated = runner.sites.len();
         let total = runner.chunk_count();
         loop {
             if progress.chunks_done >= total {
@@ -652,7 +925,11 @@ pub fn library_mutation_coverage_checkpointed(
 mod tests {
     use super::*;
     use crate::blocks::build_block;
-    use crate::mutate::mutation_coverage;
+    use crate::mutate::{is_observable, mutants_of, mutation_coverage, mutation_sites};
+    use crate::verify::read_outputs_lane;
+    use netlist::{CompiledSim, Sim};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn block(m: Mnemonic) -> InstrBlock {
         InstrBlock {
@@ -663,11 +940,18 @@ mod tests {
 
     #[test]
     fn lane_coverage_matches_scalar_for_representative_blocks() {
-        for m in [Mnemonic::Add, Mnemonic::Beq, Mnemonic::Sb, Mnemonic::Sra] {
-            let b = block(m);
-            let scalar = mutation_coverage(&b, 25, 23);
+        // The last block is the `sub` netlist passed off as `add`: its
+        // golden words miss the semantics, so out-of-cone bits count too.
+        let wrong = InstrBlock {
+            mnemonic: Mnemonic::Add,
+            netlist: build_block(Mnemonic::Sub),
+        };
+        let blocks = [Mnemonic::Add, Mnemonic::Beq, Mnemonic::Sb, Mnemonic::Sra].map(block);
+        for b in blocks.iter().chain([&wrong]) {
+            let m = b.mnemonic;
+            let scalar = mutation_coverage(b, 25, 23);
             for lanes in [4, 64, 96] {
-                let batched = lane_mutation_coverage(&b, 25, 23, lanes);
+                let batched = lane_mutation_coverage(b, 25, 23, lanes);
                 assert_eq!(batched, scalar, "{m} at {lanes} lanes");
             }
         }
@@ -676,7 +960,7 @@ mod tests {
     #[test]
     fn chunking_never_changes_the_report() {
         // 3 lanes -> 2 mutants per chunk: the 20-mutant campaign spans 10
-        // instrumented netlists and must still agree with the widest case.
+        // chunks and must still agree with the widest case.
         let b = block(Mnemonic::Xor);
         let narrow = lane_mutation_coverage(&b, 20, 7, 3);
         let wide = lane_mutation_coverage(&b, 20, 7, MAX_TOTAL_LANES);
@@ -692,12 +976,251 @@ mod tests {
         let instrumented = instrument(&b.netlist, &refs);
         let mut sim = CompiledSim::with_lanes_arc(std::sync::Arc::new(instrumented), 2);
         for v in arch_test_vectors(b.mnemonic).iter().take(40) {
-            broadcast(&mut sim, v);
+            for (port, _) in ports::INPUTS {
+                sim.set_bus(port, input_field(port)(v));
+            }
             sim.eval();
             let hw = crate::verify::run_hw_block(&b, v);
             assert_eq!(read_outputs_lane(&sim, 0), hw);
             assert_eq!(read_outputs_lane(&sim, 1), hw);
         }
+    }
+
+    /// A random combinational netlist over two 6-bit inputs with three
+    /// 8-bit output ports, holding every gate kind: the `Builder` lowers
+    /// NAND/NOR/XNOR to a NOT of AND/OR/XOR, so some of those are swapped
+    /// in afterwards.
+    fn random_netlist(rng: &mut StdRng) -> Netlist {
+        let mut b = Builder::new();
+        let mut nets = b.input_bus("a", 6);
+        nets.extend(b.input_bus("c", 6));
+        for _ in 0..60 {
+            let mut pick = || nets[rng.gen_range(0..nets.len())];
+            let (x, y, z) = (pick(), pick(), pick());
+            let net = match rng.gen_range(0..5) {
+                0 => b.not(x),
+                1 => b.and(x, y),
+                2 => b.or(x, y),
+                3 => b.xor(x, y),
+                _ => b.mux(x, y, z),
+            };
+            nets.push(net);
+        }
+        for name in ["x", "y", "z"] {
+            let outs: Vec<NetId> = (0..8)
+                .map(|_| nets[rng.gen_range(nets.len() / 2..nets.len())])
+                .collect();
+            b.output_bus(name, &outs);
+        }
+        let mut nl = b.finish();
+        for _ in 0..12 {
+            let id = rng.gen_range(0..nl.len()) as NetId;
+            let swapped = match nl.gates()[id as usize] {
+                Gate::And(x, y) => Gate::Nand(x, y),
+                Gate::Or(x, y) => Gate::Nor(x, y),
+                Gate::Xor(x, y) => Gate::Xnor(x, y),
+                _ => continue,
+            };
+            nl = nl.with_gate_replaced(id, swapped);
+        }
+        nl
+    }
+
+    /// Reads every output bit of `nl` on 64 vectors through the scalar
+    /// interpreter, lane `l` driving input bit `i` from bit `l` of
+    /// `inputs[i]`: `out[lane][port][bit]`.
+    fn scalar_outputs(nl: &Netlist, inputs: &[u64]) -> Vec<Vec<Vec<bool>>> {
+        (0..LANES_PER_WORD)
+            .map(|lane| {
+                let mut sim = Sim::new(nl);
+                let mut i = 0;
+                for port in nl.inputs() {
+                    let mut value = 0u64;
+                    for j in 0..port.nets.len() {
+                        value |= ((inputs[i] >> lane) & 1) << j;
+                        i += 1;
+                    }
+                    sim.set_bus_u64(&port.name, value);
+                }
+                sim.eval();
+                nl.outputs()
+                    .iter()
+                    .map(|p| {
+                        let v = sim.get_bus_u64(&p.name);
+                        (0..p.nets.len()).map(|j| (v >> j) & 1 == 1).collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cone_evaluation_matches_a_full_settle_of_the_faulty_netlist() {
+        let mut rng = StdRng::seed_from_u64(0xc0de);
+        let mut tried = [0usize; 4];
+        for _ in 0..24 {
+            let nl = random_netlist(&mut rng);
+            let sim = ConeSim::new(&nl);
+            let inputs: Vec<u64> = (0..12).map(|_| rng.gen()).collect();
+            let golden = sim.settle(&inputs, 1);
+            let words = |values: &[u64]| -> Vec<Vec<Vec<bool>>> {
+                (0..LANES_PER_WORD)
+                    .map(|lane| {
+                        nl.outputs()
+                            .iter()
+                            .map(|p| {
+                                p.nets
+                                    .iter()
+                                    .map(|&n| (values[n as usize] >> lane) & 1 == 1)
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            assert_eq!(words(&golden), scalar_outputs(&nl, &inputs));
+            let mut seen = vec![false; nl.len()];
+            for (kind, mutation) in [
+                Mutation::FlipKind,
+                Mutation::StuckAtZero,
+                Mutation::StuckAtOne,
+                Mutation::SwapMuxInputs,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let sites: Vec<NetId> = (0..nl.len() as NetId)
+                    .filter(|&id| {
+                        let gate = nl.gates()[id as usize];
+                        !matches!(gate, Gate::Const(_) | Gate::Input(_))
+                            && mutation.apply(gate).is_some()
+                    })
+                    .collect();
+                for _ in 0..3.min(sites.len()) {
+                    let net = sites[rng.gen_range(0..sites.len())];
+                    let faulty = mutation.apply(nl.gates()[net as usize]).unwrap();
+                    let cone = sim.cone(net, &mut seen);
+                    assert!(seen.iter().all(|&s| !s), "cone left scratch dirty");
+                    let mut values = golden.clone();
+                    sim.eval_cone(faulty, &cone, &mut values);
+                    let expected = scalar_outputs(&nl.with_gate_replaced(net, faulty), &inputs);
+                    assert_eq!(words(&values), expected, "{mutation:?} at net {net}");
+                    tried[kind] += 1;
+                }
+            }
+        }
+        assert!(
+            tried.iter().all(|&t| t > 0),
+            "a mutation kind went untried: {tried:?}"
+        );
+    }
+
+    #[test]
+    fn a_mutant_reaching_only_sel_is_not_observable() {
+        // Stuck-at-0 on the net that drives `sel` itself: the decode AND
+        // chain feeds no compared port in `add`, so the fault changes
+        // `sel` on every testbench vector and nothing that either path
+        // compares.
+        let b = block(Mnemonic::Add);
+        let sel = b.netlist.output(ports::SEL).expect("sel port").nets[0];
+        let site = (sel, Mutation::StuckAtZero);
+        let runner = ChunkRunner::new(&b, 0, 0, 64);
+        let mut seen = vec![false; b.netlist.len()];
+        let cone = runner.sim.cone(sel, &mut seen);
+        assert!(
+            cone.iter().all(|&id| runner.drives.row(id).is_empty()),
+            "sel's driver reaches a compared port"
+        );
+        let (mut probe_work, mut vector_work) =
+            (runner.probes.values.clone(), runner.vectors.values.clone());
+        assert_eq!(
+            runner.verdict(site, &mut seen, &mut probe_work, &mut vector_work),
+            (false, false)
+        );
+
+        let faulty = b.netlist.with_gate_replaced(sel, Gate::Const(false));
+        let mutant = Mutant {
+            net: sel,
+            mutation: Mutation::StuckAtZero,
+            netlist: faulty.clone(),
+        };
+        let probes = observability_probes(&arch_test_vectors(b.mnemonic));
+        assert!(!is_observable(&b, &mutant, &probes));
+        // The fault is real: a comparison that read `sel` would see it.
+        let faulty = InstrBlock {
+            mnemonic: b.mnemonic,
+            netlist: faulty,
+        };
+        let sel_of = |blk: &InstrBlock| {
+            let mut sim = Sim::new(&blk.netlist);
+            for (port, _) in ports::INPUTS {
+                sim.set_bus(port, input_field(port)(&probes[0]));
+            }
+            sim.eval();
+            sim.get_bus(ports::SEL)
+        };
+        assert_ne!(sel_of(&b), sel_of(&faulty));
+    }
+
+    #[test]
+    fn a_mutant_repairing_one_of_two_faults_is_still_killed() {
+        // `add` with two flipped gates whose cones are disjoint: flipping
+        // the first back repairs every output in its cone, so only the
+        // out-of-cone golden words — still wrong through the second flip
+        // — can kill the mutant, as they do on the scalar path.
+        let add = block(Mnemonic::Add);
+        let runner = ChunkRunner::new(&add, 0, 0, 64);
+        let mut seen = vec![false; add.netlist.len()];
+        let flips: Vec<(NetId, Vec<NetId>)> = mutation_sites(&add, usize::MAX, 0)
+            .into_iter()
+            .filter(|&(_, m)| m == Mutation::FlipKind)
+            .map(|(net, _)| (net, runner.sim.cone(net, &mut seen)))
+            .filter(|(_, cone)| cone.iter().any(|&id| !runner.drives.row(id).is_empty()))
+            .collect();
+        let (a, b) = flips
+            .iter()
+            .enumerate()
+            .find_map(|(i, (a, cone_a))| {
+                let disjoint = |(_, cone_b): &&(NetId, Vec<NetId>)| {
+                    cone_b.iter().all(|id| cone_a.binary_search(id).is_err())
+                };
+                flips[i + 1..].iter().find(disjoint).map(|&(b, _)| (*a, b))
+            })
+            .expect("two flips with disjoint cones");
+        let flip = |nl: &Netlist, net: NetId| {
+            let gate = Mutation::FlipKind.apply(nl.gates()[net as usize]).unwrap();
+            nl.with_gate_replaced(net, gate)
+        };
+        let wrong = InstrBlock {
+            mnemonic: Mnemonic::Add,
+            netlist: flip(&flip(&add.netlist, a), b),
+        };
+        let runner = ChunkRunner::new(&wrong, 0, 0, 64);
+        let (mut probe_work, mut vector_work) =
+            (runner.probes.values.clone(), runner.vectors.values.clone());
+        let verdict = runner.verdict(
+            (a, Mutation::FlipKind),
+            &mut seen,
+            &mut probe_work,
+            &mut vector_work,
+        );
+        assert_eq!(verdict, (true, true));
+
+        let mutant = &mutants_of(&wrong, usize::MAX, 0)
+            .into_iter()
+            .find(|m| (m.net, m.mutation) == (a, Mutation::FlipKind))
+            .expect("the repairing flip is a site");
+        let vectors = arch_test_vectors(Mnemonic::Add);
+        assert!(is_observable(
+            &wrong,
+            mutant,
+            &observability_probes(&vectors)
+        ));
+        let repaired = InstrBlock {
+            mnemonic: Mnemonic::Add,
+            netlist: mutant.netlist.clone(),
+        };
+        assert!(crate::verify::functional_verify(&repaired).is_err());
     }
 
     #[test]

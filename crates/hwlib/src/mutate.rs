@@ -4,9 +4,10 @@
 //! generating mutations of each instruction block with YosysHQ's MCY,
 //! keeping only mutants that observably change behaviour, and requiring the
 //! testbench to fail on every one of them.  This module reproduces that
-//! loop: [`mutants_of`] enumerates single-gate mutations, [`is_observable`]
-//! plays MCY's formal filter, and [`mutation_coverage`] reports the kill
-//! ratio achieved by the architecture-test testbench.
+//! loop: [`mutation_sites`] samples single-gate mutations, [`mutants_of`]
+//! builds their faulty netlists, [`is_observable`] plays MCY's formal
+//! filter, and [`mutation_coverage`] reports the kill ratio achieved by the
+//! architecture-test testbench.
 
 use crate::verify::{arch_test_vectors, run_hw_block};
 use crate::InstrBlock;
@@ -62,75 +63,84 @@ impl CoverageReport {
     }
 }
 
-fn flip(gate: Gate) -> Option<Gate> {
-    Some(match gate {
-        Gate::And(a, b) => Gate::Or(a, b),
-        Gate::Or(a, b) => Gate::And(a, b),
-        Gate::Xor(a, b) => Gate::Xnor(a, b),
-        Gate::Xnor(a, b) => Gate::Xor(a, b),
-        Gate::Nand(a, b) => Gate::Nor(a, b),
-        Gate::Nor(a, b) => Gate::Nand(a, b),
-        _ => return None,
-    })
+impl Mutation {
+    /// The faulty gate this mutation puts in place of `gate`, or `None`
+    /// when it does not apply to that gate kind (a flip needs a 2-input
+    /// gate, a swap needs a mux). This is the one definition of each
+    /// mutation: the scalar mutants, the instrumented netlists and the
+    /// campaign's cone evaluation all apply it.
+    pub fn apply(self, gate: Gate) -> Option<Gate> {
+        Some(match (self, gate) {
+            (Mutation::StuckAtZero, _) => Gate::Const(false),
+            (Mutation::StuckAtOne, _) => Gate::Const(true),
+            (Mutation::FlipKind, Gate::And(a, b)) => Gate::Or(a, b),
+            (Mutation::FlipKind, Gate::Or(a, b)) => Gate::And(a, b),
+            (Mutation::FlipKind, Gate::Xor(a, b)) => Gate::Xnor(a, b),
+            (Mutation::FlipKind, Gate::Xnor(a, b)) => Gate::Xor(a, b),
+            (Mutation::FlipKind, Gate::Nand(a, b)) => Gate::Nor(a, b),
+            (Mutation::FlipKind, Gate::Nor(a, b)) => Gate::Nand(a, b),
+            (Mutation::SwapMuxInputs, Gate::Mux { sel, a, b }) => Gate::Mux { sel, a: b, b: a },
+            _ => return None,
+        })
+    }
 }
 
-/// Enumerates up to `limit` single-gate mutants of `block`, sampled
-/// deterministically across the netlist.
-pub fn mutants_of(block: &InstrBlock, limit: usize, seed: u64) -> Vec<Mutant> {
-    let nl = &block.netlist;
+/// Samples up to `limit` single-gate mutation sites of `block`, uniformly
+/// without replacement, deterministically in `seed`.
+///
+/// Every logic gate offers each mutation that [`Mutation::apply`]s to it,
+/// in the order swap, flip, stuck-at-0, stuck-at-1; constants, inputs and
+/// flip-flops offer none. The sample is drawn from that candidate list
+/// with one `StdRng` stream and swap-removal, so the sites are a pure
+/// function of the netlist, `limit` and `seed`.
+pub fn mutation_sites(block: &InstrBlock, limit: usize, seed: u64) -> Vec<(NetId, Mutation)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<(NetId, Mutation)> = Vec::new();
-    for (id, gate) in nl.gates().iter().enumerate() {
-        let id = id as NetId;
-        match gate {
-            Gate::Const(_) | Gate::Input(_) | Gate::Dff { .. } => continue,
-            Gate::Mux { .. } => {
-                candidates.push((id, Mutation::SwapMuxInputs));
-                candidates.push((id, Mutation::StuckAtZero));
-                candidates.push((id, Mutation::StuckAtOne));
-            }
-            Gate::Not(_) => {
-                candidates.push((id, Mutation::StuckAtZero));
-                candidates.push((id, Mutation::StuckAtOne));
-            }
-            _ => {
-                candidates.push((id, Mutation::FlipKind));
-                candidates.push((id, Mutation::StuckAtZero));
-                candidates.push((id, Mutation::StuckAtOne));
+    for (id, &gate) in block.netlist.gates().iter().enumerate() {
+        if matches!(gate, Gate::Const(_) | Gate::Input(_) | Gate::Dff { .. }) {
+            continue;
+        }
+        for mutation in [
+            Mutation::SwapMuxInputs,
+            Mutation::FlipKind,
+            Mutation::StuckAtZero,
+            Mutation::StuckAtOne,
+        ] {
+            if mutation.apply(gate).is_some() {
+                candidates.push((id as NetId, mutation));
             }
         }
     }
-    // Uniform sample without replacement.
     let take = limit.min(candidates.len());
-    let mut picked = Vec::with_capacity(take);
-    for _ in 0..take {
-        let idx = rng.gen_range(0..candidates.len());
-        picked.push(candidates.swap_remove(idx));
-    }
-    picked
+    (0..take)
+        .map(|_| {
+            let idx = rng.gen_range(0..candidates.len());
+            candidates.swap_remove(idx)
+        })
+        .collect()
+}
+
+/// Enumerates up to `limit` single-gate mutants of `block`: the sites of
+/// [`mutation_sites`], each with its faulty netlist.
+pub fn mutants_of(block: &InstrBlock, limit: usize, seed: u64) -> Vec<Mutant> {
+    let nl = &block.netlist;
+    mutation_sites(block, limit, seed)
         .into_iter()
-        .filter_map(|(net, mutation)| {
-            let gate = nl.gates()[net as usize];
-            let mutated = match mutation {
-                Mutation::FlipKind => flip(gate)?,
-                Mutation::StuckAtZero => Gate::Const(false),
-                Mutation::StuckAtOne => Gate::Const(true),
-                Mutation::SwapMuxInputs => match gate {
-                    Gate::Mux { sel, a, b } => Gate::Mux { sel, a: b, b: a },
-                    _ => return None,
-                },
-            };
-            Some(Mutant {
+        .map(|(net, mutation)| {
+            let faulty = mutation
+                .apply(nl.gates()[net as usize])
+                .expect("a site names a mutation that applies");
+            Mutant {
                 net,
                 mutation,
-                netlist: nl.with_gate_replaced(net, mutated),
-            })
+                netlist: nl.with_gate_replaced(net, faulty),
+            }
         })
         .collect()
 }
 
 /// The observability-probe subset of a testbench vector set, shared by the
-/// scalar loop and the lane-parallel campaign engine so both filters see
+/// scalar loop and the cone-evaluated campaign engine so both filters see
 /// the exact same stimuli (mirroring MCY's independent filter).
 pub(crate) fn observability_probes(vectors: &[BlockInputs]) -> Vec<BlockInputs> {
     vectors.iter().step_by(7).copied().collect()

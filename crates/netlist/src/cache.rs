@@ -20,9 +20,9 @@
 //! stores its full [`Arc<Netlist>`] and a lookup verifies structural
 //! equality (`Netlist == Netlist`, an `O(gates)` compare — orders of
 //! magnitude cheaper than a compile) before returning the program. This
-//! is the correctness boundary the campaign layer leans on: an
-//! instrumented netlist with a different mutant set hashes (and compares)
-//! differently, so it can never be served another population's program.
+//! is the correctness boundary mutation testing leans on: a mutant's
+//! netlist hashes (and compares) differently from its block's, so it can
+//! never be served the block's program.
 //!
 //! # Invalidation
 //!
@@ -44,7 +44,7 @@
 //! next simulator to want native code emits it afresh. An entry held by
 //! the cache alone keeps no code mapped, so a warm cache of many cores
 //! costs their programs, not their machine code. A structurally new
-//! netlist — e.g. an instrumented mutant — gets a fresh program with
+//! netlist — e.g. a mutant — gets a fresh program with
 //! empty slots, so stale code can never run for the wrong netlist. See
 //! `docs/jit.md` § "Code lifetime".
 
@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Default capacity of the process-wide cache, in entries. Generous next
 /// to the steady-state working set (the hardware library's ~25 blocks
 /// plus a handful of cores) so real workloads never thrash, yet small
-/// enough that a campaign churning thousands of single-use instrumented
+/// enough that a service compiling thousands of single-use mutant
 /// netlists stays bounded.
 pub const DEFAULT_CAPACITY: usize = 256;
 

@@ -10,9 +10,9 @@
 //!    and a mux with a constant-false `b` leg becomes the fused
 //!    [`Lir::AndNot`] (`!sel & a`), which the emitter maps to a single
 //!    BMI1 `andn` when available. The [`crate::Builder`] already folds
-//!    most of these shapes at construction time, but instrumented
+//!    most of these shapes at construction time, but mutant
 //!    netlists built by [`crate::Netlist::with_gate_replaced`] (the
-//!    mutation-campaign path) bypass the builder, so stream-level
+//!    mutation-testing path) bypass the builder, so stream-level
 //!    folding has real work to do.
 //! 2. **Emit** ([`emit_op`]): straight-line x86-64 per lane word —
 //!    compute the new value, diff it against the stored word under the

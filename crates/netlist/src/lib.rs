@@ -185,6 +185,33 @@ impl Gate {
     pub fn is_dff(&self) -> bool {
         matches!(self, Gate::Dff { .. })
     }
+
+    /// Evaluates this gate on 64 lanes at once, reading each fan-in net
+    /// `n`'s lanes from `values[n]` (one bit per lane).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `Input` or a `Dff`: a source has no combinational
+    /// function, so its caller drives its word.
+    #[inline]
+    pub fn eval_word(&self, values: &[u64]) -> u64 {
+        let v = |n: NetId| values[n as usize];
+        match *self {
+            Gate::Const(c) => 0u64.wrapping_sub(u64::from(c)),
+            Gate::Not(x) => !v(x),
+            Gate::And(x, y) => v(x) & v(y),
+            Gate::Or(x, y) => v(x) | v(y),
+            Gate::Xor(x, y) => v(x) ^ v(y),
+            Gate::Nand(x, y) => !(v(x) & v(y)),
+            Gate::Nor(x, y) => !(v(x) | v(y)),
+            Gate::Xnor(x, y) => !(v(x) ^ v(y)),
+            Gate::Mux { sel, a, b } => {
+                let s = v(sel);
+                (v(a) & !s) | (v(b) & s)
+            }
+            Gate::Input(_) | Gate::Dff { .. } => panic!("eval_word: {self:?} is a source"),
+        }
+    }
 }
 
 /// A named multi-bit port (LSB first).
