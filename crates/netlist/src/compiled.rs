@@ -5,9 +5,9 @@
 //! `lane_words` contiguous `u64` words (word-major SoA, lane `l` lives in
 //! word `l / 64`, bit `l % 64`), so AND/OR/XOR/NOT/MUX settle up to
 //! [`MAX_TOTAL_LANES`] independent input vectors per eval as straight-line
-//! loops over K contiguous words — loops the compiler autovectorizes. The
-//! common K = 1 and K = 4 block widths dispatch to monomorphized fast
-//! paths; other widths run the same kernel with a runtime word count.
+//! loops over K contiguous words — loops the compiler autovectorizes.
+//! Every block width K in 1..=8 dispatches to its own monomorphized
+//! kernel.
 //! Toggle counting stays exact — `popcount((old ^ new) & mask[w])` summed
 //! over the words of the block accumulates per-net switching over the
 //! active lanes, so [`SimBackend::average_activity`] feeds the `flexic`
@@ -18,28 +18,15 @@
 //! cycle semantics) that trades a one-time compile for a much tighter,
 //! branch-predictable eval loop.
 //!
-//! # Event-driven evaluation
+//! # Tiering
 //!
-//! By default ([`EvalMode::Auto`]) `eval` is *activity-gated*: the
-//! simulator tracks which input/FF words were dirtied since the last
-//! settle and which nets changed a destination word during the current
-//! settle (the `diff != 0` toggle test computes this for free), and skips
-//! work at two granularities — a whole level when none of its dirt
-//! sources (fan-in levels plus the input-fed/FF-fed sources, recorded at
-//! compile time in [`Program::level_deps`]) changed, and a single op when
-//! none of its operand nets changed this settle. Skipping is bit-exact:
-//! skipped work would recompute exactly the values it already holds (and
-//! accumulate zero toggles), so results and per-net toggle counts are
-//! identical to a full sweep in every mode. When the dirty fraction is
-//! high the evaluator falls back to plain full sweeps for a while so
-//! dense stimuli never pay the gating overhead; see `docs/simulation.md`
-//! § "Event-driven evaluation".
-//!
-//! `Auto` is also tiered: a simulator of at most 64 lanes (one-word
-//! lane blocks) that has run [`AUTO_NATIVE_AFTER_SETTLES`] settles moves
-//! to full sweeps through natively emitted code ([`crate::jit`]), which
-//! beat the gated interpreter at that width once the emission is repaid.
-//! Results do not change.
+//! Every settle is a full forward sweep of the op stream. By default
+//! ([`EvalMode::Auto`]) it runs on the interpreter, and a simulator of at
+//! most 64 lanes (one-word lane blocks) that has run
+//! [`AUTO_NATIVE_AFTER_SETTLES`] settles moves to natively emitted code
+//! ([`crate::jit`]), which beats the interpreter at that width once the
+//! emission is repaid. Results do not change; see `docs/simulation.md`
+//! § "Tiered evaluation".
 //!
 //! A settle always runs on the calling thread. Parallelism lives one
 //! level up, across independent simulators: [`crate::ShardedSim::par_shards`]
@@ -95,30 +82,23 @@ fn block_lane_masks(lanes: usize) -> Vec<u64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortId(usize);
 
-/// How [`CompiledSim::eval`] sweeps the op stream. Every mode produces
-/// bit-identical values and toggle counts; the mode only changes how much
-/// work a settle performs, and on which engine.
+/// Which engine [`CompiledSim::eval`]'s full sweeps run on. Every mode
+/// produces bit-identical values, toggle counts and work counters; only
+/// [`EvalStats::native_sweeps`] tells the engines apart.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Tiered. Settles start on the interpreter, event-driven with a
-    /// dense-stimulus fallback: they skip unchanged levels, but when a
-    /// settle executes nearly every level the next [`AUTO_DENSE_BACKOFF`]
-    /// settles use plain full sweeps before probing the event-driven
-    /// path again. A simulator whose lane block is one word (≤ 64 lanes)
-    /// that has run
+    /// Tiered. Settles are interpreted full sweeps; a simulator whose
+    /// lane block is one word (≤ 64 lanes) that has run
     /// [`AUTO_NATIVE_AFTER_SETTLES`] settles since entering `Auto` then
     /// moves for good to native full sweeps ([`crate::jit`]) — the width
     /// where they beat the interpreter, after enough settles to repay the
     /// emission. If codegen refuses (any [`crate::jit::JitError`],
-    /// including `GATE_SIM_JIT=0`), it keeps interpreting. Either way the
-    /// results are bit-identical; [`EvalStats::native_sweeps`] says which
-    /// engine ran.
+    /// including `GATE_SIM_JIT=0`), it keeps interpreting.
     #[default]
     Auto,
-    /// Always sweep every op (the pre-event-driven behavior).
+    /// Always interpreted full sweeps: the reference the other modes are
+    /// tested against.
     FullSweep,
-    /// Always run the level-skipping evaluator (no dense fallback).
-    EventDriven,
     /// Full sweeps through natively emitted code ([`crate::jit`]) when
     /// codegen is available for this host, program, and lane width —
     /// otherwise interpreted full sweeps, bit-identically. Selected by
@@ -128,10 +108,6 @@ pub enum EvalMode {
     Jit,
 }
 
-/// Full-sweep settles an [`EvalMode::Auto`] simulator runs after a settle
-/// that executed more than ⅞ of the scheduled ops anyway.
-pub const AUTO_DENSE_BACKOFF: u32 = 32;
-
 /// Settles a qualifying [`EvalMode::Auto`] simulator runs on the
 /// interpreter before it moves to native code. Both the emission cost and
 /// the per-settle saving scale with the op count, so emission repays
@@ -139,10 +115,6 @@ pub const AUTO_DENSE_BACKOFF: u32 = 32;
 /// whatever the netlist's size; a CPU run is thousands of settles, a
 /// verification read or a service update a handful.
 pub const AUTO_NATIVE_AFTER_SETTLES: u32 = 256;
-
-/// Dirty fraction (executed ops / scheduled ops) above which
-/// [`EvalMode::Auto`] falls back to full sweeps, as a numerator over 8.
-const AUTO_DENSE_THRESHOLD_EIGHTHS: usize = 7;
 
 /// Compiled bit-parallel simulator for one netlist.
 ///
@@ -176,26 +148,12 @@ pub struct CompiledSim {
     /// pass's pseudo-toggles are discarded so activity numbers start clean.
     primed: bool,
     mode: EvalMode,
-    /// True when a `set_bus*` call changed an input word since the last
-    /// settle — level 0's `Input` ops may publish new values.
+    /// True when a port write changed an input word since the last
+    /// settle: [`CompiledSim::settle_cone`] refuses to run then.
     inputs_dirty: bool,
     /// True when `step`/`set_ff*` left a stored FF word different from the
-    /// published one — level 0's `DffOut` ops may publish new values.
+    /// published one: a cone without the flip-flops refuses to run then.
     ffs_dirty: bool,
-    /// Scratch bitset (stride `prog.dep_stride`): dirt sources (levels +
-    /// the input-fed/FF-fed bits) that changed a destination word during
-    /// the current settle.
-    changed_levels: Vec<u64>,
-    /// Per-net change stamps: `changed_stamp[net] == settle_id` iff the
-    /// net's word changed during the current settle. Stamps avoid an
-    /// O(nets) clear per settle; a wrapped stale stamp can only cause a
-    /// spurious (exact, value-preserving) re-execution.
-    changed_stamp: Vec<u32>,
-    /// Current settle's stamp (incremented by every `eval`).
-    settle_id: u32,
-    /// Remaining full-sweep settles before [`EvalMode::Auto`] re-probes
-    /// the event-driven path.
-    dense_backoff: u32,
     /// Native code for this program at this lane width, held while the
     /// mode is [`EvalMode::Jit`] or a promoted [`EvalMode::Auto`] and
     /// codegen succeeded; `None` is the interpreter state
@@ -212,20 +170,19 @@ pub struct CompiledSim {
 }
 
 /// Raw view of one simulator's per-net arrays, handed to the op-range
-/// executors so their hot loops index without bounds checks.
+/// executor so its hot loop indexes without bounds checks.
 ///
 /// # Safety contract
 ///
 /// The pointers alias the simulator's own arrays and are used only while
 /// the simulator is exclusively borrowed (`&mut self`). Each scheduled op
-/// writes exactly one destination net (`values[dst]`, `toggles[dst]`,
-/// `stamp[dst]`) and reads only nets of strictly earlier levels (ASAP
-/// levelization), and [`Program::compile`] guarantees every index is in
-/// bounds of arrays sized by [`Program::net_count`].
+/// writes exactly one destination net (`values[dst]`, `toggles[dst]`)
+/// and reads only nets of strictly earlier levels (ASAP levelization),
+/// and [`Program::compile`] guarantees every index is in bounds of arrays
+/// sized by [`Program::net_count`].
 struct NetArrays {
     values: *mut u64,
     toggles: *mut u64,
-    stamp: *mut u32,
 }
 
 /// Expands to a `match` on the runtime lane-block word count that calls
@@ -250,38 +207,18 @@ macro_rules! dispatch_lane_words {
     };
 }
 
-/// Executes ops `range` of the stream unconditionally; returns true when
-/// any destination word changed on an active lane. Dispatches to a body
-/// monomorphized per lane-block word count (the `masks` slice length).
-///
-/// # Safety
-///
-/// `range` must lie within the op stream, the caller must uphold the
-/// [`NetArrays`] contract, and all operand nets must already hold their
-/// settled values for this settle.
-unsafe fn exec_chunk_full(
-    prog: &Program,
-    arrays: &NetArrays,
-    inputs: &[u64],
-    ffs: &[u64],
-    masks: &[u64],
-    range: std::ops::Range<usize>,
-) -> bool {
-    dispatch_lane_words!(
-        masks.len(),
-        exec_chunk_full_impl(prog, arrays, inputs, ffs, masks, range)
-    )
-}
-
-/// The width-monomorphized body of [`exec_chunk_full`]; `K == masks.len()`
-/// is the lane-block word count.
+/// The interpreter: executes ops `range` of the stream unconditionally,
+/// monomorphized per lane-block word count `K == masks.len()`
+/// (`dispatch_lane_words!` picks it).
 ///
 /// The operand arrays are sliced to the range up front so the hot loop's
 /// stream indexing is bounds-check free.
 ///
 /// # Safety
 ///
-/// See [`exec_chunk_full`].
+/// `range` must lie within the op stream, the caller must uphold the
+/// [`NetArrays`] contract, and all operand nets must already hold their
+/// settled values for this settle.
 // Indexed `0..K` word loops on purpose: the const trip count unrolls them.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
@@ -292,7 +229,7 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
     ffs: &[u64],
     masks: &[u64],
     range: std::ops::Range<usize>,
-) -> bool {
+) {
     let n = range.len();
     let ops = &prog.opcodes[range.clone()][..n];
     let pa = &prog.a[range.clone()][..n];
@@ -304,7 +241,6 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
     // dies at inlining), which would force a reload per op.
     let masks: [u64; K] = masks[..K].try_into().unwrap();
     let values = arrays.values;
-    let mut changed = false;
     for i in 0..n {
         let a = pa[i] as usize * K;
         let b = pb[i] as usize * K;
@@ -357,217 +293,54 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
             OpCode::DffOut => v.copy_from_slice(&ffs[d..d + K]),
         }
         let mut toggled = 0u64;
-        let mut any = 0u64;
         for w in 0..K {
-            let diff = (*values.add(d + w) ^ v[w]) & masks[w];
-            toggled += diff.count_ones() as u64;
-            any |= diff;
+            toggled += ((*values.add(d + w) ^ v[w]) & masks[w]).count_ones() as u64;
             *values.add(d + w) = v[w];
         }
-        if any != 0 {
+        if toggled != 0 {
             *arrays.toggles.add(pd[i] as usize) += toggled;
-            changed = true;
         }
     }
-    changed
 }
 
-/// Executes a chunk of level 0 — exactly the Input/DffOut ops — stamping
-/// changed nets and reporting which of the two external dirt sources
-/// actually changed a published word: `(input-fed changed, FF-fed
-/// changed)`.
+/// One forward sweep of `ops` over a simulator's arrays: through `code`
+/// when there is some, else the interpreter. Both are bit-identical
+/// (values, exact popcount toggles).
 ///
 /// # Safety
 ///
-/// Same contract as [`exec_chunk_full`]; additionally `cur` must be the
-/// current settle's stamp.
-unsafe fn exec_chunk_level0(
-    prog: &Program,
-    arrays: &NetArrays,
+/// `ops` must be level-ordered and index the nets and inputs the arrays
+/// were sized for, at `masks.len()` words per lane block, and `code` must
+/// have been emitted from `ops` at that width. [`CompiledSim::eval`] and
+/// [`CompiledSim::settle_cone`] pass the simulator's own arrays.
+unsafe fn sweep(
+    ops: &Program,
+    code: Option<&crate::jit::JitProgram>,
+    values: &mut [u64],
+    toggles: &mut [u64],
     inputs: &[u64],
     ffs: &[u64],
     masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (bool, bool) {
-    dispatch_lane_words!(
-        masks.len(),
-        exec_chunk_level0_impl(prog, arrays, inputs, ffs, masks, cur, range)
-    )
-}
-
-/// The width-monomorphized body of [`exec_chunk_level0`].
-///
-/// # Safety
-///
-/// See [`exec_chunk_level0`].
-// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-unsafe fn exec_chunk_level0_impl<const K: usize>(
-    prog: &Program,
-    arrays: &NetArrays,
-    inputs: &[u64],
-    ffs: &[u64],
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (bool, bool) {
-    let n = range.len();
-    let ops = &prog.opcodes[range.clone()][..n];
-    let pa = &prog.a[range.clone()][..n];
-    let pd = &prog.dst[range][..n];
-    // A register-resident copy: the raw-pointer `values` stores could
-    // alias the `masks` slice as far as LLVM knows (the noalias attribute
-    // dies at inlining), which would force a reload per op.
-    let masks: [u64; K] = masks[..K].try_into().unwrap();
-    let (mut in_changed, mut ff_changed) = (false, false);
-    for i in 0..n {
-        let d = pd[i] as usize * K;
-        let (src, is_input): (&[u64], bool) = match ops[i] {
-            OpCode::Input => {
-                let a = pa[i] as usize * K;
-                (&inputs[a..a + K], true)
-            }
-            OpCode::DffOut => (&ffs[d..d + K], false),
-            op => unreachable!("level 0 holds only Input/DffOut ops, found {op:?}"),
-        };
-        let mut toggled = 0u64;
-        let mut any = 0u64;
-        for w in 0..K {
-            let v = src[w];
-            let diff = (*arrays.values.add(d + w) ^ v) & masks[w];
-            toggled += diff.count_ones() as u64;
-            any |= diff;
-            *arrays.values.add(d + w) = v;
-        }
-        if any != 0 {
-            *arrays.toggles.add(pd[i] as usize) += toggled;
-            *arrays.stamp.add(pd[i] as usize) = cur;
-            if is_input {
-                in_changed = true;
-            } else {
-                ff_changed = true;
-            }
+) {
+    match code {
+        Some(code) => code.run(
+            values.as_mut_ptr(),
+            inputs.as_ptr(),
+            ffs.as_ptr(),
+            toggles.as_mut_ptr(),
+            masks.as_ptr(),
+        ),
+        None => {
+            let arrays = NetArrays {
+                values: values.as_mut_ptr(),
+                toggles: toggles.as_mut_ptr(),
+            };
+            dispatch_lane_words!(
+                masks.len(),
+                exec_chunk_full_impl(ops, &arrays, inputs, ffs, masks, 0..ops.len())
+            );
         }
     }
-    (in_changed, ff_changed)
-}
-
-/// Executes a chunk of one dirty level (`level >= 1`) with per-op gating:
-/// an op runs only when one of its operand nets carries the current
-/// settle's change stamp — a skipped op's fan-in is bit-identical to the
-/// previous settle, so its output already holds the settled value.
-/// Returns `(ops executed, any destination changed)`.
-///
-/// # Safety
-///
-/// Same contract as [`exec_chunk_full`]; additionally every operand net's
-/// change stamp for this settle must already be final (they are — operand
-/// nets live in earlier levels, which executed first).
-unsafe fn exec_chunk_gated(
-    prog: &Program,
-    arrays: &NetArrays,
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (u64, bool) {
-    dispatch_lane_words!(
-        masks.len(),
-        exec_chunk_gated_impl(prog, arrays, masks, cur, range)
-    )
-}
-
-/// The width-monomorphized body of [`exec_chunk_gated`]. Gating stays per
-/// net: one change stamp covers the whole lane block (a net is "changed"
-/// when any active lane of any word flipped), so wider blocks gate exactly
-/// as often as a 64-lane sim driven with the union of the block's stimuli.
-///
-/// # Safety
-///
-/// See [`exec_chunk_gated`].
-// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-unsafe fn exec_chunk_gated_impl<const K: usize>(
-    prog: &Program,
-    arrays: &NetArrays,
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (u64, bool) {
-    let n = range.len();
-    let ops = &prog.opcodes[range.clone()][..n];
-    let pa = &prog.a[range.clone()][..n];
-    let pb = &prog.b[range.clone()][..n];
-    let pc = &prog.c[range.clone()][..n];
-    let pd = &prog.dst[range][..n];
-    // A register-resident copy: the raw-pointer `values` stores could
-    // alias the `masks` slice as far as LLVM knows (the noalias attribute
-    // dies at inlining), which would force a reload per op.
-    let masks: [u64; K] = masks[..K].try_into().unwrap();
-    let values = arrays.values;
-    let stamp = arrays.stamp;
-    let mut executed = 0u64;
-    let mut changed = false;
-    for i in 0..n {
-        let a = pa[i] as usize;
-        let b = pb[i] as usize;
-        let mut v = [0u64; K];
-        match ops[i] {
-            OpCode::Not => {
-                if *stamp.add(a) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    v[w] = !*values.add(a * K + w);
-                }
-            }
-            OpCode::Mux => {
-                let c = pc[i] as usize;
-                if *stamp.add(a) != cur && *stamp.add(b) != cur && *stamp.add(c) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    let sel = *values.add(c * K + w);
-                    v[w] = (sel & *values.add(b * K + w)) | (!sel & *values.add(a * K + w));
-                }
-            }
-            op => {
-                if *stamp.add(a) != cur && *stamp.add(b) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    let (x, y) = (*values.add(a * K + w), *values.add(b * K + w));
-                    v[w] = match op {
-                        OpCode::And => x & y,
-                        OpCode::Or => x | y,
-                        OpCode::Xor => x ^ y,
-                        OpCode::Nand => !(x & y),
-                        OpCode::Nor => !(x | y),
-                        OpCode::Xnor => !(x ^ y),
-                        _ => unreachable!("Input/DffOut ops live in level 0, found {op:?}"),
-                    };
-                }
-            }
-        }
-        executed += 1;
-        let d = pd[i] as usize * K;
-        let mut toggled = 0u64;
-        let mut any = 0u64;
-        for w in 0..K {
-            let diff = (*values.add(d + w) ^ v[w]) & masks[w];
-            toggled += diff.count_ones() as u64;
-            any |= diff;
-            *values.add(d + w) = v[w];
-        }
-        if any != 0 {
-            *arrays.toggles.add(pd[i] as usize) += toggled;
-            *stamp.add(pd[i] as usize) = cur;
-            changed = true;
-        }
-    }
-    (executed, changed)
 }
 
 fn broadcast(bit: bool) -> u64 {
@@ -625,6 +398,20 @@ impl CompiledSim {
         CompiledSim::from_parts(netlist, prog, lanes)
     }
 
+    /// Like [`CompiledSim::with_lanes_arc`], but compiles a fresh
+    /// [`Program`] instead of going through the process-wide
+    /// [`crate::cache::ProgramCache`]: no cache entry holds the netlist or
+    /// the program, so they go with the simulator (and the program with
+    /// the last cone cut from it).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
+    pub fn with_lanes_uncached(netlist: Arc<Netlist>, lanes: usize) -> CompiledSim {
+        let prog = Arc::new(Program::compile(&netlist));
+        CompiledSim::from_parts(netlist, prog, lanes)
+    }
+
     /// Shared constructor body: the `lanes` state arena over `prog`.
     ///
     /// # Panics
@@ -662,10 +449,6 @@ impl CompiledSim {
             mode: EvalMode::Auto,
             inputs_dirty: true,
             ffs_dirty: true,
-            changed_levels: vec![0u64; prog.dep_stride],
-            changed_stamp: vec![0u32; prog.net_count],
-            settle_id: 0,
-            dense_backoff: 0,
             jit: None,
             auto_settles: 0,
             jit_options: crate::jit::JitOptions::default(),
@@ -692,14 +475,14 @@ impl CompiledSim {
         &self.netlist
     }
 
-    /// How [`CompiledSim::eval`] sweeps the op stream (results are
+    /// Which engine [`CompiledSim::eval`] runs on (results are
     /// mode-independent; see [`EvalMode`]).
     pub fn eval_mode(&self) -> EvalMode {
         self.mode
     }
 
-    /// Selects the evaluation strategy. Purely a performance knob: values
-    /// and toggle counts are bit-identical in every mode.
+    /// Selects the evaluation engine. Purely a performance knob: values,
+    /// toggle counts and work counters are bit-identical in every mode.
     ///
     /// Entering [`EvalMode::Jit`] acquires (emitting on first use) native
     /// code for this program at this lane width; when codegen is
@@ -709,7 +492,6 @@ impl CompiledSim {
     /// towards promotion.
     pub fn set_eval_mode(&mut self, mode: EvalMode) {
         self.mode = mode;
-        self.dense_backoff = 0;
         self.auto_settles = 0;
         self.jit = if mode == EvalMode::Jit {
             self.acquire_jit()
@@ -886,6 +668,40 @@ impl CompiledSim {
         }
     }
 
+    /// Drives a resolved input port from lane words: `words` holds
+    /// [`CompiledSim::lane_words`] words per port bit, bit 0's first
+    /// (bit `l` of a bit's word `w` is lane `64w + l`'s value). This is
+    /// [`CompiledSim::set_port_lanes`] with every lane given, after one
+    /// 64×64 transpose per word of lanes, and it marks the inputs dirty
+    /// the same way: only when a word changes. Bits past the last lane
+    /// are stored as given and, as in every lane word, belong to no lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port net is not an input or `words.len()` is not the
+    /// port width times `lane_words`.
+    pub fn set_port_words(&mut self, port: PortId, words: &[u64]) {
+        let port = &self.netlist.inputs()[port.0];
+        let k = self.lane_words;
+        assert_eq!(
+            words.len(),
+            port.nets.len() * k,
+            "port words must be the port width times the lane words"
+        );
+        for (&net, block) in port.nets.iter().zip(words.chunks_exact(k)) {
+            match self.netlist.gates()[net as usize] {
+                Gate::Input(idx) => {
+                    let base = idx as usize * k;
+                    if self.input_values[base..base + k] != *block {
+                        self.input_values[base..base + k].copy_from_slice(block);
+                        self.inputs_dirty = true;
+                    }
+                }
+                ref g => panic!("net {net} is not an input: {g:?}"),
+            }
+        }
+    }
+
     /// Drives the named input port identically on every lane. Port bits at
     /// and beyond 64 are driven to 0.
     ///
@@ -920,40 +736,32 @@ impl CompiledSim {
         self.set_bus_u64(port, value as u64);
     }
 
-    /// Settles all combinational logic for the current inputs and FF state.
-    ///
-    /// Depending on [`CompiledSim::eval_mode`] this is either one full
-    /// forward sweep of the op stream (interpreted or native) or an
-    /// event-driven sweep that skips levels whose fan-in did not change;
-    /// all produce bit-identical values and toggle counts. The very first
-    /// settle is always a full sweep (the all-zero reset words must be
-    /// replaced everywhere).
+    /// Settles all combinational logic for the current inputs and FF state:
+    /// one full forward sweep of the op stream, natively when the
+    /// simulator holds code ([`EvalMode`]), else on the interpreter. Both
+    /// engines leave bit-identical values and exact popcount toggles, and
+    /// count the same [`EvalStats`] but for [`EvalStats::native_sweeps`].
     pub fn eval(&mut self) {
-        let event = self.primed
-            && match self.mode {
-                EvalMode::FullSweep | EvalMode::Jit => false,
-                EvalMode::EventDriven => true,
-                EvalMode::Auto => {
-                    if self.jit.is_some() {
-                        false // promoted: native full sweeps from here on
-                    } else if self.dense_backoff > 0 {
-                        self.dense_backoff -= 1;
-                        false
-                    } else {
-                        true
-                    }
-                }
-            };
-        // A fresh stamp per settle: "changed this settle" comparisons never
-        // need an O(nets) clear.
-        self.settle_id = self.settle_id.wrapping_add(1);
-        if event {
-            self.eval_event();
-        } else {
-            self.eval_full();
+        // SAFETY: `&mut self` is exclusive, the program is this
+        // simulator's own, and `acquire_jit` pinned its code (if any) to
+        // this program at this lane width.
+        unsafe {
+            sweep(
+                &self.prog,
+                self.jit.as_deref(),
+                &mut self.values,
+                &mut self.toggles,
+                &self.input_values,
+                &self.ff_state,
+                &self.lane_masks,
+            );
         }
         self.stats.settles += 1;
-        if self.mode == EvalMode::Auto && self.jit.is_none() {
+        self.stats.full_sweeps += 1;
+        self.stats.ops_executed += self.prog.len() as u64;
+        if self.jit.is_some() {
+            self.stats.native_sweeps += 1;
+        } else if self.mode == EvalMode::Auto {
             self.count_towards_promotion();
         }
         // The settle consumed all external dirtiness: values now reflect
@@ -982,144 +790,158 @@ impl CompiledSim {
         }
     }
 
-    /// The raw array view the op-range executors operate on. The returned
-    /// pointers alias `self`'s arrays; see [`NetArrays`] for the rules.
-    fn net_arrays(&mut self) -> NetArrays {
-        NetArrays {
-            values: self.values.as_mut_ptr(),
-            toggles: self.toggles.as_mut_ptr(),
-            stamp: self.changed_stamp.as_mut_ptr(),
+    /// The static fan-out cone of the input ports `ports`, plus every
+    /// flip-flop when `ffs` is set ([`Cone`]), cut from this simulator's
+    /// program at its lane width. The cone is interpreted until
+    /// [`CompiledSim::emit_cone`] gives it native code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port net is not an input.
+    pub fn cone(&self, ports: &[PortId], ffs: bool) -> Cone {
+        let prog = &*self.prog;
+        let gates = self.netlist.gates();
+        // `hit[net]`: the net is a source of the cone or an op of it.
+        let mut hit = vec![false; prog.net_count];
+        for port in ports {
+            for &net in &self.netlist.inputs()[port.0].nets {
+                match gates[net as usize] {
+                    Gate::Input(_) => hit[net as usize] = true,
+                    ref g => panic!("net {net} is not an input: {g:?}"),
+                }
+            }
+        }
+        let mut ops = Program {
+            opcodes: Vec::new(),
+            dst: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
+            c: Vec::new(),
+            bounds: vec![0],
+            consts: prog.consts.clone(),
+            dffs: Vec::new(),
+            net_count: prog.net_count,
+            input_count: prog.input_count,
+            jit: crate::jit::JitSlots::default(),
+        };
+        for level in 0..prog.levels() {
+            for i in prog.level_ops(level) {
+                let (a, b, c) = (prog.a[i] as usize, prog.b[i] as usize, prog.c[i] as usize);
+                let dst = prog.dst[i] as usize;
+                // Unused operand slots hold 0, a real net: read only the
+                // operands the opcode has.
+                let reads = match prog.opcodes[i] {
+                    OpCode::Input => hit[dst],
+                    OpCode::DffOut => ffs,
+                    OpCode::Not => hit[a],
+                    OpCode::Mux => hit[a] || hit[b] || hit[c],
+                    _ => hit[a] || hit[b],
+                };
+                if reads {
+                    hit[dst] = true;
+                    ops.opcodes.push(prog.opcodes[i]);
+                    ops.dst.push(prog.dst[i]);
+                    ops.a.push(prog.a[i]);
+                    ops.b.push(prog.b[i]);
+                    ops.c.push(prog.c[i]);
+                }
+            }
+            ops.bounds.push(ops.opcodes.len() as u32);
+        }
+        Cone {
+            source: Arc::clone(&self.prog),
+            lane_words: self.lane_words,
+            ports: ports.to_vec(),
+            ffs,
+            ops,
+            code: None,
         }
     }
 
-    /// One unconditional forward sweep of the whole op stream — through
-    /// the emitted native code when the simulator holds some, else the
-    /// interpreter. Both paths are bit-identical (values, exact popcount
-    /// toggles) and report identical [`EvalStats`] but for
-    /// [`EvalStats::native_sweeps`].
-    fn eval_full(&mut self) {
-        let n = self.prog.len();
-        if let Some(jit) = &self.jit {
-            // SAFETY: `&mut self` is exclusive, and the arrays are exactly
-            // the layout the code was emitted for — same program, same
-            // `lane_words` (acquire_jit pins both), array sizes fixed by
-            // `from_parts`.
-            unsafe {
-                jit.run(
-                    self.values.as_mut_ptr(),
-                    self.input_values.as_ptr(),
-                    self.ff_state.as_ptr(),
-                    self.toggles.as_mut_ptr(),
-                    self.lane_masks.as_ptr(),
-                );
-            }
-            self.stats.full_sweeps += 1;
-            self.stats.native_sweeps += 1;
-            self.stats.ops_executed += n as u64;
-            return;
+    /// Emits native code for `cone` through [`crate::jit::compile`] under
+    /// this simulator's [`crate::jit::JitOptions`]. On a refusal the cone
+    /// keeps (or goes back to) the interpreter, and the error says why.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone` was not cut from this simulator's program at its
+    /// lane width.
+    pub fn emit_cone(&self, cone: &mut Cone) -> Result<(), crate::jit::JitError> {
+        self.assert_owns(cone);
+        cone.code = None;
+        let code = crate::jit::compile(&cone.ops, self.lane_words, &self.jit_options)?;
+        cone.code = Some(code);
+        Ok(())
+    }
+
+    /// Writes `cone`'s input ports from lane words (`words[i]` for its
+    /// `i`-th port, as [`CompiledSim::set_port_words`] takes them) and
+    /// settles by running the cone's ops only: the values and toggles a
+    /// full [`CompiledSim::eval`] would leave. It counts one settle and the
+    /// cone's ops in [`EvalStats`], and no full sweep.
+    ///
+    /// Exact by construction: the simulator is settled before the write
+    /// (primed, no other input write pending, and no flip-flop write
+    /// pending unless the cone covers the flip-flops), so every op outside
+    /// the cone reads unchanged words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone` was not cut from this simulator's program at its
+    /// lane width (its ops index this simulator's arrays, native code
+    /// included), if the simulator has not settled once, if an input
+    /// write (or, for a cone without the flip-flops, a flip-flop write) is
+    /// still unsettled, or if `words` does not match the cone's ports.
+    pub fn settle_cone(&mut self, cone: &Cone, words: &[&[u64]]) {
+        self.assert_owns(cone);
+        assert!(
+            self.primed,
+            "a cone settles only a primed simulator: the first settle is a full eval"
+        );
+        assert!(
+            !self.inputs_dirty,
+            "an input write is still unsettled: a cone settle covers only its own ports"
+        );
+        assert!(
+            cone.ffs || !self.ffs_dirty,
+            "a flip-flop write is still unsettled and the cone does not cover the flip-flops"
+        );
+        assert_eq!(
+            words.len(),
+            cone.ports.len(),
+            "one lane-word slice per cone port"
+        );
+        for (&port, words) in cone.ports.iter().zip(words) {
+            self.set_port_words(port, words);
         }
-        let arrays = self.net_arrays();
-        // SAFETY: `&mut self` is exclusive — no other thread can touch the
-        // arrays — and `0..n` is the whole (valid) op stream.
+        // SAFETY: `&mut self` is exclusive, and `assert_owns` pinned the
+        // cone to these arrays: its ops (and code) index the nets and
+        // inputs of this simulator's own program at this lane width, in
+        // level order.
         unsafe {
-            exec_chunk_full(
-                &self.prog,
-                &arrays,
+            sweep(
+                &cone.ops,
+                cone.code.as_ref(),
+                &mut self.values,
+                &mut self.toggles,
                 &self.input_values,
                 &self.ff_state,
                 &self.lane_masks,
-                0..n,
             );
         }
-        self.stats.full_sweeps += 1;
-        self.stats.ops_executed += n as u64;
+        self.inputs_dirty = false;
+        self.ffs_dirty = false;
+        self.stats.settles += 1;
+        self.stats.ops_executed += cone.len() as u64;
     }
 
-    /// Event-driven settle, two tiers of exact skipping:
-    ///
-    /// 1. **Whole levels** — a level is skipped outright when none of its
-    ///    dirt sources ([`Program::level_deps`]) changed: level 0 when no
-    ///    input or stored FF word was dirtied since the last settle, any
-    ///    later level when no fan-in level (nor the input-fed/FF-fed
-    ///    source it reads) changed a published word during *this* settle.
-    /// 2. **Per op** — inside a dirty level, an op executes only when one
-    ///    of its operand nets carries the current settle's change stamp
-    ///    ([`CompiledSim::exec_level_gated`]).
-    ///
-    /// Both tiers are bit-exact: skipped work would recompute values that
-    /// are already settled and accumulate zero toggles.
-    fn eval_event(&mut self) {
-        let levels = self.prog.levels();
-        self.changed_levels.iter_mut().for_each(|w| *w = 0);
-        let cur = self.settle_id;
-        let arrays = self.net_arrays();
-        let mut ops_run = 0u64;
-        for level in 0..levels {
-            let range = self.prog.level_ops(level);
-            if range.is_empty() {
-                continue; // constants-only level: nothing scheduled
-            }
-            if level == 0 {
-                if !self.inputs_dirty && !self.ffs_dirty {
-                    self.stats.levels_skipped += 1;
-                    continue;
-                }
-                ops_run += range.len() as u64;
-                // SAFETY: `&mut self` is exclusive; the range is level 0.
-                let (in_changed, ff_changed) = unsafe {
-                    exec_chunk_level0(
-                        &self.prog,
-                        &arrays,
-                        &self.input_values,
-                        &self.ff_state,
-                        &self.lane_masks,
-                        cur,
-                        range,
-                    )
-                };
-                // Bits `levels` / `levels + 1`: the input-fed and FF-fed
-                // dirt sources (`Program::dep_bit_inputs`/`dep_bit_ffs`).
-                for (changed, bit) in [(in_changed, levels), (ff_changed, levels + 1)] {
-                    if changed {
-                        self.changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                    }
-                }
-                continue;
-            }
-            let dirty = self
-                .prog
-                .level_dep_set(level)
-                .iter()
-                .zip(self.changed_levels.iter())
-                .any(|(d, c)| d & c != 0);
-            if !dirty {
-                self.stats.levels_skipped += 1;
-                continue;
-            }
-            // SAFETY: `&mut self` is exclusive; all earlier levels have
-            // already executed, so operand values and stamps are final.
-            let (executed, changed) =
-                unsafe { exec_chunk_gated(&self.prog, &arrays, &self.lane_masks, cur, range) };
-            ops_run += executed;
-            if changed {
-                self.changed_levels[level / 64] |= 1u64 << (level % 64);
-            }
-        }
-        self.stats.ops_executed += ops_run;
-        // Dense stimulus: when nearly every op ran anyway, the gating
-        // bookkeeping is pure overhead — fall back to plain full sweeps
-        // for a while before probing the event-driven path again.
-        self.auto_dense_check(ops_run);
-    }
-
-    /// Applies [`EvalMode::Auto`]'s dense-stimulus fallback decision for a
-    /// settle that executed `ops_run` ops.
-    fn auto_dense_check(&mut self, ops_run: u64) {
-        if self.mode == EvalMode::Auto
-            && ops_run * 8 > self.prog.len() as u64 * AUTO_DENSE_THRESHOLD_EIGHTHS as u64
-        {
-            self.dense_backoff = AUTO_DENSE_BACKOFF;
-        }
+    /// Panics unless `cone` was cut from this simulator's program at its
+    /// lane width: what makes running its ops on these arrays sound.
+    fn assert_owns(&self, cone: &Cone) {
+        assert!(
+            Arc::ptr_eq(&cone.source, &self.prog) && cone.lane_words == self.lane_words,
+            "a cone settles only the simulator program and lane width it was cut from"
+        );
     }
 
     /// Clock edge: latches every DFF's `d` lane block into its state.
@@ -1130,7 +952,7 @@ impl CompiledSim {
             for w in 0..k {
                 let next = self.values[db + w];
                 // The FF output publishes the *stored* block on the next
-                // settle, so level 0 only needs re-evaluation when a newly
+                // settle, so the flip-flops are only dirty when a newly
                 // latched word differs from the currently published one.
                 if self.values[fb + w] != next {
                     self.ffs_dirty = true;
@@ -1314,41 +1136,6 @@ impl CompiledSim {
         let total: u64 = self.toggles.iter().sum();
         total as f64 / (self.toggles.len() as f64 * self.cycles as f64 * self.lanes as f64)
     }
-
-    /// Drives a resolved input port from lane words: `words` holds
-    /// [`CompiledSim::lane_words`] words per port bit, bit 0's first
-    /// (bit `l` of a bit's word `w` is lane `64w + l`'s value). This is
-    /// [`CompiledSim::set_port_lanes`] with every lane given, after one
-    /// 64×64 transpose per word of lanes, and it marks the inputs dirty
-    /// the same way: only when a word changes. Bits past the last lane
-    /// are stored as given and, as in every lane word, belong to no lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port net is not an input or `words.len()` is not the
-    /// port width times `lane_words`.
-    #[inline]
-    pub fn set_port_words(&mut self, port: PortId, words: &[u64]) {
-        let port = &self.netlist.inputs()[port.0];
-        let k = self.lane_words;
-        assert_eq!(
-            words.len(),
-            port.nets.len() * k,
-            "port words must be the port width times the lane words"
-        );
-        for (&net, block) in port.nets.iter().zip(words.chunks_exact(k)) {
-            match self.netlist.gates()[net as usize] {
-                Gate::Input(idx) => {
-                    let base = idx as usize * k;
-                    if self.input_values[base..base + k] != *block {
-                        self.input_values[base..base + k].copy_from_slice(block);
-                        self.inputs_dirty = true;
-                    }
-                }
-                ref g => panic!("net {net} is not an input: {g:?}"),
-            }
-        }
-    }
 }
 
 impl SimBackend for CompiledSim {
@@ -1428,8 +1215,8 @@ pub struct Cone {
     /// Whether the cone covers the flip-flops ([`OpCode::DffOut`]).
     ffs: bool,
     /// The cone's ops as a program over the source's nets: same net and
-    /// input counts, same levels and constants, only ever swept in full,
-    /// so it records no level dependencies and no flip-flops.
+    /// input counts, same levels and constants, and no flip-flops: a
+    /// cone settle latches nothing.
     ops: Program,
     /// Native code for `ops` ([`CompiledSim::emit_cone`]); `None` runs
     /// the interpreter.
@@ -1453,198 +1240,6 @@ impl Cone {
     #[inline]
     pub fn is_native(&self) -> bool {
         self.code.is_some()
-    }
-}
-
-impl CompiledSim {
-    /// Like [`CompiledSim::with_lanes_arc`], but compiles a fresh
-    /// [`Program`] instead of going through the process-wide
-    /// [`crate::cache::ProgramCache`]: no cache entry holds the netlist or
-    /// the program, so they go with the simulator (and the program with
-    /// the last cone cut from it).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
-    #[inline]
-    pub fn with_lanes_uncached(netlist: Arc<Netlist>, lanes: usize) -> CompiledSim {
-        let prog = Arc::new(Program::compile(&netlist));
-        CompiledSim::from_parts(netlist, prog, lanes)
-    }
-
-    /// The static fan-out cone of the input ports `ports`, plus every
-    /// flip-flop when `ffs` is set ([`Cone`]), cut from this simulator's
-    /// program at its lane width. The cone is interpreted until
-    /// [`CompiledSim::emit_cone`] gives it native code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port net is not an input.
-    #[inline]
-    pub fn cone(&self, ports: &[PortId], ffs: bool) -> Cone {
-        let prog = &*self.prog;
-        let gates = self.netlist.gates();
-        // `hit[net]`: the net is a source of the cone or an op of it.
-        let mut hit = vec![false; prog.net_count];
-        for port in ports {
-            for &net in &self.netlist.inputs()[port.0].nets {
-                match gates[net as usize] {
-                    Gate::Input(_) => hit[net as usize] = true,
-                    ref g => panic!("net {net} is not an input: {g:?}"),
-                }
-            }
-        }
-        let mut ops = Program {
-            opcodes: Vec::new(),
-            dst: Vec::new(),
-            a: Vec::new(),
-            b: Vec::new(),
-            c: Vec::new(),
-            bounds: vec![0],
-            level_deps: Vec::new(),
-            dep_stride: 0,
-            consts: prog.consts.clone(),
-            dffs: Vec::new(),
-            net_count: prog.net_count,
-            input_count: prog.input_count,
-            jit: crate::jit::JitSlots::default(),
-        };
-        for level in 0..prog.levels() {
-            for i in prog.level_ops(level) {
-                let (a, b, c) = (prog.a[i] as usize, prog.b[i] as usize, prog.c[i] as usize);
-                let dst = prog.dst[i] as usize;
-                // Unused operand slots hold 0, a real net: read only the
-                // operands the opcode has.
-                let reads = match prog.opcodes[i] {
-                    OpCode::Input => hit[dst],
-                    OpCode::DffOut => ffs,
-                    OpCode::Not => hit[a],
-                    OpCode::Mux => hit[a] || hit[b] || hit[c],
-                    _ => hit[a] || hit[b],
-                };
-                if reads {
-                    hit[dst] = true;
-                    ops.opcodes.push(prog.opcodes[i]);
-                    ops.dst.push(prog.dst[i]);
-                    ops.a.push(prog.a[i]);
-                    ops.b.push(prog.b[i]);
-                    ops.c.push(prog.c[i]);
-                }
-            }
-            ops.bounds.push(ops.opcodes.len() as u32);
-        }
-        Cone {
-            source: Arc::clone(&self.prog),
-            lane_words: self.lane_words,
-            ports: ports.to_vec(),
-            ffs,
-            ops,
-            code: None,
-        }
-    }
-
-    /// Emits native code for `cone` through [`crate::jit::compile`] under
-    /// this simulator's [`crate::jit::JitOptions`]. On a refusal the cone
-    /// keeps (or goes back to) the interpreter, and the error says why.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone` was not cut from this simulator's program at its
-    /// lane width.
-    #[inline]
-    pub fn emit_cone(&self, cone: &mut Cone) -> Result<(), crate::jit::JitError> {
-        self.assert_owns(cone);
-        cone.code = None;
-        let code = crate::jit::compile(&cone.ops, self.lane_words, &self.jit_options)?;
-        cone.code = Some(code);
-        Ok(())
-    }
-
-    /// Writes `cone`'s input ports from lane words (`words[i]` for its
-    /// `i`-th port, as [`CompiledSim::set_port_words`] takes them) and
-    /// settles by running the cone's ops only: the values and toggles a
-    /// full [`CompiledSim::eval`] would leave. It counts one settle and the
-    /// cone's ops in [`EvalStats`], and no full sweep.
-    ///
-    /// Exact by construction: the simulator is settled before the write
-    /// (primed, no other input write pending, and no flip-flop write
-    /// pending unless the cone covers the flip-flops), so every op outside
-    /// the cone reads unchanged words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone` was not cut from this simulator's program at its
-    /// lane width (its ops index this simulator's arrays, native code
-    /// included), if the simulator has not settled once, if an input
-    /// write (or, for a cone without the flip-flops, a flip-flop write) is
-    /// still unsettled, or if `words` does not match the cone's ports.
-    #[inline]
-    pub fn settle_cone(&mut self, cone: &Cone, words: &[&[u64]]) {
-        self.assert_owns(cone);
-        assert!(
-            self.primed,
-            "a cone settles only a primed simulator: the first settle is a full eval"
-        );
-        assert!(
-            !self.inputs_dirty,
-            "an input write is still unsettled: a cone settle covers only its own ports"
-        );
-        assert!(
-            cone.ffs || !self.ffs_dirty,
-            "a flip-flop write is still unsettled and the cone does not cover the flip-flops"
-        );
-        assert_eq!(
-            words.len(),
-            cone.ports.len(),
-            "one lane-word slice per cone port"
-        );
-        for (&port, words) in cone.ports.iter().zip(words) {
-            self.set_port_words(port, words);
-        }
-        if let Some(code) = &cone.code {
-            // SAFETY: `&mut self` is exclusive, and `assert_owns` pinned
-            // the code's layout to these arrays: the cone's ops index the
-            // nets and inputs of this simulator's own program, at this
-            // lane width, and `from_parts` sized the arrays for both.
-            unsafe {
-                code.run(
-                    self.values.as_mut_ptr(),
-                    self.input_values.as_ptr(),
-                    self.ff_state.as_ptr(),
-                    self.toggles.as_mut_ptr(),
-                    self.lane_masks.as_ptr(),
-                );
-            }
-        } else {
-            let arrays = NetArrays {
-                values: self.values.as_mut_ptr(),
-                toggles: self.toggles.as_mut_ptr(),
-                stamp: self.changed_stamp.as_mut_ptr(),
-            };
-            let (inputs, ffs, masks) = (&self.input_values, &self.ff_state, &self.lane_masks);
-            // SAFETY: as above, and `0..len` is the cone's whole stream,
-            // level-ordered, so every operand is settled before it is read.
-            unsafe {
-                dispatch_lane_words!(
-                    masks.len(),
-                    exec_chunk_full_impl(&cone.ops, &arrays, inputs, ffs, masks, 0..cone.len())
-                );
-            }
-        }
-        self.inputs_dirty = false;
-        self.ffs_dirty = false;
-        self.stats.settles += 1;
-        self.stats.ops_executed += cone.len() as u64;
-    }
-
-    /// Panics unless `cone` was cut from this simulator's program at its
-    /// lane width: what makes running its ops on these arrays sound.
-    #[inline]
-    fn assert_owns(&self, cone: &Cone) {
-        assert!(
-            Arc::ptr_eq(&cone.source, &self.prog) && cone.lane_words == self.lane_words,
-            "a cone settles only the simulator program and lane width it was cut from"
-        );
     }
 }
 
@@ -1809,122 +1404,6 @@ mod tests {
         }
         assert_eq!(sim.toggles().iter().sum::<u64>(), 0);
         assert_eq!(sim.average_activity(), 0.0);
-    }
-
-    #[test]
-    fn event_driven_skips_settled_levels_and_stays_exact() {
-        // 4-bit counter with an 8-bit adder bolted on: plenty of levels.
-        let mut b = Builder::new();
-        let ffs: Vec<NetId> = (0..4).map(|_| b.dff(false)).collect();
-        let one = crate::bus::constant(&mut b, 1, 4);
-        let (next, _) = crate::bus::add(&mut b, &ffs, &one);
-        for (ff, d) in ffs.iter().zip(&next) {
-            b.connect_dff(*ff, *d);
-        }
-        let x = b.input_bus("x", 8);
-        let y = b.input_bus("y", 8);
-        let (sum, _) = crate::bus::add(&mut b, &x, &y);
-        b.output_bus("sum", &sum);
-        b.output_bus("count", &ffs);
-        let nl = b.finish();
-
-        let mut full = CompiledSim::new(&nl);
-        full.set_eval_mode(EvalMode::FullSweep);
-        let mut event = CompiledSim::new(&nl);
-        event.set_eval_mode(EvalMode::EventDriven);
-        for cycle in 0..30u32 {
-            // The adder inputs only change every 10th settle: the cone
-            // between changes is quiescent and must be skipped.
-            let (a, c) = ((cycle / 10) * 37, (cycle / 10) * 11 + 1);
-            for sim in [&mut full, &mut event] {
-                sim.set_bus("x", a);
-                sim.set_bus("y", c);
-                sim.eval();
-                sim.step();
-            }
-            assert_eq!(event.get_bus("sum"), full.get_bus("sum"), "cycle {cycle}");
-            assert_eq!(
-                event.get_bus("count"),
-                full.get_bus("count"),
-                "cycle {cycle}"
-            );
-        }
-        assert_eq!(event.toggles(), full.toggles(), "exact toggle counts");
-        let (fs, es) = (full.eval_stats(), event.eval_stats());
-        assert_eq!(fs.settles, 30);
-        assert_eq!(fs.full_sweeps, 30);
-        assert_eq!(fs.levels_skipped, 0);
-        assert_eq!(es.settles, 30);
-        assert_eq!(es.full_sweeps, 1, "only the priming settle sweeps");
-        // The adder cone is quiescent between the every-10th-settle input
-        // changes, so per-op gating must strip most of its work even
-        // though the counter keeps its levels nominally dirty.
-        assert!(
-            es.ops_executed * 2 < fs.ops_executed,
-            "event-driven must execute far fewer ops ({} vs {})",
-            es.ops_executed,
-            fs.ops_executed
-        );
-    }
-
-    #[test]
-    fn idempotent_evals_skip_everything() {
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 8);
-        let y = b.input_bus("y", 8);
-        let (sum, _) = crate::bus::add(&mut b, &x, &y);
-        b.output_bus("sum", &sum);
-        let nl = b.finish();
-        let mut sim = CompiledSim::with_lanes(&nl, 64);
-        sim.set_eval_mode(EvalMode::EventDriven);
-        sim.set_bus("x", 170);
-        sim.set_bus("y", 85);
-        sim.eval(); // priming full sweep
-        let after_first = sim.eval_stats();
-        sim.set_bus("x", 170); // identical stimulus: no input word changes
-        sim.eval();
-        sim.eval();
-        let stats = sim.eval_stats();
-        assert_eq!(sim.get_bus("sum"), 255);
-        assert_eq!(
-            stats.ops_executed, after_first.ops_executed,
-            "settled netlist must execute zero ops"
-        );
-        assert_eq!(stats.settles, 3);
-        assert!(
-            stats.levels_skipped > 0,
-            "idempotent settles must skip whole levels: {stats:?}"
-        );
-        assert_eq!(sim.toggles().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn auto_mode_falls_back_to_full_sweeps_on_dense_stimulus() {
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 8);
-        let y = b.input_bus("y", 8);
-        let (sum, _) = crate::bus::add(&mut b, &x, &y);
-        b.output_bus("sum", &sum);
-        let nl = b.finish();
-        let mut sim = CompiledSim::with_lanes(&nl, 64);
-        // Pinned explicitly: GATE_SIM_JIT=1 changes the construction
-        // default, and this test is about Auto's dense fallback.
-        sim.set_eval_mode(EvalMode::Auto);
-        for i in 0..8u64 {
-            // Every lane changes every settle: maximally dense stimulus.
-            for lane in 0..64 {
-                sim.set_bus_lane("x", lane, i * 67 + lane as u64);
-                sim.set_bus_lane("y", lane, i * 31 + lane as u64 * 3);
-            }
-            sim.eval();
-        }
-        let stats = sim.eval_stats();
-        // Settle 0 primes (full); settle 1 probes event-driven, detects the
-        // dense stimulus, and the remaining settles fall back to full.
-        assert!(
-            stats.full_sweeps >= 7,
-            "dense stimulus must fall back to full sweeps: {stats:?}"
-        );
     }
 
     #[test]

@@ -292,16 +292,16 @@ pub fn code_bound(prog: &Program, k: usize) -> usize {
 }
 
 /// Lower the whole program for `k`-word lane blocks into `code`, at most
-/// `max_code_bytes` of it. Returns the code length plus the entry offsets
-/// of each level function (the whole-stream entry is offset 0). Stops at
-/// the first op that fails to fold or overflows the buffer.
+/// `max_code_bytes` of it. Returns the code length; the whole-stream
+/// entry is offset 0. Stops at the first op that fails to fold or
+/// overflows the buffer.
 pub fn lower_program(
     prog: &Program,
     k: usize,
     code: &mut [u8],
     max_code_bytes: usize,
     use_bmi1: bool,
-) -> Result<(usize, Vec<u32>), JitError> {
+) -> Result<usize, JitError> {
     let mut is_const = vec![None; prog.net_count];
     for &(net, v) in &prog.consts {
         is_const[net as usize] = Some(v);
@@ -317,10 +317,8 @@ pub fn lower_program(
     }
     x86::ret(&mut e);
     // One straight-line function per level.
-    let mut level_entries = Vec::with_capacity(levels);
     for (level, &label) in labels.iter().enumerate() {
         e.bind_label(label);
-        level_entries.push(e.offset());
         for i in prog.level_ops(level) {
             let lir = lower_op(prog, i, &is_const)?;
             emit_op(&mut e, lir, prog.dst[i], k, use_bmi1, i)?;
@@ -328,8 +326,7 @@ pub fn lower_program(
         }
         x86::ret(&mut e);
     }
-    let len = e.finalize().map_err(JitError::Emit)?;
-    Ok((len, level_entries))
+    e.finalize().map_err(JitError::Emit)
 }
 
 #[cfg(test)]

@@ -148,7 +148,6 @@ impl Default for JitOptions {
 #[derive(Debug)]
 pub struct JitProgram {
     buf: exec::ExecBuf,
-    level_entries: Vec<u32>,
     lane_words: usize,
     code_bytes: usize,
     uses_bmi1: bool,
@@ -178,12 +177,6 @@ impl JitProgram {
     /// Whether the BMI1 `andn` encoding was used.
     pub fn uses_bmi1(&self) -> bool {
         self.uses_bmi1
-    }
-
-    /// Per-level function entry offsets (diagnostics; the whole-stream
-    /// entry at offset 0 is what [`JitProgram::run`] calls).
-    pub fn level_entries(&self) -> &[u32] {
-        &self.level_entries
     }
 
     /// Execute one full combinational sweep: every scheduled op, in
@@ -244,12 +237,11 @@ pub fn compile(
     // the reservation, which unmaps it.
     let bound = lower::code_bound(prog, lane_words).min(opts.max_code_bytes);
     let mut res = exec::Reservation::new(bound).map_err(JitError::Map)?;
-    let (code_bytes, level_entries) =
+    let code_bytes =
         lower::lower_program(prog, lane_words, res.bytes(), opts.max_code_bytes, use_bmi1)?;
     let buf = res.seal(code_bytes).map_err(JitError::Map)?;
     Ok(JitProgram {
         buf,
-        level_entries,
         lane_words,
         code_bytes,
         uses_bmi1: use_bmi1,
@@ -405,7 +397,6 @@ mod tests {
         let jp = compile(&prog, 4, &opts).expect("host supports codegen");
         assert_eq!(jp.lane_words(), 4);
         assert!(jp.code_bytes() > 0);
-        assert_eq!(jp.level_entries().len(), prog.levels());
     }
 
     #[test]

@@ -7,15 +7,9 @@
 //! opcode stream in structure-of-arrays layout: one opcode byte plus up to
 //! three operand net indices per op. The stream is what
 //! [`crate::compiled::CompiledSim`] executes up to 512 stimulus lanes at
-//! a time; the level boundaries are retained for level skipping and for
-//! the per-level native code of [`crate::jit`].
-//!
-//! Compilation also records per-level *fan-in level sets*
-//! ([`Program::level_deps`]): for each level, a bitset over the earlier
-//! levels whose nets feed it. This is what lets
-//! [`crate::compiled::CompiledSim`]'s event-driven evaluation skip a whole
-//! level when none of its fan-in levels changed a value word during the
-//! current settle (see `docs/simulation.md` § "Event-driven evaluation").
+//! a time; the level boundaries are retained for the per-level native
+//! code of [`crate::jit`] and for cutting fan-out cones
+//! ([`crate::compiled::CompiledSim::cone`]).
 
 use crate::{Gate, NetId, Netlist};
 
@@ -126,8 +120,7 @@ pub enum OpCode {
 ///
 /// All five arrays have one entry per op; unused operand slots are 0. Ops
 /// are stored level-major, so a forward sweep is a valid combinational
-/// settle and [`Program::level_ops`] exposes the per-level slices that
-/// event-driven evaluation skips or gates.
+/// settle, and [`Program::level_ops`] exposes the per-level slices.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Opcode per op.
@@ -142,26 +135,6 @@ pub struct Program {
     pub c: Vec<u32>,
     /// Op-stream offsets of each level (`len = levels + 1`).
     pub bounds: Vec<u32>,
-    /// Per-level fan-in *dirt source* sets, flattened:
-    /// `level_deps[l * dep_stride .. (l + 1) * dep_stride]` is a bitset
-    /// (bit `k` = word `k / 64`, bit `k % 64`) over the sources whose
-    /// change forces level `l` to re-evaluate:
-    ///
-    /// * bit `k < levels` — some op in level `l` reads a net computed in
-    ///   level `k`. Level-0 nets are published from external words and get
-    ///   the two dedicated bits below instead, so bit 0 is never set.
-    /// * bit `levels` ([`Program::dep_bit_inputs`]) — some op reads a net
-    ///   published from a primary-input word ([`OpCode::Input`]).
-    /// * bit `levels + 1` ([`Program::dep_bit_ffs`]) — some op reads a net
-    ///   published from a stored FF word ([`OpCode::DffOut`]).
-    ///
-    /// Splitting level 0 by source kind is what lets a cycle loop skip
-    /// input-fed cones when only flip-flops changed (and vice versa).
-    /// Constant nets are excluded entirely: they can never change.
-    pub level_deps: Vec<u64>,
-    /// Bitset words per level in [`Program::level_deps`]
-    /// (`(levels + 2).div_ceil(64)`).
-    pub dep_stride: usize,
     /// Constant nets and their fixed values (preset at reset, never executed).
     pub consts: Vec<(NetId, bool)>,
     /// `(ff net, d net)` pairs latched by a clock edge.
@@ -184,9 +157,6 @@ impl Program {
         let lev = levelize(netlist);
         let gates = netlist.gates();
         let levels = lev.levels();
-        // Two extra dirt-source bits past the per-level ones: "input-fed"
-        // and "FF-fed" (see the `level_deps` docs).
-        let dep_stride = (levels + 2).div_ceil(64);
         let mut p = Program {
             opcodes: Vec::with_capacity(gates.len()),
             dst: Vec::with_capacity(gates.len()),
@@ -194,8 +164,6 @@ impl Program {
             b: Vec::with_capacity(gates.len()),
             c: Vec::with_capacity(gates.len()),
             bounds: Vec::with_capacity(lev.bounds.len()),
-            level_deps: vec![0u64; levels * dep_stride],
-            dep_stride,
             consts: Vec::new(),
             dffs: Vec::new(),
             net_count: gates.len(),
@@ -224,19 +192,6 @@ impl Program {
                         (OpCode::DffOut, 0, 0, 0)
                     }
                 };
-                // Record which dirt sources feed this level. Constant
-                // fan-ins are skipped (preset at reset, can never change);
-                // level-0 fan-ins resolve to the input-fed or FF-fed
-                // source bit depending on what publishes them.
-                for f in gates[id as usize].fanin() {
-                    let dep = match gates[f as usize] {
-                        Gate::Const(_) => continue,
-                        Gate::Input(_) => levels,
-                        Gate::Dff { .. } => levels + 1,
-                        _ => lev.depth[f as usize] as usize,
-                    };
-                    p.level_deps[level * dep_stride + dep / 64] |= 1u64 << (dep % 64);
-                }
                 p.opcodes.push(op);
                 p.dst.push(id);
                 p.a.push(a);
@@ -277,24 +232,6 @@ impl Program {
     /// The op index range of one level.
     pub fn level_ops(&self, level: usize) -> std::ops::Range<usize> {
         self.bounds[level] as usize..self.bounds[level + 1] as usize
-    }
-
-    /// [`Program::level_deps`] bit index of the "a primary-input word
-    /// changed" dirt source.
-    pub fn dep_bit_inputs(&self) -> usize {
-        self.levels()
-    }
-
-    /// [`Program::level_deps`] bit index of the "a stored FF word changed"
-    /// dirt source.
-    pub fn dep_bit_ffs(&self) -> usize {
-        self.levels() + 1
-    }
-
-    /// The dirt-source set of one level, as a `dep_stride`-word bitset
-    /// slice (see [`Program::level_deps`] for the bit layout).
-    pub fn level_dep_set(&self, level: usize) -> &[u64] {
-        &self.level_deps[level * self.dep_stride..(level + 1) * self.dep_stride]
     }
 }
 
@@ -342,50 +279,6 @@ mod tests {
             seen[id as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn level_deps_cover_exactly_the_fanin_sources() {
-        let nl = sample();
-        let lev = levelize(&nl);
-        let p = Program::compile(&nl);
-        assert_eq!(p.dep_stride, (p.levels() + 2).div_ceil(64));
-        assert_eq!(p.level_deps.len(), p.levels() * p.dep_stride);
-        // Reconstruct the expected sets straight from the gate arena.
-        let gates = nl.gates();
-        for level in 0..p.levels() {
-            let deps = p.level_dep_set(level);
-            let mut expect = vec![0u64; p.dep_stride];
-            for i in p.level_ops(level) {
-                for f in gates[p.dst[i] as usize].fanin() {
-                    let d = match gates[f as usize] {
-                        Gate::Const(_) => continue,
-                        Gate::Input(_) => p.dep_bit_inputs(),
-                        Gate::Dff { .. } => p.dep_bit_ffs(),
-                        _ => lev.depth[f as usize] as usize,
-                    };
-                    expect[d / 64] |= 1u64 << (d % 64);
-                }
-            }
-            assert_eq!(deps, &expect[..], "level {level}");
-            // Net fan-ins are strictly earlier levels, and never level 0
-            // (level-0 nets resolve to the external dirt-source bits).
-            assert_eq!(deps[0] & 1, 0, "level {level} claims a level-0 net");
-            for k in level..p.levels() {
-                assert_eq!(deps[k / 64] & (1 << (k % 64)), 0, "level {level} dep {k}");
-            }
-        }
-        // Level 0 itself reads only external words: an all-empty set.
-        assert!(p.level_dep_set(0).iter().all(|&w| w == 0));
-        // The sample circuit's level 1 reads inputs (and/or) but no FFs;
-        // the xor level reads the FF output.
-        assert_ne!(
-            p.level_dep_set(1)[p.dep_bit_inputs() / 64] & (1 << (p.dep_bit_inputs() % 64)),
-            0
-        );
-        let ff_reader = (1..p.levels())
-            .any(|l| p.level_dep_set(l)[p.dep_bit_ffs() / 64] & (1 << (p.dep_bit_ffs() % 64)) != 0);
-        assert!(ff_reader, "some level must read the DFF output");
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   reference backend, event-free and two-phase with toggle counting (the
 //!   activity numbers feed the FlexIC power model).
 //! * [`level`] — levelization and compilation of a netlist into a flat,
-//!   structure-of-arrays op stream with per-level fan-in metadata.
+//!   level-major, structure-of-arrays op stream.
 //! * [`compiled`] — the compiled backend: up to 512 stimulus lanes per
 //!   eval packed as K-word lane blocks (K contiguous `u64`s per net),
-//!   exact popcount-per-word toggle accounting, and event-driven level
-//!   skipping on low-activity stimulus ([`compiled::EvalMode`]).
+//!   exact popcount-per-word toggle accounting, full sweeps that move
+//!   from the interpreter to native code ([`compiled::EvalMode`]), and
+//!   settles of static fan-out cones ([`compiled::Cone`]).
 //! * [`jit`] — native code emission for the compiled op stream: each
 //!   level lowered to straight-line x86-64 in an mmap'd W^X buffer
 //!   (`EvalMode::Jit`, `EvalMode::Auto`'s native tier, `GATE_SIM_JIT`),

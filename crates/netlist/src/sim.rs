@@ -28,25 +28,23 @@ pub(crate) fn port_bit(value: u64, i: usize) -> u64 {
 /// Work counters for a backend's settles.
 ///
 /// Purely diagnostic: the counters never influence simulation results —
-/// they let benches and tests assert that an optimisation (e.g. the
-/// compiled backend's event-driven level skipping, `docs/simulation.md`
-/// § "Event-driven evaluation") actually engaged, and quantify how many
-/// ops a stimulus schedule really executed.
+/// they let benches and tests see how many ops a stimulus schedule really
+/// executed, tell a full settle from a cone settle
+/// ([`crate::CompiledSim::settle_cone`] counts no full sweep), and see
+/// which engine ran.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Total `eval()` calls.
+    /// Total settles: `eval()` calls, plus cone settles
+    /// ([`crate::CompiledSim::settle_cone`]).
     pub settles: u64,
     /// Settles evaluated by an unconditional sweep of every op/gate.
     pub full_sweeps: u64,
     /// Ops (gates) actually executed, summed over all settles.
     pub ops_executed: u64,
-    /// Whole levels skipped by event-driven evaluation (0 for backends
-    /// that always sweep).
-    pub levels_skipped: u64,
     /// Full sweeps run by natively emitted code ([`crate::jit`]) rather
     /// than the interpreter. The one engine-dependent counter: the other
-    /// four depend only on the eval mode and stimulus, this one says
-    /// which engine ran them (an [`crate::EvalMode::Auto`] simulator
+    /// three count the work whichever engine did it, this one says
+    /// which engine ran it (an [`crate::EvalMode::Auto`] simulator
     /// past its promotion point with `native_sweeps == 0` was refused
     /// codegen).
     pub native_sweeps: u64,
@@ -59,7 +57,6 @@ impl EvalStats {
             settles: self.settles + other.settles,
             full_sweeps: self.full_sweeps + other.full_sweeps,
             ops_executed: self.ops_executed + other.ops_executed,
-            levels_skipped: self.levels_skipped + other.levels_skipped,
             native_sweeps: self.native_sweeps + other.native_sweeps,
         }
     }
@@ -535,7 +532,6 @@ mod tests {
         assert_eq!(stats.settles, 2);
         assert_eq!(stats.full_sweeps, 2);
         assert_eq!(stats.ops_executed, 2 * nl.len() as u64);
-        assert_eq!(stats.levels_skipped, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests on the netlist substrate's core invariants,
 //! including cross-backend equivalence between the interpreted [`Sim`],
-//! the compiled 64-lane [`CompiledSim`] (in full-sweep, event-driven, and
-//! auto evaluation modes), and the multi-threaded [`ShardedSim`] at 1, 2
+//! the compiled 64-lane [`CompiledSim`] (in full-sweep, auto and JIT
+//! evaluation modes), and the multi-threaded [`ShardedSim`] at 1, 2
 //! and 4 threads. These tests enforce the backend contract written down
 //! in `docs/simulation.md`: identical outputs, FF state, and exact toggle
 //! counts for identical per-lane stimulus, independent of backend, thread
@@ -451,117 +451,6 @@ proptest! {
         prop_assert_eq!(sharded.toggles(), &sum[..]);
     }
 
-    /// Event-driven evaluation is bit-identical to the full sweep, the
-    /// interpreter, and the sharded backend — outputs, FF state, and exact
-    /// per-net toggle sums — on random sequential netlists under both
-    /// sparse stimulus (the same value re-driven most settles) and dense
-    /// stimulus (a fresh value every settle).
-    #[test]
-    fn event_driven_matches_every_backend_sparse_and_dense(
-        recipe in proptest::collection::vec(any::<u8>(), 6..120),
-        stimuli in proptest::collection::vec(any::<u8>(), 2..24),
-        sparse in any::<bool>(),
-    ) {
-        let nl = sequential_circuit_from_recipe(&recipe);
-        let mut int = Sim::new(&nl);
-        let mut full = CompiledSim::new(&nl);
-        full.set_eval_mode(EvalMode::FullSweep);
-        let mut event = CompiledSim::new(&nl);
-        event.set_eval_mode(EvalMode::EventDriven);
-        let mut auto_mode = CompiledSim::new(&nl); // EvalMode::Auto default
-        let mut sharded = ShardedSim::with_policy(
-            &nl,
-            ShardPolicy { shards: 2, lanes_per_shard: 2, threads: 2 },
-        );
-        sharded.set_eval_mode(EvalMode::EventDriven);
-        for (t, &s) in stimuli.iter().enumerate() {
-            // Sparse schedules only change the stimulus every 4th settle
-            // (re-driving an identical value dirties nothing).
-            let v = if sparse {
-                stimuli[t - t % 4] as u32
-            } else {
-                s as u32
-            };
-            int.set_bus("in", v);
-            full.set_bus("in", v);
-            event.set_bus("in", v);
-            auto_mode.set_bus("in", v);
-            SimBackend::set_bus(&mut sharded, "in", v);
-            int.eval();
-            full.eval();
-            event.eval();
-            auto_mode.eval();
-            sharded.eval();
-            for port in ["out", "state"] {
-                let want = int.get_bus_u64(port);
-                prop_assert_eq!(full.get_bus_u64(port), want, "full {} settle {}", port, t);
-                prop_assert_eq!(event.get_bus_u64(port), want, "event {} settle {}", port, t);
-                prop_assert_eq!(auto_mode.get_bus_u64(port), want, "auto {} settle {}", port, t);
-                for lane in 0..4 {
-                    prop_assert_eq!(
-                        sharded.get_bus_lane(port, lane), want,
-                        "sharded {} lane {} settle {}", port, lane, t
-                    );
-                }
-            }
-            int.step();
-            full.step();
-            event.step();
-            auto_mode.step();
-            sharded.step();
-        }
-        prop_assert_eq!(int.toggles(), full.toggles());
-        prop_assert_eq!(event.toggles(), full.toggles(), "event-driven toggle counts diverged");
-        prop_assert_eq!(auto_mode.toggles(), full.toggles(), "auto-mode toggle counts diverged");
-        let merged: Vec<u64> = int.toggles().iter().map(|&t| 4 * t).collect();
-        prop_assert_eq!(sharded.toggles(), &merged[..]);
-        // The gated path may only ever do less work than the full sweep.
-        prop_assert!(event.eval_stats().ops_executed <= full.eval_stats().ops_executed);
-    }
-
-    /// Sparse 64-lane stimulus — one lane flips per settle, and every
-    /// third settle re-drives identical values — matches the full sweep
-    /// bit-for-bit on every lane with exact toggle counts, and the
-    /// re-driven settles provably skip whole levels.
-    #[test]
-    fn event_driven_sparse_lane_flips_match_full_sweep(
-        recipe in proptest::collection::vec(any::<u8>(), 3..100),
-        base in any::<u64>(),
-    ) {
-        let nl = circuit_from_recipe(&recipe);
-        let mut full = CompiledSim::with_lanes(&nl, 64);
-        full.set_eval_mode(EvalMode::FullSweep);
-        let mut event = CompiledSim::with_lanes(&nl, 64);
-        event.set_eval_mode(EvalMode::EventDriven);
-        for settle in 0..32usize {
-            if settle % 3 != 2 {
-                // Flip one lane's stimulus; all other lanes keep theirs.
-                let lane = (base as usize + settle * 7) % 64;
-                let v = (base.wrapping_mul(settle as u64 * 2 + 3) >> 5) & 0xff;
-                full.set_bus_lane("in", lane, v);
-                event.set_bus_lane("in", lane, v);
-            }
-            // On `settle % 3 == 2` nothing is driven: the event-driven
-            // settle is fully quiescent.
-            full.eval();
-            event.eval();
-            for lane in 0..64 {
-                prop_assert_eq!(
-                    event.get_bus_lane("out", lane),
-                    full.get_bus_lane("out", lane),
-                    "lane {} settle {}", lane, settle
-                );
-            }
-        }
-        prop_assert_eq!(event.toggles(), full.toggles(), "exact toggle counts");
-        let (es, fs) = (event.eval_stats(), full.eval_stats());
-        prop_assert!(es.ops_executed <= fs.ops_executed);
-        prop_assert!(
-            es.levels_skipped > 0,
-            "quiescent settles must skip whole levels: {:?}", es
-        );
-    }
-
     /// Work-stealing determinism: deliberately uneven per-shard loads
     /// (shard `i` settles `(i + 1) * 3` times inside one `par_shards`
     /// scope) produce identical per-net toggle sums and per-shard results
@@ -755,14 +644,10 @@ proptest! {
     /// stimuli reproduce 2/4 independent 64-lane sims chunk-for-chunk —
     /// per-lane outputs and FF state every settle, cycle counts, and
     /// per-net toggle counts summing exactly across chunks — in both Auto
-    /// and pinned-full-sweep modes. In full-sweep mode the wide block's
+    /// and pinned-full-sweep modes. The wide block's
     /// [`netlist::EvalStats`] additionally equal each chunk's: every
-    /// settle walks the whole
-    /// program either way, K only changes the words per op. (Auto-mode
-    /// *stats* can legitimately differ on uncorrelated stimuli — a wide
-    /// block gates each net on the union of its lanes' activity — which
-    /// is what [`wide_lane_auto_stats_match_chunked_on_replicated_stimuli`]
-    /// pins down instead.)
+    /// settle walks the whole program either way, K only changes the
+    /// words per op.
     #[test]
     fn wide_lane_blocks_match_chunked_64_lane_sims(
         recipe in proptest::collection::vec(any::<u8>(), 6..60),
@@ -831,14 +716,12 @@ proptest! {
                     SimBackend::cycles(&wide),
                     SimBackend::cycles(&refs[0])
                 );
-                if mode == EvalMode::FullSweep {
-                    for r in &refs {
-                        prop_assert_eq!(
-                            wide.eval_stats(), r.eval_stats(),
-                            "full-sweep stats at {} lanes",
-                            lanes
-                        );
-                    }
+                for r in &refs {
+                    prop_assert_eq!(
+                        wide.eval_stats(), r.eval_stats(),
+                        "stats at {} lanes ({:?})",
+                        lanes, mode
+                    );
                 }
             }
         }
@@ -848,10 +731,10 @@ proptest! {
     /// chunk of the block receives the *same* per-lane stimulus pattern
     /// (so the per-net activity union across the block equals each
     /// chunk's own activity), a 128/256-lane sim's full
-    /// [`netlist::EvalStats`] — ops executed, levels skipped, full
-    /// sweeps — equal each chunked 64-lane reference's, settle for
-    /// settle. The stimulus schedule only changes
-    /// every third settle so the event-driven gating actually engages.
+    /// [`netlist::EvalStats`] — settles, full sweeps, ops executed —
+    /// equal each chunked 64-lane reference's. The stimulus schedule only
+    /// changes every third settle, so two of three settles re-settle
+    /// unchanged inputs.
     #[test]
     fn wide_lane_auto_stats_match_chunked_on_replicated_stimuli(
         recipe in proptest::collection::vec(any::<u8>(), 6..60),
@@ -913,8 +796,8 @@ proptest! {
     /// second construction of a content-equal netlist behind a fresh
     /// `Arc`) is bit-identical to the first-construction simulator and to
     /// the cache-free interpreted reference — outputs, FF state, exact
-    /// toggle counts, and [`netlist::EvalStats`] — across lane widths
-    /// and eval modes. (With `GATE_SIM_PROGRAM_CACHE=0`
+    /// toggle counts, and [`netlist::EvalStats`] — across lane widths.
+    /// (With `GATE_SIM_PROGRAM_CACHE=0`
     /// both constructions compile fresh and the property must hold all
     /// the same.)
     #[test]
@@ -935,37 +818,35 @@ proptest! {
             })
             .collect();
         for lanes in [1usize, 64, 128] {
-            for mode in [EvalMode::FullSweep, EvalMode::EventDriven] {
-                let run = |netlist: std::sync::Arc<Netlist>| {
-                    let mut sim = CompiledSim::with_lanes_arc(netlist, lanes);
-                    sim.set_eval_mode(mode);
-                    let mut outs = Vec::new();
-                    for &s in &stimuli {
-                        sim.set_bus("in", s as u32); // broadcast: all lanes alike
-                        sim.eval();
-                        outs.push((
-                            sim.get_bus_lane("out", 0),
-                            sim.get_bus_lane("state", 0),
-                            sim.get_bus_lane("out", lanes - 1),
-                        ));
-                        sim.step();
-                    }
-                    (outs, sim.toggles().to_vec(), sim.eval_stats())
-                };
-                // First construction compiles (or hits a prior
-                // iteration's entry); the second is the cache-hit
-                // path: same content behind a brand-new allocation.
-                let first = run(std::sync::Arc::new(nl.clone()));
-                let hit = run(std::sync::Arc::new(nl.clone()));
-                prop_assert_eq!(&hit, &first, "cached construction diverged");
-                for (got, want) in first.0.iter().zip(&int_outs) {
-                    prop_assert_eq!((got.0, got.1), *want, "vs interpreter");
-                    prop_assert_eq!(got.2, want.0, "last lane vs interpreter");
+            let run = |netlist: std::sync::Arc<Netlist>| {
+                let mut sim = CompiledSim::with_lanes_arc(netlist, lanes);
+                sim.set_eval_mode(EvalMode::FullSweep);
+                let mut outs = Vec::new();
+                for &s in &stimuli {
+                    sim.set_bus("in", s as u32); // broadcast: all lanes alike
+                    sim.eval();
+                    outs.push((
+                        sim.get_bus_lane("out", 0),
+                        sim.get_bus_lane("state", 0),
+                        sim.get_bus_lane("out", lanes - 1),
+                    ));
+                    sim.step();
                 }
-                let scaled: Vec<u64> =
-                    int.toggles().iter().map(|&t| lanes as u64 * t).collect();
-                prop_assert_eq!(&first.1, &scaled, "exact toggles");
+                (outs, sim.toggles().to_vec(), sim.eval_stats())
+            };
+            // First construction compiles (or hits a prior
+            // iteration's entry); the second is the cache-hit
+            // path: same content behind a brand-new allocation.
+            let first = run(std::sync::Arc::new(nl.clone()));
+            let hit = run(std::sync::Arc::new(nl.clone()));
+            prop_assert_eq!(&hit, &first, "cached construction diverged");
+            for (got, want) in first.0.iter().zip(&int_outs) {
+                prop_assert_eq!((got.0, got.1), *want, "vs interpreter");
+                prop_assert_eq!(got.2, want.0, "last lane vs interpreter");
             }
+            let scaled: Vec<u64> =
+                int.toggles().iter().map(|&t| lanes as u64 * t).collect();
+            prop_assert_eq!(&first.1, &scaled, "exact toggles");
         }
     }
 
@@ -1070,8 +951,8 @@ proptest! {
                 let mut auto = CompiledSim::with_lanes(nl, lanes);
                 auto.set_eval_mode(EvalMode::Auto);
                 for t in 0..settles {
-                    // A fresh stimulus every 4th settle, so the
-                    // interpreted tier really skips work.
+                    // A fresh stimulus every 4th settle; the others
+                    // re-settle unchanged inputs.
                     if t % 4 == 0 {
                         let s = stimuli[(t / 4) % stimuli.len()] as u64;
                         for g in 0..lanes {
@@ -1096,7 +977,7 @@ proptest! {
                 }
                 prop_assert_eq!(auto.toggles(), full.toggles(), "toggles, {} lanes", lanes);
                 let stats = auto.eval_stats();
-                prop_assert_eq!(stats.settles, settles as u64);
+                prop_assert_eq!(stats.work(), full.eval_stats(), "stats, {} lanes", lanes);
                 let past = (settles - AUTO_NATIVE_AFTER_SETTLES as usize) as u64;
                 prop_assert_eq!(stats.native_sweeps, if codegen { past } else { 0 });
                 prop_assert_eq!(auto.jit_active(), codegen);
